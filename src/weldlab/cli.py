@@ -42,8 +42,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
-    report = run_command(config)
+    try:
+        config = config_from_args(args)
+        report = run_command(config)
+    except ValueError as exc:
+        sys.stderr.write(f"weldlab {args.experiment}: error: {exc}\n")
+        return 2
     line = write_report(report, config.out)
     sys.stdout.write(line)
     for chk in report.checks:

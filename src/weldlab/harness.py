@@ -1,7 +1,8 @@
 """Experiment runner: reproducible configs in, JSON reports and CSV out.
 
-Every command is a deterministic function of its config (trial seeds are
-derived per index, so the job count changes wall time, never results).
+Every command is a deterministic function of its config (trials run in
+fixed-size chunks seeded by chunk index, so the job count changes wall
+time, never results).
 Reports are appended as single JSON lines; rerunning a config appends a
 byte-identical line.  Statistical checks report at 3 sigma and only fail a
 run beyond 5 sigma; hard checks fail immediately.
@@ -157,47 +158,39 @@ def write_report(report: Report, out: str | None) -> str:
 # discovery: the fresh-valid-label guessing experiment
 # ---------------------------------------------------------------------------
 
-def _discovery_chunk(args) -> tuple[int, int]:
-    """(hits, trials) for one chunk; module-level for process pools."""
-    n, h, chunk_seed, trials = args
-    structure = tree.generate_structure(n, derive_seed(chunk_seed, "structure"))
-    coloring = tree.generate_coloring(structure, derive_seed(chunk_seed, "coloring"))
-    base = tree.generate_labels(structure, coloring, derive_seed(chunk_seed, "labels0"))
-    hits = 0
-    for t_idx in range(trials):
-        bbt = tree.relabel(base, derive_seed(chunk_seed, "labels", t_idx))
-        rng = make_rng(chunk_seed, "adversary", t_idx)
-        handle = bbt.handle()
-        cur = 0
-        seen = {0}
-        while handle.count < h:
-            c = int(rng.integers(1, 10))
-            ans = handle.query(cur, c)
-            if ans != bbt.invalid:
-                seen.add(ans)
-                cur = ans
-        guess = int(rng.integers(0, 1 << bbt.label_bits))
-        if guess not in seen and guess != bbt.invalid and guess in bbt.inverse:
-            hits += 1
-    return hits, trials
+def _discovery_chunk(args) -> int:
+    """Hits in one chunk of guessing trials; module-level for process pools."""
+    structure, coloring, h, chunk_seed, trials = args
+    rng = make_rng(chunk_seed, "trials")
+    batch = tree.generate_label_batch(structure, coloring, trials, rng)
+    seen = walk.blind_walks(batch.handle(), h, trials, rng)
+    guess = rng.integers(0, 1 << batch.label_bits, size=trials)
+    # grading: a hit names a vertex label the walk never stood on
+    fresh = (batch.vertex_of(guess) >= 0) & (seen != guess[:, None]).all(axis=1)
+    return int(np.count_nonzero(fresh))
 
 
 def discovery_rate(n: int, h: int, trials: int, seed: int, jobs: int = 1
                    ) -> tuple[float, float]:
-    """(empirical rate, stderr) for the h-query guessing adversary."""
-    chunks = max(jobs, 1)
-    per = [trials // chunks + (1 if i < trials % chunks else 0) for i in range(chunks)]
-    args = [(n, h, derive_seed(seed, "chunk", i), per[i])
-            for i in range(chunks) if per[i] > 0]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_discovery_chunk, args))
+    """(empirical rate, stderr) for the h-query guessing adversary.
+
+    Every trial walks the same colored tree under a fresh labeling.  Trials
+    run in chunks of a size fixed by (n, h) alone, each seeded from its
+    chunk index, so ``jobs`` only decides how many processes share them.
+    """
+    walk.check_trials("discovery_rate", trials, h)
+    structure = tree.generate_structure(n, derive_seed(seed, "structure"))
+    coloring = tree.generate_coloring(structure, derive_seed(seed, "coloring"))
+    per = walk.batch_trials(structure.vertex_count + h + 1)
+    args = [(structure, coloring, h, derive_seed(seed, "chunk", i), min(per, trials - start))
+            for i, start in enumerate(range(0, trials, per))]
+    if jobs > 1 and len(args) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
+            hits = sum(pool.map(_discovery_chunk, args))
     else:
-        results = [_discovery_chunk(a) for a in args]
-    hits = sum(r[0] for r in results)
-    total = sum(r[1] for r in results)
-    p = hits / total
-    stderr = math.sqrt(max(p * (1 - p), 1.0 / total) / total)
+        hits = sum(map(_discovery_chunk, args))
+    p = hits / trials
+    stderr = math.sqrt(max(p * (1 - p), 1.0 / trials) / trials)
     return p, stderr
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -326,21 +327,87 @@ def generate_coloring(structure: TreeStructure, seed: int) -> EdgeColoring:
 # ---------------------------------------------------------------------------
 
 class OracleHandle:
-    """Per-worker query counter around a black-box tree.
+    """Per-worker query counter around a black-box tree or a labeling batch.
 
     ``query`` counts every invocation exactly once, including INVALID
-    answers.  Workers use one handle each and merge counts by summation.
+    answers, and ``query_many`` counts each element of its batch once.
+    Workers use one handle each and merge counts by summation.
     """
 
     __slots__ = ("bbt", "count")
 
-    def __init__(self, bbt: "BlackBoxTree"):
+    def __init__(self, bbt: "BlackBoxTree | LabelingBatch"):
         self.bbt = bbt
         self.count = 0
 
     def query(self, x: int, c: int) -> int:
         self.count += 1
         return self.bbt.answer(x, c)
+
+    def query_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+        answers = self.bbt.answer_many(xs, cs)
+        self.count += answers.size
+        return answers
+
+
+class LabelingBatch:
+    """B injective labelings of one colored welded tree, asked row-aligned.
+
+    Row b is an oracle of its own: ``answer_many(xs, cs)`` asks labeling b
+    for ``xs[..., b]`` (a single row answers every element).  A lookup is a
+    ``searchsorted`` over the sorted labels, each row offset into its own
+    2^label_bits range, followed by a read of the vertex-by-color neighbour
+    table; no dict and no 2^label_bits-sized array is built.
+    """
+
+    def __init__(self, structure: TreeStructure, coloring: "EdgeColoring",
+                 labels: np.ndarray, label_bits: int):
+        rows, V = labels.shape
+        shift = V.bit_length()
+        if label_bits + max(shift, rows.bit_length()) > 62:
+            raise ValueError(f"{rows} rows of {label_bits}-bit labels for {V} vertices "
+                             f"overflow the int64 lookup keys")
+        self.labels = np.ascontiguousarray(labels, dtype=np.int64)
+        self.label_bits = label_bits
+        self._neighbors = neighbor_table(structure, coloring)
+        row = np.arange(rows, dtype=np.int64)
+        self._label_base = row * V
+        self._key_base = row << label_bits
+        # sorting (label, vertex) keys sorts the labels and carries their vertices
+        keyed = self.labels << shift
+        keyed |= np.arange(V)
+        keyed.sort(axis=1)
+        self._vertex = (keyed & ((1 << shift) - 1)).ravel()
+        keyed >>= shift
+        keyed += self._key_base[:, None]
+        self._keys = keyed.ravel()
+
+    @property
+    def invalid(self) -> int:
+        return invalid_label(self.label_bits)
+
+    def vertex_of(self, xs) -> np.ndarray:
+        """The vertex each row's labeling gives label ``xs``, else -1.
+
+        Uncounted: the oracle's own lookup, and grading.
+        """
+        xs = np.asarray(xs, dtype=np.int64)
+        keys = xs + self._key_base
+        i = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        found = (self._keys[i] == keys) & (xs >= 0) & (xs < (1 << self.label_bits))
+        return np.where(found, self._vertex[i], -1)
+
+    def answer_many(self, xs, cs) -> np.ndarray:
+        """``BlackBoxTree.answer`` elementwise, row-aligned; uncounted."""
+        cs = np.asarray(cs, dtype=np.int64)
+        v = self.vertex_of(xs)
+        asked = (v >= 0) & (cs >= 1) & (cs <= 9)
+        w = np.where(asked, self._neighbors[np.maximum(v, 0), np.clip(cs, 0, 9)], -1)
+        found = self.labels.ravel()[self._label_base + np.maximum(w, 0)]
+        return np.where(w >= 0, found, self.invalid)
+
+    def handle(self) -> OracleHandle:
+        return OracleHandle(self)
 
 
 @dataclass
@@ -385,6 +452,15 @@ class BlackBoxTree:
         w = int(self.neighbor_by_color[v][c])
         return self.invalid if w < 0 else int(self.labels[w])
 
+    @cached_property
+    def _one_row(self) -> LabelingBatch:
+        return LabelingBatch(self.structure, self.coloring, self.labels[None, :],
+                             self.label_bits)
+
+    def answer_many(self, xs, cs) -> np.ndarray:
+        """``answer`` over arrays of labels and colors; uncounted."""
+        return self._one_row.answer_many(xs, cs)
+
     def handle(self) -> OracleHandle:
         return OracleHandle(self)
 
@@ -427,6 +503,70 @@ def _sample_distinct(rng, low: int, high: int, k: int) -> list[int]:
     return out
 
 
+def _checked_label_bits(structure: TreeStructure, label_bits: int | None) -> int:
+    """``label_bits`` (default 2n), if its space can label every vertex."""
+    if label_bits is None:
+        label_bits = 2 * structure.n
+    V = structure.vertex_count
+    if (1 << label_bits) - 2 < V - 1:
+        raise ValueError(
+            f"label space 2^{label_bits} cannot injectively label {V} vertices "
+            f"(entrance pinned to 0, all-ones reserved)")
+    return label_bits
+
+
+def _distinct_rows(rng, rows: int, k: int, span: int) -> np.ndarray:
+    """(rows, k) ints; each row a uniform random sequence of k distinct values in [0, span).
+
+    Every row draws m values with replacement and keeps the first k distinct
+    ones.  Each new value is uniform over those not yet kept, so the kept
+    sequence is a uniform injective one; whether a row meets k distinct
+    values within m draws does not depend on which values they are, so short
+    rows are simply drawn again.  m sits 4 sd above the mean number of draws
+    that k distinct values take, so redraws are rare.
+    """
+    p_new = (span - np.arange(k)) / span
+    m = math.ceil(np.sum(1 / p_new) + 4 * math.sqrt(np.sum((1 - p_new) / p_new ** 2)))
+    shift = m.bit_length()
+    out = np.empty((rows, k), dtype=np.int64)
+    todo = np.arange(rows)
+    while todo.size:
+        draws = rng.integers(0, span, size=(todo.size, m))
+        # sorting (value, position) keys puts equal values in draw order, so a
+        # value equal to its sorted predecessor repeats an earlier draw
+        keyed = draws << shift
+        keyed |= np.arange(m)
+        keyed.sort(axis=1)
+        same = keyed[:, 1:] ^ keyed[:, :-1]
+        same >>= shift
+        again = same == 0
+        del same
+        at = keyed[:, 1:]                   # in place: flat index of each sorted draw
+        at &= (1 << shift) - 1
+        at += np.arange(0, draws.size, m)[:, None]
+        repeat = np.zeros(draws.shape, dtype=bool)
+        repeat.ravel()[at] = again
+        del keyed, at, again
+        rank = np.cumsum(~repeat, axis=1, dtype=np.int32)
+        full = rank[:, -1] >= k
+        if not full.all():
+            draws, repeat, rank = draws[full], repeat[full], rank[full]
+        out[todo[full]] = draws[~repeat & (rank <= k)].reshape(-1, k)
+        todo = todo[~full]
+    return out
+
+
+def generate_label_batch(structure: TreeStructure, coloring: EdgeColoring, rows: int,
+                         rng: np.random.Generator, label_bits: int | None = None
+                         ) -> LabelingBatch:
+    """``rows`` independent labelings distributed as ``generate_labels``'s, drawn at once."""
+    label_bits = _checked_label_bits(structure, label_bits)
+    V = structure.vertex_count
+    drawn = _distinct_rows(rng, rows, V - 1, (1 << label_bits) - 2) + 1
+    labels = np.insert(drawn, structure.entrance, 0, axis=1)
+    return LabelingBatch(structure, coloring, labels, label_bits)
+
+
 def generate_labels(structure: TreeStructure, coloring: EdgeColoring, seed: int,
                     label_bits: int | None = None) -> BlackBoxTree:
     """Uniform injective labeling, entrance pinned to all-zeros.
@@ -435,15 +575,9 @@ def generate_labels(structure: TreeStructure, coloring: EdgeColoring, seed: int,
     Raises when the space cannot hold vertex_count distinct labels (n=1 with
     the default 2n bits).
     """
-    n = structure.n
-    if label_bits is None:
-        label_bits = 2 * n
+    label_bits = _checked_label_bits(structure, label_bits)
     space = 1 << label_bits
     V = structure.vertex_count
-    if space - 2 < V - 1:
-        raise ValueError(
-            f"label space 2^{label_bits} cannot injectively label {V} vertices "
-            f"(entrance pinned to 0, all-ones reserved)")
     rng = make_rng(seed, "labels")
     labels = np.empty(V, dtype=np.int64)
     labels[structure.entrance] = 0

@@ -11,7 +11,9 @@ expm_multiply.
 The classical baseline walks the oracle blindly: one query per step on a
 uniformly random color, moving whenever the answer is a valid label.  It is
 graded afterwards against the hidden exit label; the walker itself never
-reads hidden structure.
+reads hidden structure.  ``blind_walks`` runs a batch of such walks in
+lockstep, one batched oracle call per step; it serves the walker baseline
+here and the guessing experiment in ``harness``.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .rng import make_rng
-from .tree import BlackBoxTree, TreeStructure, generate_structure
+from .tree import BlackBoxTree, OracleHandle, TreeStructure, generate_structure
 
 FULL_WALK_MAX_N = 7
 
@@ -130,6 +132,46 @@ def curve_to_csv(curve: list[tuple[float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+BATCH_CELLS = 1 << 16
+"""Int64 cells (labelings plus walk paths) one batch of trials may hold."""
+
+
+def batch_trials(cells_per_trial: int) -> int:
+    """Trials per batch when each trial keeps ``cells_per_trial`` cells."""
+    return max(1, BATCH_CELLS // cells_per_trial)
+
+
+def check_trials(where: str, trials: int, budget: int) -> None:
+    if trials < 1:
+        raise ValueError(f"{where}: trials must be >= 1, got {trials}")
+    if budget < 0:
+        raise ValueError(f"{where}: query budget must be >= 0, got {budget}")
+
+
+def blind_walks(handle: OracleHandle, budget: int, trials: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """Lockstep blind walks from the entrance label 0, one per trial.
+
+    Each step draws one uniform color per trial, asks every trial's query in
+    one ``handle.query_many`` call and moves the trials whose answer is
+    valid.  Returns the (trials, budget + 1) labels each walk stands on
+    before and after each step.  The walks see only labels and answers;
+    callers grade the paths against hidden labels afterwards.
+    """
+    invalid = handle.bbt.invalid
+    path = np.zeros((trials, budget + 1), dtype=np.int64)
+    for step in range(budget):
+        answers = handle.query_many(path[:, step], rng.integers(1, 10, size=trials))
+        path[:, step + 1] = np.where(answers != invalid, answers, path[:, step])
+    return path
+
+
+def _walker_hits(bbt: BlackBoxTree, query_budget: int, trials: int,
+                 rng: np.random.Generator) -> int:
+    path = blind_walks(bbt.handle(), query_budget, trials, rng)
+    return int(np.count_nonzero((path == bbt.exit_label()).any(axis=1)))
+
+
 def classical_walker(bbt: BlackBoxTree, query_budget: int, seed: int) -> bool:
     """Blind random walk through the oracle; True iff it ever saw the exit.
 
@@ -137,23 +179,16 @@ def classical_walker(bbt: BlackBoxTree, query_budget: int, seed: int) -> bool:
     The exit test compares visited labels against the hidden exit label only
     after the budget is spent (grading, not strategy).
     """
-    if query_budget < 0:
-        raise ValueError("budget must be nonnegative")
-    rng = make_rng(seed, "walker")
-    handle = bbt.handle()
-    cur = 0
-    visited = {0}
-    while handle.count < query_budget:
-        c = int(rng.integers(1, 10))
-        ans = handle.query(cur, c)
-        if ans != bbt.invalid:
-            cur = ans
-            visited.add(ans)
-    return bbt.exit_label() in visited
+    check_trials("classical_walker", 1, query_budget)
+    return _walker_hits(bbt, query_budget, 1, make_rng(seed, "walker")) == 1
 
 
 def walker_success_rate(bbt: BlackBoxTree, query_budget: int, trials: int,
                         seed: int) -> float:
-    hits = sum(classical_walker(bbt, query_budget, int(make_rng(seed, "trial", i).integers(1 << 62)))
-               for i in range(trials))
+    """Share of ``trials`` blind walkers that see the exit, in batches of lockstep walks."""
+    check_trials("walker_success_rate", trials, query_budget)
+    per = batch_trials(query_budget + 1)
+    hits = sum(_walker_hits(bbt, query_budget, min(per, trials - start),
+                            make_rng(seed, "walker", start))
+               for start in range(0, trials, per))
     return hits / trials

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from weldlab import cli
+from weldlab import cli, tree
 from weldlab.harness import (ExperimentConfig, cmd_discovery, cmd_simulate,
                              cmd_walk, discovery_bound, discovery_rate,
                              run_command, write_report)
@@ -29,9 +32,48 @@ def test_discovery_rate_deterministic_and_job_invariant():
     b = discovery_rate(3, 4, trials=2000, seed=7, jobs=1)
     assert a == b
     c = discovery_rate(3, 4, trials=2000, seed=7, jobs=3)
-    # chunked seeds differ from single-chunk seeds, so compare chunked twice
-    d = discovery_rate(3, 4, trials=2000, seed=7, jobs=3)
-    assert c == d
+    assert a == c
+    # enough trials for several chunks, so jobs=3 really maps them over workers
+    assert discovery_rate(3, 4, trials=20_000, seed=7, jobs=1) \
+        == discovery_rate(3, 4, trials=20_000, seed=7, jobs=3)
+
+
+def _exact_discovery_rate(n: int, h: int) -> Fraction:
+    """(V - E|labels seen|) / 2^(2n), enumerating all 9^h color sequences.
+
+    A guess hits exactly the labels of vertices the walk never stood on.
+    For h <= n every walk stays inside the entrance's binary tree, which is
+    the same in every welded tree, so one tree gives the exact value.
+    """
+    bbt = tree.make_blackbox(n, 0)
+    seen_total = 0
+    for colors in itertools.product(range(1, 10), repeat=h):
+        cur, seen = 0, {0}
+        for c in colors:
+            ans = bbt.answer(cur, c)
+            if ans != bbt.invalid:
+                cur = ans
+                seen.add(ans)
+        seen_total += len(seen)
+    V = bbt.structure.vertex_count
+    return Fraction(V * 9 ** h - seen_total, 9 ** h * 2 ** (2 * n))
+
+
+@pytest.mark.parametrize("n,h", [(3, 0), (3, 1), (2, 2)])
+def test_discovery_rate_exact_expectation(n, h):
+    exact = _exact_discovery_rate(n, h)
+    # closed forms: h=0 hits any of the V-1 non-entrance labels; at h=1 the
+    # query leaves the entrance on d=2 of 9 colors, and the guess must then
+    # miss that label too (259/576 at n=3)
+    V, space, d = (1 << (n + 2)) - 2, 1 << (2 * n), 2
+    if h == 0:
+        assert exact == Fraction(V - 1, space)
+    if h == 1:
+        assert exact == Fraction((9 - d) * (V - 1) + d * (V - 2), 9 * space)
+    trials = 20_000
+    rate, _ = discovery_rate(n, h, trials=trials, seed=21)
+    sigma = math.sqrt(exact * (1 - exact) / trials)
+    assert abs(rate - exact) <= 5 * sigma
 
 
 def test_walk_report_deterministic(tmp_path):
@@ -98,6 +140,25 @@ def test_cli_rerun_byte_identical(tmp_path):
     cli.main(argv + ["--out", str(out1)])
     cli.main(argv + ["--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("trials, budget, message", [
+    (0, 3, "trials must be >= 1, got 0"),
+    (5, -1, "query budget must be >= 0, got -1"),
+])
+def test_discovery_rate_rejects_bad_counts(trials, budget, message):
+    with pytest.raises(ValueError, match=f"discovery_rate: {message}"):
+        discovery_rate(3, budget, trials=trials, seed=0)
+
+
+def test_cli_bad_trials_exit_2(capsys):
+    assert cli.main(["discovery", "-n", "3", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("weldlab discovery: error: discovery_rate: "
+                            "trials must be >= 1, got 0\n")
+    assert cli.main(["walk", "-n", "3", "--trials", "0"]) == 2
+    assert "walker_success_rate: trials must be >= 1" in capsys.readouterr().err
 
 
 def test_unknown_experiment_rejected():

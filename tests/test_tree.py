@@ -103,6 +103,53 @@ def test_query_involution(bbt3):
             assert h.query(y, c) == x
 
 
+@pytest.mark.parametrize("n,label_bits", [(1, 3), (2, None), (3, None), (5, None)])
+def test_answer_many_matches_answer(n, label_bits):
+    bbt = tree.make_blackbox(n, 4, label_bits=label_bits)
+    space = 1 << bbt.label_bits
+    rng = np.random.default_rng(n)
+    xs = np.concatenate([rng.integers(-2, space + 2, size=2000), bbt.labels,
+                         [bbt.invalid]])
+    cs = rng.integers(-1, 12, size=xs.size)
+    want = [bbt.answer(int(x), int(c)) for x, c in zip(xs, cs)]
+    assert bbt.answer_many(xs, cs).tolist() == want
+
+
+def test_label_batch_rows_are_uniform_labelings():
+    ts = tree.generate_structure(1, 0)
+    col = tree.generate_coloring(ts, 0)
+    with pytest.raises(ValueError):
+        tree.generate_label_batch(ts, col, 4, np.random.default_rng(0))
+    # 5 free vertices share labels 1..6: the tightest space, where rows are redrawn
+    rows = 60_000
+    batch = tree.generate_label_batch(ts, col, rows, np.random.default_rng(0),
+                                      label_bits=3)
+    labs = batch.labels
+    assert (labs[:, ts.entrance] == 0).all()
+    assert (np.sort(labs, axis=1)[:, 1:] != np.sort(labs, axis=1)[:, :-1]).all()
+    assert labs.min() >= 0 and labs.max() <= 6
+    free = np.delete(labs, ts.entrance, axis=1)
+    sigma = math.sqrt((1 / 6) * (5 / 6) / rows)
+    for v in range(free.shape[1]):
+        freq = np.bincount(free[:, v], minlength=7)[1:] / rows
+        assert np.abs(freq - 1 / 6).max() <= 5 * sigma
+
+
+def test_label_batch_rows_answer_like_trees():
+    ts = tree.generate_structure(3, 2)
+    col = tree.generate_coloring(ts, 2)
+    batch = tree.generate_label_batch(ts, col, 20, np.random.default_rng(1))
+    xs = np.arange(-1, 66)
+    for r in range(20):
+        bbt = tree.BlackBoxTree(structure=ts, coloring=col,
+                                labels=batch.labels[r].copy(), label_bits=6)
+        for c in range(11):
+            asked = np.zeros((xs.size, 20), dtype=np.int64)
+            asked[:, r] = xs
+            got = batch.answer_many(asked, np.full(asked.shape, c))[:, r]
+            assert got.tolist() == [bbt.answer(int(x), c) for x in xs]
+
+
 def test_query_counter_counts_every_invocation(bbt2):
     h = bbt2.handle()
     for i in range(137):
