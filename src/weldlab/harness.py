@@ -185,8 +185,10 @@ def discovery_rate(n: int, h: int, trials: int, seed: int, jobs: int = 1
     args = [(structure, coloring, h, derive_seed(seed, "chunk", i), min(per, trials - start))
             for i, start in enumerate(range(0, trials, per))]
     if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            hits = sum(pool.map(_discovery_chunk, args))
+        workers = min(jobs, len(args))
+        # one task per worker, not per chunk: a future per chunk costs memory
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            hits = sum(pool.map(_discovery_chunk, args, chunksize=-(-len(args) // workers)))
     else:
         hits = sum(map(_discovery_chunk, args))
     p = hits / trials

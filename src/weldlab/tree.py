@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -363,24 +364,20 @@ class LabelingBatch:
     def __init__(self, structure: TreeStructure, coloring: "EdgeColoring",
                  labels: np.ndarray, label_bits: int):
         rows, V = labels.shape
-        shift = V.bit_length()
-        if label_bits + max(shift, rows.bit_length()) > 62:
-            raise ValueError(f"{rows} rows of {label_bits}-bit labels for {V} vertices "
-                             f"overflow the int64 lookup keys")
+        if label_bits + rows.bit_length() > 62:
+            raise ValueError(f"{rows} rows of {label_bits}-bit labels overflow "
+                             f"the int64 lookup keys")
         self.labels = np.ascontiguousarray(labels, dtype=np.int64)
         self.label_bits = label_bits
         self._neighbors = neighbor_table(structure, coloring)
         row = np.arange(rows, dtype=np.int64)
         self._label_base = row * V
         self._key_base = row << label_bits
-        # sorting (label, vertex) keys sorts the labels and carries their vertices
-        keyed = self.labels << shift
-        keyed |= np.arange(V)
-        keyed.sort(axis=1)
-        self._vertex = (keyed & ((1 << shift) - 1)).ravel()
-        keyed >>= shift
-        keyed += self._key_base[:, None]
-        self._keys = keyed.ravel()
+        order = np.argsort(self.labels, axis=1)
+        self._vertex = order.ravel()
+        keys = np.take_along_axis(self.labels, order, 1)
+        keys += self._key_base[:, None]
+        self._keys = keys.ravel()
 
     @property
     def invalid(self) -> int:
@@ -428,7 +425,9 @@ class BlackBoxTree:
         if self.neighbor_by_color is None:
             self.neighbor_by_color = neighbor_table(self.structure, self.coloring)
         if self.default_handle is None:
-            self.default_handle = OracleHandle(self)
+            # a weak back-reference: a strong one would make every tree a
+            # reference cycle, whose tables wait for the cyclic collector
+            self.default_handle = OracleHandle(weakref.proxy(self))
 
     @property
     def n(self) -> int:
@@ -557,10 +556,9 @@ def _distinct_rows(rng, rows: int, k: int, span: int) -> np.ndarray:
 
 
 def generate_label_batch(structure: TreeStructure, coloring: EdgeColoring, rows: int,
-                         rng: np.random.Generator, label_bits: int | None = None
-                         ) -> LabelingBatch:
+                         rng: np.random.Generator) -> LabelingBatch:
     """``rows`` independent labelings distributed as ``generate_labels``'s, drawn at once."""
-    label_bits = _checked_label_bits(structure, label_bits)
+    label_bits = _checked_label_bits(structure, None)
     V = structure.vertex_count
     drawn = _distinct_rows(rng, rows, V - 1, (1 << label_bits) - 2) + 1
     labels = np.insert(drawn, structure.entrance, 0, axis=1)
@@ -597,11 +595,6 @@ def make_blackbox(n: int, seed: int, label_bits: int | None = None) -> BlackBoxT
     structure = generate_structure(n, seed)
     coloring = generate_coloring(structure, seed)
     return generate_labels(structure, coloring, seed, label_bits=label_bits)
-
-
-def relabel(bbt: BlackBoxTree, seed: int) -> BlackBoxTree:
-    """Fresh uniform labeling on the same structure and coloring."""
-    return generate_labels(bbt.structure, bbt.coloring, seed, label_bits=bbt.label_bits)
 
 
 # ---------------------------------------------------------------------------

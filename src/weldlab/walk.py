@@ -132,7 +132,7 @@ def curve_to_csv(curve: list[tuple[float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-BATCH_CELLS = 1 << 16
+BATCH_CELLS = 1 << 14
 """Int64 cells (labelings plus walk paths) one batch of trials may hold."""
 
 

@@ -261,7 +261,8 @@ def test_success_probability_one_for_walk_replay():
     # property of (structure, coloring), so rebuild per labeling with them
     hits = 0
     for t_idx in range(25):
-        b = tree.relabel(bbt, t_idx)
+        b = tree.generate_labels(bbt.structure, bbt.coloring, t_idx,
+                                label_bits=bbt.label_bits)
         out = SV.run_hybrid(circ, b, seed=t_idx)
         hits += (out & 0xF) == b.exit_label()
     assert hits == 25

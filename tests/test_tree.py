@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -103,7 +105,8 @@ def test_query_involution(bbt3):
             assert h.query(y, c) == x
 
 
-@pytest.mark.parametrize("n,label_bits", [(1, 3), (2, None), (3, None), (5, None)])
+# 60-bit labels: a lookup key must hold the label and the row, not the vertex
+@pytest.mark.parametrize("n,label_bits", [(1, 3), (2, None), (3, None), (5, None), (3, 60)])
 def test_answer_many_matches_answer(n, label_bits):
     bbt = tree.make_blackbox(n, 4, label_bits=label_bits)
     space = 1 << bbt.label_bits
@@ -120,19 +123,20 @@ def test_label_batch_rows_are_uniform_labelings():
     col = tree.generate_coloring(ts, 0)
     with pytest.raises(ValueError):
         tree.generate_label_batch(ts, col, 4, np.random.default_rng(0))
-    # 5 free vertices share labels 1..6: the tightest space, where rows are redrawn
-    rows = 60_000
-    batch = tree.generate_label_batch(ts, col, rows, np.random.default_rng(0),
-                                      label_bits=3)
+    # 13 free vertices share labels 1..14: a tight space, where rows are redrawn
+    ts = tree.generate_structure(2, 0)
+    col = tree.generate_coloring(ts, 0)
+    rows = 20_000
+    batch = tree.generate_label_batch(ts, col, rows, np.random.default_rng(0))
     labs = batch.labels
     assert (labs[:, ts.entrance] == 0).all()
     assert (np.sort(labs, axis=1)[:, 1:] != np.sort(labs, axis=1)[:, :-1]).all()
-    assert labs.min() >= 0 and labs.max() <= 6
+    assert labs.min() >= 0 and labs.max() <= 14
     free = np.delete(labs, ts.entrance, axis=1)
-    sigma = math.sqrt((1 / 6) * (5 / 6) / rows)
+    sigma = math.sqrt((1 / 14) * (13 / 14) / rows)
     for v in range(free.shape[1]):
-        freq = np.bincount(free[:, v], minlength=7)[1:] / rows
-        assert np.abs(freq - 1 / 6).max() <= 5 * sigma
+        freq = np.bincount(free[:, v], minlength=15)[1:] / rows
+        assert np.abs(freq - 1 / 14).max() <= 5 * sigma
 
 
 def test_label_batch_rows_answer_like_trees():
@@ -148,6 +152,19 @@ def test_label_batch_rows_answer_like_trees():
             asked[:, r] = xs
             got = batch.answer_many(asked, np.full(asked.shape, c))[:, r]
             assert got.tolist() == [bbt.answer(int(x), c) for x in xs]
+
+
+def test_tree_freed_without_cycle_collector():
+    bbt = tree.make_blackbox(3, 1)
+    tree.query(bbt, 0, 1)
+    bbt.answer_many(np.zeros(3, dtype=np.int64), np.arange(1, 4))
+    gone = weakref.ref(bbt)
+    gc.disable()
+    try:
+        del bbt
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_query_counter_counts_every_invocation(bbt2):
