@@ -32,7 +32,7 @@ import numpy as np
 from . import circuits as C
 from . import statevec as SV
 from .hybrid_sim import (SimContext, SimTranscript, entrance_known,
-                         quantum_layer_sim, _quantum_tier_state)
+                         quantum_layer_sim, tier_draws, _quantum_tier_state)
 from .known import KnownVertices
 from .rng import derive_seed, make_rng
 from .tree import BlackBoxTree, EdgeColoring, TreeStructure, sample_consistent
@@ -145,10 +145,11 @@ class CallRecord:
     ratio_stderr: float | None = None
 
 
-class Abort:
-    """First-class ABORT value (not an exception)."""
+class Abort(Exception):
+    """First-class ABORT value: ``bottleneck`` returns it, a tier raises it."""
 
     def __init__(self, reason: str):
+        super().__init__(reason)
         self.reason = reason
 
     def __repr__(self):
@@ -213,32 +214,21 @@ class EstimatorEnv:
         return self.call_counter
 
 
-def replay_prefix(circuit: C.HybridCircuit, bbt: BlackBoxTree, tiers: int,
-                  tape: SeedTape) -> int:
-    """Deterministic tau=0 run of the first ``tiers`` tiers against ``bbt``."""
-    ctx = SimContext.fresh(bbt, instrument=False)
-    V = entrance_known(ctx)
-    x = 0
-    for j, t in enumerate(circuit.tiers[:tiers], start=1):
-        ctx.tier_index = j
-        x &= (1 << t.width_in) - 1
-        probs, V = _quantum_tier_state(t, x, V, ctx)
-        x = SV.sample_outcome(probs, make_rng(tape.tier_seed(j), "sim-tier-measure"))
-    return x
-
-
 def _sample_accepted_trees(V: KnownVertices, x: int, i: int, env: EstimatorEnv,
                            cfg: BottleneckConfig, call_id: int,
                            ) -> tuple[list[set[int]], int]:
     """Label sets of sampled consistent trees whose replay reproduces x."""
     accepted: list[set[int]] = []
+    draws = tier_draws(env.tape.tier_seed)
     for s in range(cfg.sample_budget):
         seed_s = derive_seed(env.seed, "estimator", call_id, i, s)
         P = sample_consistent(V, env.n, seed_s, mode=cfg.mode,
                               structure=env.structure, coloring=env.coloring,
                               label_bits=env.label_bits)
-        xhat = replay_prefix(env.circuit, P, i, env.tape)
-        if xhat == x:
+        # the tau=0 replay of tiers 1..i (validated once, by bottleneck_wrapper)
+        ctx = SimContext.fresh(P, instrument=False)
+        reached, _ = SV.drive_hybrid(env.circuit, ctx, draws, entrance_known(ctx), i)
+        if x in reached:
             accepted.append(set(int(l) for l in P.labels))
     return accepted, cfg.sample_budget
 
@@ -430,45 +420,37 @@ def bottleneck(i: int, x: int, V_current: KnownVertices, V_hist: KnownVertices,
 def bottleneck_tier_sim(t: C.Tier, j: int, x: int, V_current: KnownVertices,
                         V_hist: KnownVertices, ctx: SimContext, env: EstimatorEnv,
                         cfg: BottleneckConfig, calls: list[CallRecord],
-                        ) -> tuple[int, KnownVertices, KnownVertices] | Abort:
-    """One quantum tier with per-layer merge and bottleneck (tier number j)."""
+                        ) -> tuple[int, KnownVertices, KnownVertices]:
+    """One quantum tier with per-layer merge and bottleneck (tier number j).
+
+    The few-tier simulator's tier (with its 4^d|V| ceiling, tier accounting
+    and renormalization) with a bottleneck call before it and after each
+    layer; an ABORT from any of them is raised.
+    """
     if t.kind != "quantum":
         raise ValueError("bottleneck pipeline expects quantum tiers")
-    empty = KnownVertices(V_hist.invalid)
-    rec = CallRecord(tier=j, layer=-1, iterations=0, aborted=False,
-                     v_current=0, v_out=0, v_hist=V_hist.size(), ratio=None)
-    calls.append(rec)
-    V0 = bottleneck(j - 1, x, empty, V_hist, env, cfg, record=rec)
-    if isinstance(V0, Abort):
-        return V0
-    ctx.tier_index = j
-    q_before = ctx.transcript.queries
-    size_in = V0.size()
-    state = SV.PureState.basis(t.width_in, x)
-    V = V0
-    for li, lay in enumerate(t.layers):
-        state, V_temp = quantum_layer_sim(lay, state, V, ctx, layer_index=li)
-        V_hist = V_hist.merge(V_temp)
-        rec = CallRecord(tier=j, layer=li, iterations=0, aborted=False,
-                         v_current=V_temp.size(), v_out=0, v_hist=V_hist.size(),
+
+    def call(layer: int, V_cur: KnownVertices) -> KnownVertices:
+        rec = CallRecord(tier=j, layer=layer, iterations=0, aborted=False,
+                         v_current=V_cur.size(), v_out=0, v_hist=V_hist.size(),
                          ratio=None)
         calls.append(rec)
-        V_next = bottleneck(j - 1, x, V_temp, V_hist, env, cfg, record=rec)
+        V_next = bottleneck(j - 1, x, V_cur, V_hist, env, cfg, record=rec)
         if isinstance(V_next, Abort):
-            return V_next
-        V = V_next
-    V_hist = V_hist.merge(V)
-    spent = ctx.transcript.queries - q_before
-    if spent > (4 ** t.depth) * max(size_in, 1):
-        raise AssertionError(f"tier spent {spent} queries, ceiling "
-                             f"{(4 ** t.depth) * max(size_in, 1)}")
-    ctx.transcript.per_tier_queries.append(spent)
-    probs = state.marginal()
-    total = sum(probs.values())
-    if abs(total - 1.0) > 1e-12:
-        probs = {k: p / total for k, p in probs.items()}
-    x_out = SV.sample_outcome(probs, make_rng(env.tape.tier_seed(j), "sim-tier-measure"))
-    return x_out, V, V_hist
+            raise V_next
+        return V_next
+
+    def layer_sim(lay, state, V, ctx, layer_index):
+        nonlocal V_hist
+        state, V_temp = quantum_layer_sim(lay, state, V, ctx, layer_index=layer_index)
+        V_hist = V_hist.merge(V_temp)
+        return state, call(layer_index, V_temp)
+
+    V0 = call(-1, KnownVertices(V_hist.invalid))
+    ctx.tier_index = j
+    probs, V = _quantum_tier_state(t, x, V0, ctx, layer_sim)
+    x_out = SV.sample_outcome(probs, tier_draws(env.tape.tier_seed)(j))
+    return x_out, V, V_hist.merge(V)
 
 
 def bottleneck_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree,
@@ -498,34 +480,19 @@ def bottleneck_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree,
     V = entrance_known(ctx)
     V_hist = V.copy()
     x = 0
-    for j, t in enumerate(circuit.tiers[:tiers], start=1):
-        x &= (1 << t.width_in) - 1
-        step = bottleneck_tier_sim(t, j, x, V, V_hist, ctx, env, cfg, calls)
-        if isinstance(step, Abort):
-            guess_rng = make_rng(seed, "abort-guess")
-            guess = int(guess_rng.integers(0, 1 << bbt.label_bits))
-            ctx.transcript.aborted = True
-            ctx.transcript.abort_reason = step.reason
-            ctx.transcript.output = guess
-            return BottleneckResult(output=guess, known=None, hist=V_hist,
-                                    transcript=ctx.transcript, calls=calls,
-                                    aborted=True, abort_reason=step.reason)
-        x, V, V_hist = step
+    try:
+        for j, t in enumerate(circuit.tiers[:tiers], start=1):
+            x &= (1 << t.width_in) - 1
+            x, V, V_hist = bottleneck_tier_sim(t, j, x, V, V_hist, ctx, env, cfg, calls)
+    except Abort as abort:
+        guess_rng = make_rng(seed, "abort-guess")
+        guess = int(guess_rng.integers(0, 1 << bbt.label_bits))
+        ctx.transcript.aborted = True
+        ctx.transcript.abort_reason = abort.reason
+        ctx.transcript.output = guess
+        return BottleneckResult(output=guess, known=None, hist=V_hist,
+                                transcript=ctx.transcript, calls=calls,
+                                aborted=True, abort_reason=abort.reason)
     ctx.transcript.output = x
     return BottleneckResult(output=x, known=V, hist=V_hist,
                             transcript=ctx.transcript, calls=calls, aborted=False)
-
-
-def fidelity_gap_check(result: BottleneckResult) -> list[dict]:
-    """Per-layer 1-norm gap between simulated and true-query layer outputs.
-
-    Reported from the run's instrumentation: for outlier-free layers the gap
-    is 0; otherwise it is bounded by twice the outlier amplitude mass (each
-    outlier string contributes |c_z| at two basis positions at most).
-    """
-    report = []
-    for rec in result.transcript.per_layer:
-        report.append({"tier": rec.tier, "layer": rec.layer,
-                       "outlier_mass": rec.outlier_mass,
-                       "l1_gap": rec.l1_gap})
-    return report

@@ -28,9 +28,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config = ExperimentConfig.from_json(fh.read())
-        config.experiment = args.experiment
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                config = ExperimentConfig.from_json(fh.read(), experiment=args.experiment)
+        except OSError as exc:
+            raise ValueError(f"config {args.config}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise ValueError(f"config {args.config}: {exc}") from None
     else:
         config = ExperimentConfig(experiment=args.experiment)
     for key in ("seed", "out", "jobs", "n", "trials", "samples", "circuit_file"):

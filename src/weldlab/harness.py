@@ -15,7 +15,7 @@ import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -51,8 +51,17 @@ class ExperimentConfig:
     jobs: int = 0               # 0: honor WELDLAB_JOBS, else 1
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
+    def from_json(cls, text: str, experiment: str | None = None) -> "ExperimentConfig":
+        """The config a JSON object describes; ``experiment`` overrides its own."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        doc["experiment"] = experiment or doc.get("experiment")
+        if doc["experiment"] is None:
+            raise ValueError("config names no experiment")
         if "h_values" in doc:
             doc["h_values"] = tuple(doc["h_values"])
         return cls(**doc)

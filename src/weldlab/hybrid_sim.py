@@ -26,12 +26,15 @@ mass.  The two agree exactly; the identity is asserted to 1e-10 in tests.
 
 The substitution map S is evaluated lazily over the support of the current
 state, never materialized over all basis strings; support-restricted
-evaluation is pointwise identical on the states it is applied to.
+evaluation is pointwise identical on the states it is applied to.  It is
+the ``answer`` policy handed to the executor's query kernel, and
+``SimContext`` is the oracle policy under which the executor's tier drivers
+run the simulators.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import circuits as C
 from . import statevec as SV
@@ -64,24 +67,13 @@ class SimTranscript:
     output: int | None = None
 
     def to_json(self) -> str:
-        doc = {
-            "queries": self.queries,
-            "raw_queries": self.raw_queries,
-            "per_layer": [{"tier": r.tier, "layer": r.layer,
-                           "outlier_mass": r.outlier_mass, "fidelity": r.fidelity,
-                           "queries": r.queries, "v_size": r.v_size,
-                           "l1_gap": r.l1_gap}
-                          for r in self.per_layer],
-            "per_tier_queries": self.per_tier_queries,
-            "aborted": self.aborted,
-            "abort_reason": self.abort_reason,
-            "output": self.output,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
 class SimContext:
+    """One simulation run, and the substitution oracle policy of the drivers."""
+
     bbt: BlackBoxTree
     handle: OracleHandle
     transcript: SimTranscript
@@ -92,6 +84,17 @@ class SimContext:
     def fresh(cls, bbt: BlackBoxTree, instrument: bool = True) -> "SimContext":
         return cls(bbt=bbt, handle=bbt.handle(), transcript=SimTranscript(),
                    instrument=instrument)
+
+    def classical_tier(self, i: int, t: C.Tier, x: int, V: KnownVertices):
+        return classical_tier_sim(t, x, V, self)
+
+    def layer(self, i: int, li: int, lay: C.Layer, state: SV.PureState, V: KnownVertices):
+        self.tier_index = i
+        return quantum_layer_sim(lay, state, V, self, layer_index=li)
+
+    def quantum_tier(self, i: int, t: C.Tier, x: int, V: KnownVertices):
+        self.tier_index = i
+        return _quantum_tier_state(t, x, V, self)
 
 
 def vertex_query(ctx: SimContext, V: KnownVertices, x: int) -> None:
@@ -121,17 +124,10 @@ def split_layer(lay: C.Layer) -> tuple[C.Layer, C.Layer]:
     return lg, lt
 
 
-def _registers_physical(gate: C.Gate, n: int, live: tuple[int, ...]):
-    xw, cw, yw = C.query_registers(gate, n)
-    return (tuple(live[w] for w in xw), tuple(live[w] for w in cw),
-            tuple(live[w] for w in yw))
-
-
-def _bits(key: int, phys: tuple[int, ...]) -> int:
-    v = 0
-    for j, w in enumerate(phys):
-        v |= ((key >> w) & 1) << j
-    return v
+def _query_regs(lt: C.Layer, n: int, live: tuple[int, ...]):
+    """Physical (x, c, y) wires of each query gate, in first-wire order."""
+    return [tuple(tuple(live[w] for w in reg) for reg in C.query_registers(g, n))
+            for g in sorted(lt.gates, key=lambda g: g.wires[0])]
 
 
 def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
@@ -148,44 +144,18 @@ def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
     invalid = bbt.invalid
     frozen = V.known_labels()
     work = V.copy()
-    regs = [_registers_physical(g, n, live)
-            for g in sorted(lt.gates, key=lambda g: g.wires[0])]
-    S: dict[int, int] = {}
-    for z in sorted(support):
-        z_temp = z
-        for (px, pc, py) in regs:
-            x = _bits(z, px)
-            cv = _bits(z, pc)
-            if not (1 <= cv <= 9):
-                ans = invalid          # no such color; truthful without a query
-            elif work.has_key(x, cv):
-                ans = work.get(x, cv)
-            elif x in frozen and x != invalid:
-                vertex_query(ctx, work, x)
-                ans = work.get(x, cv)
-            else:
-                ans = invalid
-            for j, w in enumerate(py):
-                if (ans >> j) & 1:
-                    z_temp ^= 1 << w
-        S[z] = z_temp
+
+    def answer(x: int, c: int) -> int:
+        if not 1 <= c <= 9:
+            return invalid          # no such color; truthful without a query
+        if not work.has_key(x, c):
+            if x not in frozen or x == invalid:
+                return invalid
+            vertex_query(ctx, work, x)
+        return work.get(x, c)
+
+    S = SV.query_map(sorted(support), _query_regs(lt, n, live), answer)
     return S, work
-
-
-def _true_layer_map(bbt: BlackBoxTree, lt: C.Layer, support, live, n) -> dict[int, int]:
-    """The true oracle's action on the same support (instrumentation only)."""
-    regs = [_registers_physical(g, n, live)
-            for g in sorted(lt.gates, key=lambda g: g.wires[0])]
-    out = {}
-    for z in support:
-        z_temp = z
-        for (px, pc, py) in regs:
-            ans = bbt.answer(_bits(z, px), _bits(z, pc))
-            for j, w in enumerate(py):
-                if (ans >> j) & 1:
-                    z_temp ^= 1 << w
-        out[z] = z_temp
-    return out
 
 
 def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
@@ -198,10 +168,7 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
     q_before = ctx.transcript.queries
     support = sorted(phi.amps)
     S, V2 = simulate_oracle(V, bbt, lt, support, phi.live, n, ctx)
-    psi_amps: dict[int, complex] = {}
-    for z in support:
-        k = S[z]
-        psi_amps[k] = psi_amps.get(k, 0j) + phi.amps[z]
+    psi_amps = SV.move_amps(phi.amps, S)
     psi = SV.PureState(width=phi.width, live=phi.live, amps=psi_amps)
 
     if V2.size() > 4 * max(size_before, 1):
@@ -209,7 +176,9 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
             f"known-vertex growth {size_before} -> {V2.size()} exceeds 4x")
 
     if ctx.instrument:
-        truth = _true_layer_map(bbt, lt, support, phi.live, n)
+        # the true oracle's action on the same support, read through the
+        # tree itself: instrumentation is not the simulator's oracle access
+        truth = SV.query_map(support, _query_regs(lt, n, phi.live), bbt.answer)
         outlier_mass = sum((phi.amps[z] * phi.amps[z].conjugate()).real
                            for z in support if S[z] != truth[z])
         # <psi'|L^T|phi> in the branch-diagonal form sum_z |c_z|^2 <S(z)|L^T|z>;
@@ -218,10 +187,7 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
         # asserted quantity)
         fidelity = sum((phi.amps[z] * phi.amps[z].conjugate()).real
                        for z in support if S[z] == truth[z])
-        true_amps: dict[int, complex] = {}
-        for z in support:
-            k = truth[z]
-            true_amps[k] = true_amps.get(k, 0j) + phi.amps[z]
+        true_amps = SV.move_amps(phi.amps, truth)
         l1_gap = sum(abs(psi_amps.get(k, 0j) - true_amps.get(k, 0j))
                      for k in set(psi_amps) | set(true_amps))
         ctx.transcript.per_layer.append(LayerRecord(
@@ -232,23 +198,21 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
     return psi, V2
 
 
-def quantum_tier_sim(t: C.Tier, x: int, V: KnownVertices, ctx: SimContext,
-                     seed: int) -> tuple[int, KnownVertices]:
-    """Simulated quantum tier: layer loop then a computational-basis sample."""
-    probs, V2 = _quantum_tier_state(t, x, V, ctx)
-    rng = make_rng(seed, "sim-tier-measure")
-    return SV.sample_outcome(probs, rng), V2
+def _quantum_tier_state(t: C.Tier, x: int, V: KnownVertices, ctx: SimContext,
+                        layer_sim=None) -> tuple[dict[int, float], KnownVertices]:
+    """Outcome distribution of a simulated quantum tier from basis input ``x``.
 
-
-def _quantum_tier_state(t: C.Tier, x: int, V: KnownVertices,
-                        ctx: SimContext) -> tuple[dict[int, float], KnownVertices]:
+    Layers run through ``layer_sim`` (default ``quantum_layer_sim``); then the
+    4^d|V| ceiling is asserted, the queries booked and a deformed norm fixed.
+    """
     if t.kind != "quantum":
         raise ValueError("quantum tier expected")
+    layer_sim = layer_sim or quantum_layer_sim
     size_in = V.size()
     q_before = ctx.transcript.queries
     state = SV.PureState.basis(t.width_in, x)
     for li, lay in enumerate(t.layers):
-        state, V = quantum_layer_sim(lay, state, V, ctx, layer_index=li)
+        state, V = layer_sim(lay, state, V, ctx, layer_index=li)
     spent = ctx.transcript.queries - q_before
     if spent > (4 ** t.depth) * max(size_in, 1):
         raise AssertionError(f"tier spent {spent} queries, ceiling "
@@ -301,6 +265,11 @@ def wrapper_query_ceiling(circuit: C.Circuit) -> int:
     return (4 ** (stats.eta * (dq + 1))) * stats.g * dc
 
 
+def tier_draws(tier_seed_fn):
+    """The simulators' measurement rule: tier i draws from ``tier_seed_fn(i)``."""
+    return lambda i: make_rng(tier_seed_fn(i), "sim-tier-measure")
+
+
 def few_tier_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree,
                      tiers: int | None = None, seed: int = 0,
                      instrument: bool = True,
@@ -312,133 +281,50 @@ def few_tier_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree,
     measurement seed (the bottleneck equivalence tests share a seed tape).
     """
     C.require_valid(circuit)
-    if tiers is None:
-        tiers = circuit.eta
-    if not 0 <= tiers <= circuit.eta:
+    if not 0 <= (circuit.eta if tiers is None else tiers) <= circuit.eta:
         raise ValueError("tier count out of range")
-    if tier_seed_fn is None:
-        tier_seed_fn = lambda i: derive_seed(seed, "tier", i)
+    tier_seed_fn = tier_seed_fn or (lambda i: derive_seed(seed, "tier", i))
     ctx = SimContext.fresh(bbt, instrument=instrument)
-    V = entrance_known(ctx)
-    x = 0
-    for i, t in enumerate(circuit.tiers[:tiers], start=1):
-        ctx.tier_index = i
-        x &= (1 << t.width_in) - 1
-        if t.kind == "classical":
-            x, V = classical_tier_sim(t, x, V, ctx)
-        else:
-            x, V = quantum_tier_sim(t, x, V, ctx, tier_seed_fn(i))
+    acc, V = SV.drive_hybrid(circuit, ctx, tier_draws(tier_seed_fn), entrance_known(ctx),
+                             tiers)
     if ctx.transcript.queries > wrapper_query_ceiling(circuit):
         raise AssertionError("wrapper query ceiling exceeded")
-    ctx.transcript.output = x
-    return SimResult(output=x, known=V, transcript=ctx.transcript)
+    ctx.transcript.output = next(iter(acc))
+    return SimResult(output=ctx.transcript.output, known=V, transcript=ctx.transcript)
 
 
 def few_tier_exact_distribution(circuit: C.HybridCircuit, bbt: BlackBoxTree,
                                 tiers: int | None = None) -> SV.OutputDistribution:
     """Exact output distribution of the simulator (measurement branches enumerated)."""
     C.require_valid(circuit)
-    if tiers is None:
-        tiers = circuit.eta
-    acc: dict[int, float] = {}
-
-    def rec(i: int, x: int, V: KnownVertices, weight: float, ctx: SimContext):
-        if i == tiers:
-            acc[x] = acc.get(x, 0.0) + weight
-            return
-        t = circuit.tiers[i]
-        ctx.tier_index = i + 1
-        x &= (1 << t.width_in) - 1
-        if t.kind == "classical":
-            y, V2 = classical_tier_sim(t, x, V, ctx)
-            rec(i + 1, y, V2, weight, ctx)
-        else:
-            probs, V2 = _quantum_tier_state(t, x, V, ctx)
-            for y, p in sorted(probs.items()):
-                if p <= 0:
-                    continue
-                rec(i + 1, y, V2.copy(), weight * p, ctx)
-
-    ctx0 = SimContext.fresh(bbt, instrument=False)
-    V0 = entrance_known(ctx0)
-    rec(0, 0, V0, 1.0, ctx0)
-    width = circuit.tiers[tiers - 1].width_out if tiers else circuit.n
-    out = SV.OutputDistribution(width=width, probs=acc)
-    out.validate()
-    return out
+    tiers = circuit.eta if tiers is None else tiers
+    ctx = SimContext.fresh(bbt, instrument=False)
+    acc, _ = SV.drive_hybrid(circuit, ctx, None, entrance_known(ctx), tiers)
+    return SV.OutputDistribution(circuit.tiers[tiers - 1].width_out if tiers else circuit.n,
+                                 acc)
 
 
 # ---------------------------------------------------------------------------
 # Jozsa path
 # ---------------------------------------------------------------------------
 
-def jozsa_tier_sim(circuit: C.JozsaCircuit, state: SV.PureState, V: KnownVertices,
-                   ctx: SimContext, seed: int) -> tuple[int, KnownVertices]:
-    """Alternate simulated quantum layers with measure-R1-then-classical blocks."""
-    half = circuit.r1_width
-    for i, (qt, ct) in enumerate(zip(circuit.quantum_tiers, circuit.classical_tiers),
-                                 start=1):
-        ctx.tier_index = i
-        for li, lay in enumerate(qt.layers):
-            state, V = quantum_layer_sim(lay, state, V, ctx, layer_index=li)
-        rng = make_rng(seed, "sim-r1", i)
-        r1 = SV.sample_outcome(SV._r1_marginal(state, half), rng)
-        state = SV._collapse_r1(state, r1, half)
-        x, V = classical_tier_sim(ct, r1, V, ctx)
-        state = SV._set_r1(state, x, half)
-    rng = make_rng(seed, "sim-final")
-    out = SV.sample_outcome(state.marginal(), rng)
-    return out, V
-
-
 def jozsa_wrapper(circuit: C.JozsaCircuit, bbt: BlackBoxTree, seed: int = 0,
                   instrument: bool = True) -> SimResult:
     C.require_valid(circuit)
     ctx = SimContext.fresh(bbt, instrument=instrument)
-    V = entrance_known(ctx)
-    state = SV.PureState.basis(circuit.n, 0)
-    x, V = jozsa_tier_sim(circuit, state, V, ctx, seed)
-    ctx.transcript.output = x
-    return SimResult(output=x, known=V, transcript=ctx.transcript)
+    acc, V = SV.drive_jozsa(
+        circuit, ctx, lambda i: make_rng(seed, "sim-r1", i) if i else make_rng(seed, "sim-final"),
+        entrance_known(ctx))
+    ctx.transcript.output = next(iter(acc))
+    return SimResult(output=ctx.transcript.output, known=V, transcript=ctx.transcript)
 
 
 def jozsa_exact_distribution(circuit: C.JozsaCircuit,
                              bbt: BlackBoxTree) -> SV.OutputDistribution:
     C.require_valid(circuit)
-    half = circuit.r1_width
-    acc: dict[int, float] = {}
-
-    def rec(state: SV.PureState, i: int, V: KnownVertices, weight: float,
-            ctx: SimContext):
-        if i == circuit.eta:
-            probs = state.marginal()
-            total = sum(probs.values())
-            scale = total if abs(total - 1.0) > 1e-12 else 1.0
-            for z, p in probs.items():
-                acc[z] = acc.get(z, 0.0) + weight * p / scale
-            return
-        qt, ct = circuit.quantum_tiers[i], circuit.classical_tiers[i]
-        ctx.tier_index = i + 1
-        for li, lay in enumerate(qt.layers):
-            state, V = quantum_layer_sim(lay, state, V, ctx, layer_index=li)
-        r1_probs = SV._r1_marginal(state, half)
-        total = sum(r1_probs.values())
-        scale = total if abs(total - 1.0) > 1e-12 else 1.0
-        for r1, p in sorted(r1_probs.items()):
-            if p <= 0:
-                continue
-            branch = SV._collapse_r1(state, r1, half)
-            ctx2 = SimContext.fresh(ctx.bbt, instrument=False)
-            ctx2.transcript = ctx.transcript
-            x, V2 = classical_tier_sim(ct, r1, V.copy(), ctx2)
-            rec(SV._set_r1(branch, x, half), i + 1, V2, weight * p / scale, ctx)
-
-    ctx0 = SimContext.fresh(bbt, instrument=False)
-    V0 = entrance_known(ctx0)
-    rec(SV.PureState.basis(circuit.n, 0), 0, V0, 1.0, ctx0)
-    out = SV.OutputDistribution(width=circuit.g, probs=acc)
-    out.validate()
-    return out
+    ctx = SimContext.fresh(bbt, instrument=False)
+    acc, _ = SV.drive_jozsa(circuit, ctx, None, entrance_known(ctx))
+    return SV.OutputDistribution(circuit.g, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +354,15 @@ def compare_to_reference(circuit: C.Circuit, structure, labelings: int, seed: in
     tvs: list[float] = []
     queries: list[int] = []
     fgap = 0.0
+    exact, simulated, wrapper = (
+        (SV.run_hybrid_exact, few_tier_exact_distribution, few_tier_wrapper)
+        if isinstance(circuit, C.HybridCircuit)
+        else (SV.run_jozsa_exact, jozsa_exact_distribution, jozsa_wrapper))
     for t_idx in range(labelings):
         bbt = generate_labels(structure, coloring, derive_seed(seed, "labeling", t_idx),
                               label_bits=label_bits)
-        if isinstance(circuit, C.HybridCircuit):
-            ref = SV.run_hybrid_exact(circuit, bbt)
-            sim = few_tier_exact_distribution(circuit, bbt)
-        else:
-            ref = SV.run_jozsa_exact(circuit, bbt)
-            sim = jozsa_exact_distribution(circuit, bbt)
-        tvs.append(SV.tv_distance(ref.probs, sim.probs))
-        run = (few_tier_wrapper(circuit, bbt, seed=derive_seed(seed, "run", t_idx))
-               if isinstance(circuit, C.HybridCircuit)
-               else jozsa_wrapper(circuit, bbt, seed=derive_seed(seed, "run", t_idx)))
+        tvs.append(SV.tv_distance(exact(circuit, bbt).probs, simulated(circuit, bbt).probs))
+        run = wrapper(circuit, bbt, seed=derive_seed(seed, "run", t_idx))
         queries.append(run.transcript.queries)
         for rec in run.transcript.per_layer:
             fgap = max(fgap, abs(rec.fidelity - (1.0 - rec.outlier_mass)))

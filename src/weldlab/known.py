@@ -73,9 +73,3 @@ class KnownVertices:
             return NotImplemented
         return self.invalid == other.invalid and self.entries == other.entries
 
-
-def entrance_only(invalid: int, answers: dict[int, int]) -> KnownVertices:
-    """The initial dictionary: the entrance row only (entrance label is 0)."""
-    v = KnownVertices(invalid)
-    v.set_vertex(0, answers)
-    return v

@@ -7,15 +7,23 @@ in the key (deferred discard) but leave the ``live`` list, so outputs and
 measurements marginalize over them.
 
 Query gates XOR the oracle answer into the y-register, so applying the same
-query layer twice is the identity.  The executor reads the oracle through
-``bbt.answer`` (query gates are quantum queries, accounted as gates by
+query layer twice is the identity.  ``query_map`` is the one query kernel:
+it takes the oracle as an ``answer(x, c)`` policy, so the executor, the
+classical simulators' substitution and the instrumentation's truth map all
+run through it.  The executor reads the oracle through ``bbt.answer``
+(query gates are quantum queries, accounted as gates by
 circuits.accounting, not on the classical per-handle counter); classical
 tiers of a hybrid circuit make real classical queries through a handle.
+
+Tiers and measurement branches are walked by one driver per circuit family
+(``drive_hybrid``, ``drive_jozsa``), given an oracle policy (``TrueOracle``
+here, ``hybrid_sim.SimContext`` for the simulators) and a measurement rule
+(draw one outcome per step, or enumerate them all).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import circuits as C
 from .rng import derive_seed, make_rng
@@ -52,31 +60,31 @@ class PureState:
         if abs(nrm - 1.0) > tol:
             raise AssertionError(f"state norm drifted: |psi|^2 = {nrm!r}")
 
-    def logical_key(self, key: int) -> int:
-        out = 0
-        for j, phys in enumerate(self.live):
-            out |= ((key >> phys) & 1) << j
-        return out
-
-    def marginal(self) -> dict[int, float]:
-        """Probability of each logical outcome, dead wires traced out."""
+    def marginal(self, wires: int | None = None) -> dict[int, float]:
+        """Probability of each outcome on the first ``wires`` logical wires
+        (all by default); dead wires and the rest are traced out."""
+        live = self.live[:wires]
         probs: dict[int, float] = {}
         for key, a in self.amps.items():
-            z = self.logical_key(key)
+            z = 0
+            for j, phys in enumerate(live):
+                z |= ((key >> phys) & 1) << j
             probs[z] = probs.get(z, 0.0) + (a * a.conjugate()).real
         return probs
 
 
 @dataclass
 class OutputDistribution:
-    width: int
-    probs: dict[int, float] = field(default_factory=dict)
+    """An exact output distribution; its norm is checked when it is made."""
 
-    def validate(self, tol: float = NORM_TOL) -> None:
+    width: int
+    probs: dict[int, float]
+
+    def __post_init__(self) -> None:
         if any(p < -1e-12 for p in self.probs.values()):
             raise AssertionError("negative probability")
         total = sum(self.probs.values())
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > NORM_TOL:
             raise AssertionError(f"probabilities sum to {total!r}")
 
 
@@ -89,18 +97,37 @@ def _prune(amps: dict[int, complex]) -> dict[int, complex]:
     return {k: a for k, a in amps.items() if abs(a) >= PRUNE_TOL}
 
 
-def _bits_to_int(key: int, phys: tuple[int, ...]) -> int:
-    v = 0
-    for j, w in enumerate(phys):
-        v |= ((key >> w) & 1) << j
-    return v
+def query_map(keys, regs, answer) -> dict[int, int]:
+    """Where one layer's query gates send each basis key: ``{key: key'}``.
+
+    ``regs`` holds one (x wires, c wires, y wires) triple of physical wires
+    per query gate and ``answer(x, c)`` is the oracle policy; each answer is
+    XORed into its gate's y-register.  Keys are visited in the order given,
+    so a policy that learns as it answers sees them in that order.
+    """
+    out = {}
+    for key in keys:
+        moved = key
+        for px, pc, py in regs:
+            x = c = 0
+            for j, w in enumerate(px):
+                x |= ((key >> w) & 1) << j
+            for j, w in enumerate(pc):
+                c |= ((key >> w) & 1) << j
+            ans = answer(x, c)
+            for j, w in enumerate(py):
+                if (ans >> j) & 1:
+                    moved ^= 1 << w
+        out[key] = moved
+    return out
 
 
-def classical_query_answer(bbt: BlackBoxTree, key: int,
-                           phys_x: tuple[int, ...], phys_c: tuple[int, ...]) -> int:
-    x = _bits_to_int(key, phys_x)
-    c = _bits_to_int(key, phys_c)
-    return bbt.answer(x, c)
+def move_amps(amps: dict[int, complex], S: dict[int, int]) -> dict[int, complex]:
+    """Amplitudes carried along the basis map ``S``, in the key order of ``S``."""
+    out: dict[int, complex] = {}
+    for z, k in S.items():
+        out[k] = out.get(k, 0j) + amps[z]
+    return out
 
 
 def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
@@ -108,7 +135,8 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
     """Apply one layer exactly; pure (returns a new state).
 
     ``n`` (label length parameter) is required when the layer has query
-    gates, as is ``bbt``.
+    gates, as is ``bbt``.  The gates of a layer are wire-disjoint, so the
+    query gates act last, all in one pass over the support.
     """
     if state.logical_width != lay.width_in:
         raise ValueError(f"layer expects {lay.width_in} wires, state has "
@@ -126,6 +154,7 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
         return anc_phys[w] if w in anc_phys else live[w]
 
     amps = dict(state.amps)
+    regs = []
     for gate in lay.gates:
         if gate.kind == C.GateKind.ANCILLA or gate.kind == C.GateKind.DISCARD:
             continue
@@ -135,12 +164,8 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
             for key, a in amps.items():
                 s = a * _SQRT_HALF
                 k0, k1 = key & ~bit, key | bit
-                if key & bit:
-                    new[k0] = new.get(k0, 0j) + s
-                    new[k1] = new.get(k1, 0j) - s
-                else:
-                    new[k0] = new.get(k0, 0j) + s
-                    new[k1] = new.get(k1, 0j) + s
+                new[k0] = new.get(k0, 0j) + s
+                new[k1] = new.get(k1, 0j) + (-s if key & bit else s)
             amps = new
         elif gate.kind == C.GateKind.PHASE:
             bit = 1 << phys(gate.wires[0])
@@ -154,27 +179,15 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
         elif gate.kind == C.GateKind.QUERY:
             if bbt is None or n is None:
                 raise ValueError("query gate needs the black-box tree and n")
-            xw, cw, yw = C.query_registers(gate, n)
-            px = tuple(phys(w) for w in xw)
-            pc = tuple(phys(w) for w in cw)
-            py = tuple(phys(w) for w in yw)
-            new = {}
-            for key, a in amps.items():
-                ans = classical_query_answer(bbt, key, px, pc)
-                k2 = key
-                for j, w in enumerate(py):
-                    if (ans >> j) & 1:
-                        k2 ^= 1 << w
-                new[k2] = new.get(k2, 0j) + a
-            amps = new
+            regs.append(tuple(tuple(phys(w) for w in reg)
+                              for reg in C.query_registers(gate, n)))
         else:
             raise ValueError(f"unknown gate kind {gate.kind}")
+    if regs:
+        amps = move_amps(amps, query_map(amps, regs, bbt.answer))
 
-    amps = _prune(amps)
-    new_live = []
-    for w in range(lay.width_out):
-        new_live.append(anc_phys[w] if w in anc_phys else live[w])
-    out = PureState(width=width, amps=amps, live=tuple(new_live))
+    out = PureState(width=width, amps=_prune(amps),
+                    live=tuple(phys(w) for w in range(lay.width_out)))
     nrm = out.norm_sq()
     if abs(nrm - prev_norm) > NORM_TOL:
         raise AssertionError(f"layer changed norm by {nrm - prev_norm!r}")
@@ -193,57 +206,145 @@ def sample_outcome(probs: dict[int, float], rng) -> int:
     return keys[-1]
 
 
-def run_quantum_tier(x: int, t: C.Tier, bbt: BlackBoxTree, seed: int,
-                     n: int | None = None) -> int:
-    """One tier from basis input ``x``, then a full computational-basis sample."""
-    probs = exact_tier_distribution(x, t, bbt, n=n)
-    rng = make_rng(seed, "tier-measurement")
-    return sample_outcome(probs, rng)
-
-
-def exact_tier_distribution(x: int, t: C.Tier, bbt: BlackBoxTree,
-                            n: int | None = None) -> dict[int, float]:
-    if t.kind != "quantum":
-        raise ValueError("quantum tier expected")
-    n = bbt.n if n is None else n
-    state = PureState.basis(t.width_in, x)
-    for lay in t.layers:
-        state = apply_layer(state, lay, bbt, n)
-    return state.marginal()
-
-
 def eval_classical_layer(x: int, lay: C.Layer, bbt: BlackBoxTree,
                          handle: OracleHandle | None, n: int) -> int:
     """Classical evaluation on a plain bitstring; queries via ``handle``."""
     out = x
+    regs = []
     for gate in lay.gates:
         if gate.kind == C.GateKind.TOFFOLI:
             a, b, t_ = gate.wires
             if (out >> a) & 1 and (out >> b) & 1:
                 out ^= 1 << t_
         elif gate.kind == C.GateKind.QUERY:
-            xw, cw, yw = C.query_registers(gate, n)
-            xv = _bits_to_int(out, xw)
-            cv = _bits_to_int(out, cw)
-            ans = handle.query(xv, cv) if handle is not None else bbt.answer(xv, cv)
-            for j, w in enumerate(yw):
-                if (ans >> j) & 1:
-                    out ^= 1 << w
-        elif gate.kind in (C.GateKind.ANCILLA, C.GateKind.DISCARD):
-            pass
-        else:
+            regs.append(C.query_registers(gate, n))
+        elif gate.kind not in (C.GateKind.ANCILLA, C.GateKind.DISCARD):
             raise ValueError(f"{gate.kind.value} in a classical layer")
+    if regs:
+        answer = handle.query if handle is not None else bbt.answer
+        out = query_map([out], regs, answer)[out]
     return out & ((1 << lay.width_out) - 1)
 
 
-def eval_classical_tier(x: int, t: C.Tier, bbt: BlackBoxTree,
-                        handle: OracleHandle | None, n: int) -> int:
-    if t.kind != "classical":
-        raise ValueError("classical tier expected")
-    out = x
-    for lay in t.layers:
-        out = eval_classical_layer(out, lay, bbt, handle, n)
-    return out
+# ---------------------------------------------------------------------------
+# Tier drivers: one per circuit family, shared by the executor and the
+# classical simulators
+# ---------------------------------------------------------------------------
+
+@dataclass
+class TrueOracle:
+    """The executor's oracle policy: every query gets the tree's answer.
+
+    A policy serves the drivers' three steps (``i`` is the 1-based tier and
+    ``known`` whatever the policy carries between them: nothing here, the
+    recorded answers in the simulators).  Classical queries are counted on
+    ``handle`` if one is given.
+    """
+
+    bbt: BlackBoxTree
+    n: int
+    handle: OracleHandle | None = None
+
+    def classical_tier(self, i: int, t: C.Tier, x: int, known):
+        if t.kind != "classical":
+            raise ValueError("classical tier expected")
+        for lay in t.layers:
+            x = eval_classical_layer(x, lay, self.bbt, self.handle, self.n)
+        return x, known
+
+    def layer(self, i: int, li: int, lay: C.Layer, state: PureState, known):
+        return apply_layer(state, lay, self.bbt, self.n), known
+
+    def quantum_tier(self, i: int, t: C.Tier, x: int, known):
+        """Outcome distribution of quantum tier ``t`` from basis input ``x``."""
+        if t.kind != "quantum":
+            raise ValueError("quantum tier expected")
+        state = PureState.basis(t.width_in, x)
+        for li, lay in enumerate(t.layers):
+            state, known = self.layer(i, li, lay, state, known)
+        return state.marginal(), known
+
+
+def _branches(probs: dict[int, float], rng) -> list[tuple[int, float]]:
+    """(outcome, probability) branches of one measurement: the outcome drawn
+    from ``rng``, or with ``rng=None`` every outcome with p > 0 in key order,
+    renormalized only if substituted queries put the norm off."""
+    if rng is not None:
+        return [(sample_outcome(probs, rng), 1.0)]
+    total = sum(probs.values())
+    scale = total if abs(total - 1.0) > 1e-12 else 1.0
+    return [(y, p / scale) for y, p in sorted(probs.items()) if p > 0]
+
+
+def drive_hybrid(circuit: C.HybridCircuit, policy, rng_for, known=None,
+                 tiers: int | None = None) -> tuple[dict[int, float], object]:
+    """Run the first ``tiers`` tiers from the all-zeros input, depth first.
+
+    ``rng_for(i)`` draws tier i's outcome; ``rng_for=None`` enumerates them.
+    Returns ({output: probability}, the policy's ``known`` at the last branch).
+    """
+    tiers = circuit.eta if tiers is None else tiers
+    acc: dict[int, float] = {}
+    stack = [(0, 0, known, 1.0)]
+    while stack:
+        i, x, known, weight = stack.pop()
+        if i == tiers:
+            acc[x] = acc.get(x, 0.0) + weight
+            continue
+        t = circuit.tiers[i]
+        x &= (1 << t.width_in) - 1
+        if t.kind == "classical":
+            x, known = policy.classical_tier(i + 1, t, x, known)
+            branches = [(x, 1.0)]
+        else:
+            probs, known = policy.quantum_tier(i + 1, t, x, known)
+            branches = _branches(probs, rng_for and rng_for(i + 1))
+        stack.extend((i + 1, y, known, weight * p) for y, p in reversed(branches))
+    return acc, known
+
+
+def _measure_r1(state: PureState, r1: int, x: int, half: int) -> PureState:
+    """Collapse R1 (the first ``half`` logical wires) onto ``r1``, renormalize,
+    and overwrite R1 with the classical tier's output ``x``."""
+    wires = state.live[:half]
+    mask = sum(1 << w for w in wires)
+    r1_bits, x_bits = (sum(((v >> j) & 1) << w for j, w in enumerate(wires))
+                       for v in (r1, x))
+    sel = {k: a for k, a in state.amps.items() if k & mask == r1_bits}
+    nrm = math.sqrt(sum((a * a.conjugate()).real for a in sel.values()))
+    if nrm == 0:
+        raise AssertionError("measured an outcome of probability zero")
+    new: dict[int, complex] = {}
+    for key, a in sel.items():
+        k2 = (key & ~mask) | x_bits
+        new[k2] = new.get(k2, 0j) + a / nrm
+    return PureState(width=state.width, live=state.live, amps=new)
+
+
+def drive_jozsa(circuit: C.JozsaCircuit, policy, rng_for,
+                known=None) -> tuple[dict[int, float], object]:
+    """Jozsa circuits: R1 measured after each quantum tier, R2 stays quantum.
+
+    As ``drive_hybrid``; ``rng_for(i)`` serves the R1 measurement after
+    quantum tier i and ``rng_for(0)`` the final one.
+    """
+    half = circuit.r1_width
+    acc: dict[int, float] = {}
+    stack = [(0, PureState.basis(circuit.n, 0), known, 1.0)]
+    while stack:
+        i, state, known, weight = stack.pop()
+        if i == circuit.eta:
+            for z, p in _branches(state.marginal(), rng_for and rng_for(0)):
+                acc[z] = acc.get(z, 0.0) + weight * p
+            continue
+        for li, lay in enumerate(circuit.quantum_tiers[i].layers):
+            state, known = policy.layer(i + 1, li, lay, state, known)
+        branches = []
+        for r1, p in _branches(state.marginal(half), rng_for and rng_for(i + 1)):
+            x, k = policy.classical_tier(i + 1, circuit.classical_tiers[i], r1, known)
+            branches.append((i + 1, _measure_r1(state, r1, x, half), k, weight * p))
+        stack.extend(reversed(branches))
+    return acc, known
 
 
 def _check_exact_cap(circuit: C.Circuit) -> None:
@@ -258,160 +359,29 @@ def run_hybrid(circuit: C.HybridCircuit, bbt: BlackBoxTree, seed: int,
                handle: OracleHandle | None = None) -> int:
     """Sampled execution; input is the all-zeros n-bit string."""
     C.require_valid(circuit)
-    x = 0
-    for i, t in enumerate(circuit.tiers, start=1):
-        x &= (1 << t.width_in) - 1
-        if t.kind == "classical":
-            x = eval_classical_tier(x, t, bbt, handle, circuit.n)
-        else:
-            x = run_quantum_tier(x, t, bbt, derive_seed(seed, "tier", i))
-    return x
+    acc, _ = drive_hybrid(circuit, TrueOracle(bbt, circuit.n, handle),
+                          lambda i: make_rng(derive_seed(seed, "tier", i), "tier-measurement"))
+    return next(iter(acc))
 
 
 def run_hybrid_exact(circuit: C.HybridCircuit, bbt: BlackBoxTree) -> OutputDistribution:
     """Exact output distribution over the final tier's output bits."""
     C.require_valid(circuit)
     _check_exact_cap(circuit)
-    dist: dict[int, float] = {0: 1.0}
-    for t in circuit.tiers:
-        mask = (1 << t.width_in) - 1
-        new: dict[int, float] = {}
-        for x, p in dist.items():
-            x &= mask
-            if t.kind == "classical":
-                y = eval_classical_tier(x, t, bbt, None, circuit.n)
-                new[y] = new.get(y, 0.0) + p
-            else:
-                for y, q in exact_tier_distribution(x, t, bbt).items():
-                    new[y] = new.get(y, 0.0) + p * q
-        dist = new
-    out = OutputDistribution(width=circuit.tiers[-1].width_out, probs=dist)
-    out.validate()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Jozsa execution: R1 measured mid-circuit, R2 stays quantum
-# ---------------------------------------------------------------------------
-
-def _collapse_r1(state: PureState, r1: int, half: int) -> PureState:
-    """Project R1 (first ``half`` logical wires) onto ``r1`` and renormalize."""
-    sel = {}
-    for key, a in state.amps.items():
-        z = 0
-        for j in range(half):
-            z |= ((key >> state.live[j]) & 1) << j
-        if z == r1:
-            sel[key] = a
-    nrm = math.sqrt(sum((a * a.conjugate()).real for a in sel.values()))
-    if nrm == 0:
-        raise AssertionError("measured an outcome of probability zero")
-    return PureState(width=state.width, live=state.live,
-                     amps={k: a / nrm for k, a in sel.items()})
-
-
-def _set_r1(state: PureState, x: int, half: int) -> PureState:
-    """Overwrite R1 with classical bits ``x`` (post-collapse re-composition)."""
-    new: dict[int, complex] = {}
-    for key, a in state.amps.items():
-        k2 = key
-        for j in range(half):
-            bit = 1 << state.live[j]
-            k2 = (k2 | bit) if (x >> j) & 1 else (k2 & ~bit)
-        new[k2] = new.get(k2, 0j) + a
-    return PureState(width=state.width, live=state.live, amps=new)
-
-
-def _r1_marginal(state: PureState, half: int) -> dict[int, float]:
-    probs: dict[int, float] = {}
-    for key, a in state.amps.items():
-        z = 0
-        for j in range(half):
-            z |= ((key >> state.live[j]) & 1) << j
-        probs[z] = probs.get(z, 0.0) + (a * a.conjugate()).real
-    return probs
+    acc, _ = drive_hybrid(circuit, TrueOracle(bbt, circuit.n), None)
+    return OutputDistribution(circuit.tiers[-1].width_out, acc)
 
 
 def run_jozsa(circuit: C.JozsaCircuit, bbt: BlackBoxTree, seed: int,
               handle: OracleHandle | None = None) -> int:
     C.require_valid(circuit)
-    half = circuit.r1_width
-    state = PureState.basis(circuit.n, 0)
-    for i, (qt, ct) in enumerate(zip(circuit.quantum_tiers, circuit.classical_tiers),
-                                 start=1):
-        for lay in qt.layers:
-            state = apply_layer(state, lay, bbt, circuit.n)
-        rng = make_rng(seed, "r1", i)
-        r1 = sample_outcome(_r1_marginal(state, half), rng)
-        state = _collapse_r1(state, r1, half)
-        x = eval_classical_tier(r1, ct, bbt, handle, circuit.n)
-        state = _set_r1(state, x, half)
-    rng = make_rng(seed, "final")
-    return sample_outcome(state.marginal(), rng)
+    acc, _ = drive_jozsa(circuit, TrueOracle(bbt, circuit.n, handle),
+                         lambda i: make_rng(seed, "r1", i) if i else make_rng(seed, "final"))
+    return next(iter(acc))
 
 
 def run_jozsa_exact(circuit: C.JozsaCircuit, bbt: BlackBoxTree) -> OutputDistribution:
     C.require_valid(circuit)
     _check_exact_cap(circuit)
-    half = circuit.r1_width
-
-    def rec(state: PureState, i: int, weight: float, acc: dict[int, float]):
-        if i == circuit.eta:
-            for z, p in state.marginal().items():
-                acc[z] = acc.get(z, 0.0) + weight * p
-            return
-        qt, ct = circuit.quantum_tiers[i], circuit.classical_tiers[i]
-        for lay in qt.layers:
-            state = apply_layer(state, lay, bbt, circuit.n)
-        for r1, p in sorted(_r1_marginal(state, half).items()):
-            if p <= 0:
-                continue
-            branch = _collapse_r1(state, r1, half)
-            x = eval_classical_tier(r1, ct, bbt, None, circuit.n)
-            rec(_set_r1(branch, x, half), i + 1, weight * p, acc)
-
-    acc: dict[int, float] = {}
-    rec(PureState.basis(circuit.n, 0), 0, 1.0, acc)
-    out = OutputDistribution(width=circuit.g, probs=acc)
-    out.validate()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Success probability over labelings
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Estimate:
-    value: float
-    stderr: float
-    trials: int
-
-
-def success_probability(circuit: C.Circuit, structure, labelings: int, seed: int,
-                        label_bits: int | None = None) -> Estimate:
-    """Monte Carlo over fresh labelings of the fixed structure.
-
-    Success means the circuit's output (first 2n output bits, zero padded)
-    equals the exit vertex's label.  The coloring is drawn once from the
-    seed; per-trial labelings use derived seeds.
-    """
-    from .tree import generate_coloring, generate_labels
-
-    C.require_valid(circuit)
-    coloring = generate_coloring(structure, derive_seed(seed, "coloring-pick"))
-    mask = (1 << (2 * structure.n if label_bits is None else label_bits)) - 1
-    hits = 0
-    for t_idx in range(labelings):
-        bbt = generate_labels(structure, coloring, derive_seed(seed, "labeling", t_idx),
-                              label_bits=label_bits)
-        run_seed = derive_seed(seed, "run", t_idx)
-        if isinstance(circuit, C.HybridCircuit):
-            out = run_hybrid(circuit, bbt, run_seed, handle=bbt.handle())
-        else:
-            out = run_jozsa(circuit, bbt, run_seed, handle=bbt.handle())
-        if (out & mask) == bbt.exit_label():
-            hits += 1
-    p = hits / labelings
-    stderr = math.sqrt(max(p * (1 - p), 1.0 / labelings)) / math.sqrt(labelings)
-    return Estimate(value=p, stderr=stderr, trials=labelings)
+    acc, _ = drive_jozsa(circuit, TrueOracle(bbt, circuit.n), None)
+    return OutputDistribution(circuit.g, acc)

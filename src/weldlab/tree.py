@@ -476,15 +476,6 @@ class BlackBoxTree:
         return {c: self.answer(x, c) for c in range(1, 10)}
 
 
-def query(bbt: BlackBoxTree, x: int, c: int) -> int:
-    """Query via the tree's default handle, incrementing its counter."""
-    return bbt.default_handle.query(x, c)
-
-
-def exit_label(bbt: BlackBoxTree) -> int:
-    return bbt.exit_label()
-
-
 def _sample_distinct(rng, low: int, high: int, k: int) -> list[int]:
     """k distinct ints uniform over [low, high); Floyd's algorithm when huge."""
     span = high - low

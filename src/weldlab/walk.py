@@ -100,13 +100,6 @@ def full_graph_state(bbt_or_structure, t: float) -> np.ndarray:
     return expm_multiply(-1j * t * A, v0)
 
 
-def full_graph_walk(bbt_or_structure, t: float) -> float:
-    """Exit-vertex probability under the full 2^(n+2)-2 dimensional evolution."""
-    structure = getattr(bbt_or_structure, "structure", bbt_or_structure)
-    vec = full_graph_state(structure, t)
-    return float(np.abs(vec[structure.exit]) ** 2)
-
-
 @dataclass
 class SweepResult:
     best_t: float

@@ -311,7 +311,8 @@ def test_criterion_9_bottleneck():
         V.set_vertex(lab, bbt.vertex_row(lab))
     for lab in sorted(V.known_labels() - V.key_labels())[:3]:
         V.set_vertex(lab, bbt.vertex_row(lab))
-    x = BN.replay_prefix(circ, bbt, 1, tape)
+    x = HS.few_tier_wrapper(circ, bbt, tiers=1, instrument=False,
+                            tier_seed_fn=tape.tier_seed).output
     pos = tree.embed_entries(V, bbt.structure, bbt.coloring, 4)
     free_vs = [v for v in range(14) if v not in pos.values()]
     avail = sorted(set(range(1, 15)) - V.known_labels())
@@ -324,7 +325,8 @@ def test_criterion_9_bottleneck():
             labels[v] = lab
         P = tree.BlackBoxTree(structure=bbt.structure, coloring=bbt.coloring,
                               labels=labels, label_bits=4)
-        if BN.replay_prefix(circ, P, 1, tape) == x:
+        if HS.few_tier_wrapper(circ, P, tiers=1, instrument=False,
+                               tier_seed_fn=tape.tier_seed).output == x:
             accepted += 1
             for lab in combo:
                 valid_counts[lab] = valid_counts.get(lab, 0) + 1

@@ -3,12 +3,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import weldlab
 from weldlab import cli, tree
 from weldlab.harness import (ExperimentConfig, cmd_discovery, cmd_simulate,
                              cmd_walk, discovery_bound, discovery_rate,
@@ -134,6 +137,37 @@ def test_cli_config_file_with_overrides(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"bogus": 1, "n": 3}', "unknown config key(s): bogus"),
+    ("[1]", "config must be a JSON object, got list"),
+])
+def test_cli_bad_config_document_exit_2(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli.main(["walk", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"weldlab walk: error: config {cfg_path}: {message}\n"
+
+
+def test_cli_config_without_experiment_takes_the_subcommand(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"n": 3, "trials": 200, "h_values": [1]}')
+    assert cli.main(["discovery", "--config", str(cfg_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["experiment"] == "discovery" and doc["config"]["trials"] == 200
+
+
+@pytest.mark.parametrize("name, reason", [("missing.json", "No such file or directory"),
+                                          (".", "Is a directory")])
+def test_cli_unreadable_config_exit_2(tmp_path, capsys, name, reason):
+    path = tmp_path / name
+    assert cli.main(["walk", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"weldlab walk: error: config {path}: {reason}\n"
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     argv = ["discovery", "-n", "3", "--trials", "300", "--seed", "4"]
@@ -167,9 +201,13 @@ def test_unknown_experiment_rejected():
 
 
 def test_console_entry_point():
+    # the subprocess imports the package from where this process found it
+    src = str(Path(weldlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "weldlab.cli", "discovery",
                            "-n", "3", "--trials", "200"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["experiment"] == "discovery"

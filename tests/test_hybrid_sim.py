@@ -169,7 +169,7 @@ def test_classical_tier_matches_real_oracle_when_known(bbt2):
     valid_color = next(c for c in range(1, 10) if bbt2.answer(0, c) != bbt2.invalid)
     x = valid_color << 4
     got, _ = HS.classical_tier_sim(t, x, V, ctx)
-    truth = SV.eval_classical_tier(x, t, bbt2, None, 2)
+    truth, _ = SV.TrueOracle(bbt2, 2).classical_tier(1, t, x, None)
     assert got == truth
 
 

@@ -88,8 +88,8 @@ def test_labels_impossible_at_n1():
 def test_query_all_ones_and_entrance(bbt3):
     inv = bbt3.invalid
     for c in range(1, 10):
-        assert tree.query(bbt3, inv, c) == inv
-    hits = {c: tree.query(bbt3, 0, c) for c in range(1, 10)}
+        assert bbt3.default_handle.query(inv, c) == inv
+    hits = {c: bbt3.default_handle.query(0, c) for c in range(1, 10)}
     valid = [y for y in hits.values() if y != inv]
     assert len(valid) == 2  # entrance has degree 2
 
@@ -156,7 +156,7 @@ def test_label_batch_rows_answer_like_trees():
 
 def test_tree_freed_without_cycle_collector():
     bbt = tree.make_blackbox(3, 1)
-    tree.query(bbt, 0, 1)
+    bbt.default_handle.query(0, 1)
     bbt.answer_many(np.zeros(3, dtype=np.int64), np.arange(1, 4))
     gone = weakref.ref(bbt)
     gc.disable()
