@@ -25,7 +25,7 @@ results regardless of later tape bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class SeedTape:
 
     The tape is laid out in segments of n*q*g bits, one per tier; the
     measurement generator for tier i is keyed by the bytes of segment i, so
-    it is a function of the prefix alone.
+    it is a function of the prefix alone.  A tape is not changed once made,
+    so each tier's seed is folded once and kept.
     """
 
     n: int
@@ -56,6 +57,8 @@ class SeedTape:
     q: int
     g: int
     bits: np.ndarray
+    _tier_seeds: dict[int, int] = field(default_factory=dict, init=False, repr=False,
+                                        compare=False)
 
     @classmethod
     def generate(cls, master: int, n: int, eta: int, q: int, g: int) -> "SeedTape":
@@ -76,11 +79,14 @@ class SeedTape:
 
     def tier_seed(self, i: int) -> int:
         """64-bit seed folded from tier i's segment (1-based)."""
-        seg = self.bits[(i - 1) * self.segment_len: i * self.segment_len]
-        acc = 0
-        for byte in np.packbits(seg).tobytes():
-            acc = derive_seed(acc, byte)
-        return derive_seed(acc, "tape-tier", i)
+        seed = self._tier_seeds.get(i)
+        if seed is None:
+            seg = self.bits[(i - 1) * self.segment_len: i * self.segment_len]
+            acc = 0
+            for byte in np.packbits(seg).tobytes():
+                acc = derive_seed(acc, byte)
+            seed = self._tier_seeds[i] = derive_seed(acc, "tape-tier", i)
+        return seed
 
     def with_suffix_scrambled(self, i: int, master: int) -> "SeedTape":
         """Same prefix r_<=i, fresh bits afterwards (for determinism tests)."""

@@ -32,6 +32,28 @@ SCHEMA_VERSION = 1
 JOBS_ENV_VAR = "WELDLAB_JOBS"
 
 
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "str": ((str,), "a string"), "tuple[int, ...]": ((list,), "a list of integers")}
+
+
+def _json_field(name: str, annotation: str, value):
+    """A config file's ``value`` for field ``name``, checked against the
+    field's annotation (``int``, ``float``, ``str``, ``tuple[int, ...]``,
+    each possibly ``| None``)."""
+    base, _, nullable = annotation.partition(" | ")
+    if value is None and nullable == "None":
+        return value
+    kinds, wanted = _JSON_TYPES[base]
+    ok = isinstance(value, kinds) and not isinstance(value, bool)
+    if ok and base == "tuple[int, ...]":
+        ok = all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+        value = tuple(value)
+    if not ok:
+        raise ValueError(f"config field {name!r} must be {wanted}"
+                         f"{' or null' if nullable else ''}, got {json.dumps(value)}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -62,9 +84,8 @@ class ExperimentConfig:
         doc["experiment"] = experiment or doc.get("experiment")
         if doc["experiment"] is None:
             raise ValueError("config names no experiment")
-        if "h_values" in doc:
-            doc["h_values"] = tuple(doc["h_values"])
-        return cls(**doc)
+        types = {f.name: f.type for f in fields(cls)}
+        return cls(**{key: _json_field(key, types[key], val) for key, val in doc.items()})
 
     def to_jsonable(self) -> dict:
         doc = asdict(self)
@@ -293,10 +314,18 @@ tier quantum
 
 
 def load_circuit(config: ExperimentConfig) -> C.Circuit:
-    if config.circuit_file:
-        with open(config.circuit_file, encoding="utf-8") as fh:
+    """The circuit file's circuit, else the default one; a file that cannot
+    be read or parsed is a ``ValueError`` naming it."""
+    if not config.circuit_file:
+        return _default_circuit(config.n)
+    path = config.circuit_file
+    try:
+        with open(path, encoding="utf-8") as fh:
             return C.parse(fh.read())
-    return _default_circuit(config.n)
+    except OSError as exc:
+        raise ValueError(f"circuit {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"circuit {path}: {exc}") from None
 
 
 def cmd_simulate(config: ExperimentConfig) -> Report:

@@ -34,7 +34,10 @@ run the simulators.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from . import circuits as C
 from . import statevec as SV
@@ -132,11 +135,14 @@ def _query_regs(lt: C.Layer, n: int, live: tuple[int, ...]):
 
 def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
                     support, live: tuple[int, ...], n: int,
-                    ctx: SimContext) -> tuple[dict[int, int], KnownVertices]:
+                    ctx: SimContext) -> tuple[Mapping[int, int], KnownVertices]:
     """Alg-style query substitution over ``support``; returns (S, updated V).
 
-    Branch (b) consults the set of labels known at layer start (frozen), so
-    the updated dictionary gains at most 3|V| new key vertices.
+    Keys are visited in sorted order.  An int64 array ``support`` takes the
+    array kernel, which asks each distinct (x, c) pair once in that order,
+    and gives ``S`` as an ``SV.ArrayMap`` over the sorted keys.  Branch (b)
+    consults the set of labels known at layer start (frozen), so the updated
+    dictionary gains at most 3|V| new key vertices.
     """
     for g in lt.gates:
         if g.kind != C.GateKind.QUERY:
@@ -154,22 +160,53 @@ def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
             vertex_query(ctx, work, x)
         return work.get(x, c)
 
-    S = SV.query_map(sorted(support), _query_regs(lt, n, live), answer)
-    return S, work
+    regs = _query_regs(lt, n, live)
+    if isinstance(support, np.ndarray):
+        keys = np.sort(support)
+        return SV.ArrayMap(keys, SV.query_keys(keys, regs, SV.distinct_answers(answer))), work
+    return SV.query_map(sorted(support), regs, answer), work
+
+
+def _l1_sorted(k1: np.ndarray, k2: np.ndarray, vals: np.ndarray) -> float:
+    """sum |psi - phi| in sorted key order, where psi puts ``vals`` on the
+    keys ``k1`` and phi puts them on ``k2`` (each one-to-one)."""
+    if not vals.size:
+        return 0.0
+    keys = np.sort(np.concatenate([k1, k2]))
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+
+    def at(k: np.ndarray) -> np.ndarray:
+        order = np.argsort(k)
+        i = np.minimum(np.searchsorted(k[order], keys), k.size - 1)
+        return np.where(k[order][i] == keys, vals[order][i], 0j)
+
+    d = at(k1) - at(k2)
+    return SV.seq_sum(np.hypot(d.real, d.imag))
 
 
 def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
                       ctx: SimContext, layer_index: int = 0) -> tuple[SV.PureState, KnownVertices]:
-    """One simulated quantum layer: exact non-query part, substituted queries."""
+    """One simulated quantum layer: exact non-query part, substituted queries.
+
+    Both kernels visit the support in sorted key order; see ``statevec``.
+    """
     bbt, n = ctx.bbt, ctx.bbt.n
     lg, lt = split_layer(lay)
     phi = SV.apply_layer(state, lg, bbt, n)
     size_before = V.size()
     q_before = ctx.transcript.queries
-    support = sorted(phi.amps)
-    S, V2 = simulate_oracle(V, bbt, lt, support, phi.live, n, ctx)
-    psi_amps = SV.move_amps(phi.amps, S)
-    psi = SV.PureState(width=phi.width, live=phi.live, amps=psi_amps)
+    if phi.wide:
+        keys, vals = phi.arrays()
+        order = np.argsort(keys)
+        support, vals = keys[order], vals[order]
+        S, V2 = simulate_oracle(V, bbt, lt, support, phi.live, n, ctx)
+        # the substitution permutes the support; move_amps adds each to 0j
+        psi = SV.PureState(width=phi.width, live=phi.live,
+                           amps=SV.ArrayMap(S.value_array, vals + 0.0))
+    else:
+        support = sorted(phi.amps)
+        S, V2 = simulate_oracle(V, bbt, lt, support, phi.live, n, ctx)
+        psi = SV.PureState(width=phi.width, live=phi.live, amps=SV.move_amps(phi.amps, S))
 
     if V2.size() > 4 * max(size_before, 1):
         raise AssertionError(
@@ -177,19 +214,29 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
 
     if ctx.instrument:
         # the true oracle's action on the same support, read through the
-        # tree itself: instrumentation is not the simulator's oracle access
-        truth = SV.query_map(support, _query_regs(lt, n, phi.live), bbt.answer)
-        outlier_mass = sum((phi.amps[z] * phi.amps[z].conjugate()).real
-                           for z in support if S[z] != truth[z])
-        # <psi'|L^T|phi> in the branch-diagonal form sum_z |c_z|^2 <S(z)|L^T|z>;
-        # equal to 1 - outlier mass exactly (the global inner product gains
-        # cross terms when S collides two basis strings, so it is not the
-        # asserted quantity)
-        fidelity = sum((phi.amps[z] * phi.amps[z].conjugate()).real
-                       for z in support if S[z] == truth[z])
-        true_amps = SV.move_amps(phi.amps, truth)
-        l1_gap = sum(abs(psi_amps.get(k, 0j) - true_amps.get(k, 0j))
-                     for k in set(psi_amps) | set(true_amps))
+        # tree itself: instrumentation is not the simulator's oracle access.
+        # fidelity is <psi'|L^T|phi> in the branch-diagonal form
+        # sum_z |c_z|^2 <S(z)|L^T|z>; equal to 1 - outlier mass exactly (the
+        # global inner product gains cross terms when S collides two basis
+        # strings, so it is not the asserted quantity)
+        regs = _query_regs(lt, n, phi.live)
+        if phi.wide:
+            truth = SV.query_keys(support, regs, bbt.answer_many)
+            p = SV.abs_sq(vals)
+            out = S.value_array != truth
+            outlier_mass, fidelity = SV.seq_sum(p[out]), SV.seq_sum(p[~out])
+            # both maps are one-to-one, so a key no outlier reaches holds the
+            # same amplitude in psi' and L^T phi and adds an exact 0.0
+            l1_gap = _l1_sorted(S.value_array[out], truth[out], vals[out])
+        else:
+            truth = SV.query_map(support, regs, bbt.answer)
+            outlier_mass = SV.seq_sum((phi.amps[z] * phi.amps[z].conjugate()).real
+                                      for z in support if S[z] != truth[z])
+            fidelity = SV.seq_sum((phi.amps[z] * phi.amps[z].conjugate()).real
+                                  for z in support if S[z] == truth[z])
+            true_amps = SV.move_amps(phi.amps, truth)
+            l1_gap = SV.seq_sum(abs(psi.amps.get(k, 0j) - true_amps.get(k, 0j))
+                                for k in sorted(set(psi.amps) | set(true_amps)))
         ctx.transcript.per_layer.append(LayerRecord(
             tier=ctx.tier_index, layer=layer_index,
             outlier_mass=outlier_mass, fidelity=fidelity,

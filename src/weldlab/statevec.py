@@ -6,14 +6,43 @@ never renormalized; amplitudes below 1e-14 are pruned.  Discarded wires stay
 in the key (deferred discard) but leave the ``live`` list, so outputs and
 measurements marginalize over them.
 
+Representation.  ``PureState.amps`` is a dict, or for a wide state an
+``ArrayMap``: an int64 key array and a complex128 amplitude array that read
+as a mapping (its dict is built only for a lookup or an iteration).  Every
+step -- a layer, a query substitution, a marginal, a norm, an R1
+measurement -- picks its kernel by support size: Python dict loops below
+``ARRAY_MIN_SUPPORT`` amplitudes, numpy at or above it.  A layer is judged
+by its input support times 2^(H gates in the layer), the support it may
+reach.  A dict loop costs about a microsecond per amplitude and gate; a
+numpy step makes ten to forty calls of a few microseconds each whatever
+the size, so one-amplitude tiers stay several times faster on dicts.  The
+measured crossover (see ``ARRAY_MIN_SUPPORT``) sits above nearly all of the
+Bottleneck's layers and below the exact comparisons' wide ones.  Keys of
+the array kernel are int64, so a state wider than ``KEY_BITS`` physical
+wires (deferred discards add up) keeps the dict loops.  The threshold is
+not an option: it changes speed, never a result, because both kernels give
+bit-identical states:
+
+* keys keep the dict's insertion order (first occurrence);
+* amplitudes that meet on one key are summed in that order, starting from
+  0.0 as ``dict.get(k, 0j) + a`` does (``np.bincount``, ``np.cumsum``;
+  ``np.sum`` and ``reduceat`` sum pairwise, and builtin ``sum`` compensates
+  from Python 3.12 on, so neither kernel uses them -- see ``seq_sum``);
+* |a|^2 is re*re + im*im and |a| is ``np.hypot``, as Python computes them;
+* products and quotients of complex amplitudes by 1j, 1/sqrt(2) or a norm
+  are taken part by part with Python's formulas (numpy's complex division
+  multiplies by a reciprocal).
+
 Query gates XOR the oracle answer into the y-register, so applying the same
-query layer twice is the identity.  ``query_map`` is the one query kernel:
-it takes the oracle as an ``answer(x, c)`` policy, so the executor, the
-classical simulators' substitution and the instrumentation's truth map all
-run through it.  The executor reads the oracle through ``bbt.answer``
-(query gates are quantum queries, accounted as gates by
-circuits.accounting, not on the classical per-handle counter); classical
-tiers of a hybrid circuit make real classical queries through a handle.
+query layer twice is the identity.  A layer's query gates write y wires that
+none of them reads, so they permute the support.  ``query_map`` (dicts) and
+``query_keys`` (arrays) are the one query kernel: each takes the oracle as a
+policy, so the executor, the classical simulators' substitution and the
+instrumentation's truth map all run through it.  The executor reads the
+oracle through ``bbt.answer``/``bbt.answer_many`` (query gates are quantum
+queries, accounted as gates by circuits.accounting, not on the classical
+per-handle counter); classical tiers of a hybrid circuit make real classical
+queries through a handle.
 
 Tiers and measurement branches are walked by one driver per circuit family
 (``drive_hybrid``, ``drive_jozsa``), given an oracle policy (``TrueOracle``
@@ -22,8 +51,13 @@ here, ``hybrid_sim.SimContext`` for the simulators) and a measurement rule
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import circuits as C
 from .rng import derive_seed, make_rng
@@ -32,16 +66,135 @@ from .tree import BlackBoxTree, OracleHandle
 PRUNE_TOL = 1e-14
 NORM_TOL = 1e-9
 EXACT_WIDTH_CAP = 22
+# Smallest support that takes the array kernel.  Measured per step on
+# 16-wire states (2 cores, Python 3.11, numpy 2.4): arrays win from about
+# 16 amplitudes for marginals, 40 for query layers, 64 for instrumented
+# simulator layers and layers without H, and 150 to 300 reached amplitudes
+# for layers of 3 to 5 H gates.
+ARRAY_MIN_SUPPORT = 128
+KEY_BITS = 62               # physical wires an int64 key array can hold
 
 _SQRT_HALF = 1 / math.sqrt(2)
 
 
+def use_arrays(support: int, width: int) -> bool:
+    """Whether a step over ``support`` amplitudes of a ``width``-wire state
+    takes the array kernel."""
+    return support >= ARRAY_MIN_SUPPORT and width <= KEY_BITS
+
+
+def seq_sum(values):
+    """Left-to-right sum from 0, as CPython 3.11's ``sum`` adds floats.
+
+    An array is summed with ``np.cumsum``; anything else with ``reduce``.
+    Empty input gives the int 0, as ``sum`` does.
+    """
+    if isinstance(values, np.ndarray):
+        return float(np.cumsum(values)[-1]) if values.size else 0
+    return functools.reduce(operator.add, values, 0)
+
+
+def abs_sq(vals: np.ndarray) -> np.ndarray:
+    """|a|^2 of complex amplitudes, as ``(a * a.conjugate()).real``."""
+    return vals.real * vals.real + vals.imag * vals.imag
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.size, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+class ArrayMap(Mapping):
+    """A read-only ``{key: value}`` mapping held as two aligned arrays.
+
+    Iteration follows the arrays' order.  ``len`` reads the array; any
+    lookup or iteration goes through a dict built on first use.
+    """
+
+    __slots__ = ("key_array", "value_array", "_dict")
+
+    def __init__(self, key_array: np.ndarray, value_array: np.ndarray):
+        self.key_array = key_array
+        self.value_array = value_array
+        self._dict = None
+
+    def as_dict(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(zip(self.key_array.tolist(), self.value_array.tolist()))
+        return self._dict
+
+    def __len__(self) -> int:
+        return self.key_array.size
+
+    def __iter__(self):
+        return iter(self.as_dict())
+
+    def __getitem__(self, key):
+        return self.as_dict()[key]
+
+
+def _first_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct keys in order of first occurrence, each element's group).
+
+    ``group[i]`` indexes the distinct key of ``keys[i]``, so
+    ``np.bincount(group, w)`` sums ``w`` per key in element order -- what a
+    dict filled by ``d[k] = d.get(k, 0.0) + w`` holds, in the same order.
+    """
+    order = np.argsort(keys)
+    sk = keys[order]
+    starts = np.empty(sk.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sk[1:], sk[:-1], out=starts[1:])
+    if np.count_nonzero(starts) == keys.size:
+        return keys, np.arange(keys.size)
+    firsts = np.minimum.reduceat(order, np.flatnonzero(starts))   # per key, sorted
+    is_first = np.zeros(keys.size, dtype=bool)
+    is_first[firsts] = True
+    rank = np.cumsum(is_first) - 1          # of each first index, by appearance
+    group = np.empty_like(order)
+    group[order] = rank[firsts][np.cumsum(starts) - 1]
+    return keys[is_first], group
+
+
+def _runs(wires) -> list[list[int]]:
+    """[first wire, first bit, length] of each run of consecutive wires."""
+    runs: list[list[int]] = []
+    for j, w in enumerate(wires):
+        if runs and w == runs[-1][0] + runs[-1][2]:
+            runs[-1][2] += 1
+        else:
+            runs.append([w, j, 1])
+    return runs
+
+
+def _gather(keys: np.ndarray, wires) -> np.ndarray:
+    """Bit j of the result is bit ``wires[j]`` of each key."""
+    out = np.zeros_like(keys)
+    for w, j, length in _runs(wires):
+        out |= ((keys >> w) & ((1 << length) - 1)) << j
+    return out
+
+
+def _scatter(vals: np.ndarray, wires) -> np.ndarray:
+    """Bit ``wires[j]`` of the result is bit j of each value."""
+    out = np.zeros_like(vals)
+    for w, j, length in _runs(wires):
+        out |= ((vals >> j) & ((1 << length) - 1)) << w
+    return out
+
+
 @dataclass
 class PureState:
-    """Sparse pure state.  ``live[j]`` is the physical wire of logical wire j."""
+    """Sparse pure state.  ``live[j]`` is the physical wire of logical wire j.
+
+    ``amps`` is a dict or, for states made by the array kernel, an
+    ``ArrayMap``; either reads as ``{key: amplitude}`` in insertion order.
+    """
 
     width: int
-    amps: dict[int, complex]
+    amps: Mapping[int, complex]
     live: tuple[int, ...]
 
     @classmethod
@@ -52,8 +205,23 @@ class PureState:
     def logical_width(self) -> int:
         return len(self.live)
 
+    @property
+    def wide(self) -> bool:
+        """Whether steps over this state take the array kernel."""
+        return use_arrays(len(self.amps), self.width)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(int64 keys, complex128 amplitudes), in the order of ``amps``."""
+        if isinstance(self.amps, ArrayMap):
+            return self.amps.key_array, self.amps.value_array
+        count = len(self.amps)
+        return (np.fromiter(self.amps, np.int64, count),
+                np.fromiter(self.amps.values(), np.complex128, count))
+
     def norm_sq(self) -> float:
-        return sum((a * a.conjugate()).real for a in self.amps.values())
+        if self.wide:
+            return seq_sum(abs_sq(self.arrays()[1]))
+        return seq_sum((a * a.conjugate()).real for a in self.amps.values())
 
     def assert_normalized(self, tol: float = NORM_TOL) -> None:
         nrm = self.norm_sq()
@@ -64,6 +232,11 @@ class PureState:
         """Probability of each outcome on the first ``wires`` logical wires
         (all by default); dead wires and the rest are traced out."""
         live = self.live[:wires]
+        if self.wide:
+            keys, vals = self.arrays()
+            zs, group = _first_groups(_gather(keys, live))
+            return dict(zip(zs.tolist(),
+                            np.bincount(group, abs_sq(vals), zs.size).tolist()))
         probs: dict[int, float] = {}
         for key, a in self.amps.items():
             z = 0
@@ -122,12 +295,98 @@ def query_map(keys, regs, answer) -> dict[int, int]:
     return out
 
 
+def query_keys(keys: np.ndarray, regs, answer_many) -> np.ndarray:
+    """``query_map`` over an int64 key array: each key's image, aligned.
+
+    ``answer_many(xs, cs)`` answers arrays of shape (keys, gates); their
+    row-major order is the order in which ``query_map`` asks its policy.
+    """
+    if not regs:
+        return keys
+    xs = np.stack([_gather(keys, px) for px, _pc, _py in regs], axis=1)
+    cs = np.stack([_gather(keys, pc) for _px, pc, _py in regs], axis=1)
+    ans = answer_many(xs, cs)
+    moved = keys.copy()
+    for g, (_px, _pc, py) in enumerate(regs):
+        moved ^= _scatter(ans[:, g], py)
+    return moved
+
+
+def distinct_answers(answer):
+    """An ``answer_many`` policy that asks ``answer(x, c)`` once per distinct
+    pair, in row-major order of first appearance.
+
+    A policy that learns as it answers (the simulators' substitution) has
+    no side effect on a repeated pair, so it learns what, and in the order,
+    it would under ``query_map``.  c registers are four wires wide.
+    """
+    def answer_many(xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+        pairs, group = _first_groups(((xs << 4) | cs).ravel())
+        got = np.array([answer(p >> 4, p & 15) for p in pairs.tolist()], dtype=np.int64)
+        return got[group].reshape(xs.shape)
+    return answer_many
+
+
 def move_amps(amps: dict[int, complex], S: dict[int, int]) -> dict[int, complex]:
     """Amplitudes carried along the basis map ``S``, in the key order of ``S``."""
     out: dict[int, complex] = {}
     for z, k in S.items():
         out[k] = out.get(k, 0j) + amps[z]
     return out
+
+
+def _steps_dict(amps: dict[int, complex], steps) -> dict[int, complex]:
+    for kind, bit, t_bit in steps:
+        if kind == C.GateKind.H:
+            new: dict[int, complex] = {}
+            for key, a in amps.items():
+                s = a * _SQRT_HALF
+                k0, k1 = key & ~bit, key | bit
+                new[k0] = new.get(k0, 0j) + s
+                new[k1] = new.get(k1, 0j) + (-s if key & bit else s)
+            amps = new
+        elif kind == C.GateKind.PHASE:
+            amps = {k: (a * 1j if k & bit else a) for k, a in amps.items()}
+        else:
+            amps = {(k ^ t_bit if (k & bit) == bit else k): a for k, a in amps.items()}
+    return amps
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty(2 * a.size, dtype=a.dtype)
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
+def _steps_arrays(keys: np.ndarray, re: np.ndarray, im: np.ndarray, steps):
+    """``_steps_dict`` on arrays, bit for bit (see the module docstring)."""
+    for kind, bit, t_bit in steps:
+        if kind == C.GateKind.H:
+            # a * (1/sqrt 2) on |0>, negated on |1> for keys that had the
+            # bit, each summed onto its key from 0.0
+            s_re, s_im = re * _SQRT_HALF, im * _SQRT_HALF
+            hi = (keys & bit) != 0
+            k0 = keys & ~bit
+            ones = np.count_nonzero(hi)
+            if ones == 0 or ones == keys.size:      # no key meets its partner
+                def sums(w):
+                    return w + 0.0
+            else:
+                k0, group = _first_groups(k0)
+
+                def sums(w):
+                    return np.bincount(group, w, k0.size)
+            keys = _interleave(k0, k0 | bit)
+            re = _interleave(sums(s_re), sums(np.where(hi, -s_re, s_re)))
+            im = _interleave(sums(s_im), sums(np.where(hi, -s_im, s_im)))
+        elif kind == C.GateKind.PHASE:
+            # a * 1j = (re*0 - im, re + im*0)
+            hit = (keys & bit) != 0
+            re, im = np.where(hit, re * 0.0 - im, re), np.where(hit, re + im * 0.0, im)
+        else:
+            keys = np.where((keys & bit) == bit, keys ^ t_bit, keys)
+    return keys, re, im
 
 
 def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
@@ -153,29 +412,16 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
     def phys(w: int) -> int:
         return anc_phys[w] if w in anc_phys else live[w]
 
-    amps = dict(state.amps)
+    steps = []              # (kind, control or target bit, Toffoli target bit)
     regs = []
     for gate in lay.gates:
         if gate.kind == C.GateKind.ANCILLA or gate.kind == C.GateKind.DISCARD:
             continue
-        if gate.kind == C.GateKind.H:
-            bit = 1 << phys(gate.wires[0])
-            new: dict[int, complex] = {}
-            for key, a in amps.items():
-                s = a * _SQRT_HALF
-                k0, k1 = key & ~bit, key | bit
-                new[k0] = new.get(k0, 0j) + s
-                new[k1] = new.get(k1, 0j) + (-s if key & bit else s)
-            amps = new
-        elif gate.kind == C.GateKind.PHASE:
-            bit = 1 << phys(gate.wires[0])
-            amps = {k: (a * 1j if k & bit else a) for k, a in amps.items()}
+        if gate.kind in (C.GateKind.H, C.GateKind.PHASE):
+            steps.append((gate.kind, 1 << phys(gate.wires[0]), 0))
         elif gate.kind == C.GateKind.TOFFOLI:
-            a_bit = 1 << phys(gate.wires[0])
-            b_bit = 1 << phys(gate.wires[1])
-            t_bit = 1 << phys(gate.wires[2])
-            amps = {(k ^ t_bit if (k & a_bit) and (k & b_bit) else k): a
-                    for k, a in amps.items()}
+            a, b, t = (phys(w) for w in gate.wires)
+            steps.append((gate.kind, (1 << a) | (1 << b), 1 << t))
         elif gate.kind == C.GateKind.QUERY:
             if bbt is None or n is None:
                 raise ValueError("query gate needs the black-box tree and n")
@@ -183,11 +429,24 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
                               for reg in C.query_registers(gate, n)))
         else:
             raise ValueError(f"unknown gate kind {gate.kind}")
-    if regs:
-        amps = move_amps(amps, query_map(amps, regs, bbt.answer))
+    live_out = tuple(phys(w) for w in range(lay.width_out))
 
-    out = PureState(width=width, amps=_prune(amps),
-                    live=tuple(phys(w) for w in range(lay.width_out)))
+    n_h = sum(kind == C.GateKind.H for kind, _b, _t in steps)
+    if use_arrays(len(state.amps) << n_h, width):
+        keys, vals = state.arrays()
+        keys, re, im = _steps_arrays(keys, vals.real, vals.imag, steps)
+        if regs:
+            # the query permutes the support; move_amps adds each to 0j
+            keys = query_keys(keys, regs, bbt.answer_many)
+            re, im = re + 0.0, im + 0.0
+        keep = np.hypot(re, im) >= PRUNE_TOL
+        amps = ArrayMap(keys[keep], _complex(re[keep], im[keep]))
+    else:
+        amps = _steps_dict(dict(state.amps), steps)
+        if regs:
+            amps = move_amps(amps, query_map(amps, regs, bbt.answer))
+        amps = _prune(amps)
+    out = PureState(width=width, amps=amps, live=live_out)
     nrm = out.norm_sq()
     if abs(nrm - prev_norm) > NORM_TOL:
         raise AssertionError(f"layer changed norm by {nrm - prev_norm!r}")
@@ -310,8 +569,20 @@ def _measure_r1(state: PureState, r1: int, x: int, half: int) -> PureState:
     mask = sum(1 << w for w in wires)
     r1_bits, x_bits = (sum(((v >> j) & 1) << w for j, w in enumerate(wires))
                        for v in (r1, x))
+    # the kept keys agree on R1, so overwriting R1 merges none of them
+    if state.wide:
+        keys, vals = state.arrays()
+        sel = (keys & mask) == r1_bits
+        keys, vals = keys[sel], vals[sel]
+        nrm = math.sqrt(seq_sum(abs_sq(vals)))
+        if nrm == 0:
+            raise AssertionError("measured an outcome of probability zero")
+        # 0j + a / nrm, divided part by part as Python divides by a real
+        amps = ArrayMap((keys & ~mask) | x_bits,
+                        _complex(vals.real / nrm + 0.0, vals.imag / nrm + 0.0))
+        return PureState(width=state.width, live=state.live, amps=amps)
     sel = {k: a for k, a in state.amps.items() if k & mask == r1_bits}
-    nrm = math.sqrt(sum((a * a.conjugate()).real for a in sel.values()))
+    nrm = math.sqrt(seq_sum((a * a.conjugate()).real for a in sel.values()))
     if nrm == 0:
         raise AssertionError("measured an outcome of probability zero")
     new: dict[int, complex] = {}

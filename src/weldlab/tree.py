@@ -731,11 +731,11 @@ def _fill_labels(structure: TreeStructure, pinned: dict[int, int], rng,
     free_vs = [v for v in range(V) if labels[v] < 0]
     if space - 1 - len(used) < len(free_vs):
         raise EmbeddingError("label space exhausted")
-    pool = []
+    pool: dict[int, None] = {}          # an ordered set
     while len(pool) < len(free_vs):
         need = len(free_vs) - len(pool)
         cand = _sample_distinct(rng, 1, space - 1, min(space - 2, need + len(used)))
-        pool.extend(x for x in cand if x not in used and x not in pool)
+        pool.update((x, None) for x in cand if x not in used)
     for v, lab in zip(free_vs, pool):
         labels[v] = lab
     return labels

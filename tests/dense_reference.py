@@ -2,7 +2,9 @@
 
 Builds an explicit 2^W x 2^W matrix per layer, column by column, with its
 own gate logic (nothing shared with weldlab.statevec beyond the oracle's
-answer function), and evolves dense vectors.  Width-stable layers only.
+answer function), and evolves dense vectors (``dense_tier_state``); for
+wide registers it carries the one input vector through the same gate logic
+instead (``dense_tier_vector``).  Width-stable layers only.
 """
 from __future__ import annotations
 
@@ -69,4 +71,20 @@ def dense_tier_state(x: int, t: C.Tier, n: int, bbt) -> np.ndarray:
     v[x] = 1.0
     for lay in t.layers:
         v = layer_matrix(lay, n, bbt) @ v
+    return v
+
+
+def dense_tier_vector(x: int, t: C.Tier, n: int, bbt) -> np.ndarray:
+    """``dense_tier_state`` without the matrices: the one input vector is
+    carried gate by gate, so widths whose 2^W x 2^W matrices would not fit
+    in memory can be checked."""
+    vec = {x: 1.0 + 0j}
+    for lay in t.layers:
+        if lay.width_in != lay.width_out:
+            raise ValueError("dense reference covers width-stable layers only")
+        for gate in lay.gates:
+            vec = _apply_gate_dense(vec, gate, n, bbt)
+    v = np.zeros(1 << t.width_in, dtype=complex)
+    for k, a in vec.items():
+        v[k] += a
     return v

@@ -168,6 +168,47 @@ def test_cli_unreadable_config_exit_2(tmp_path, capsys, name, reason):
     assert captured.err == f"weldlab walk: error: config {path}: {reason}\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"h_values": 5}', "config field 'h_values' must be a list of integers, got 5"),
+    ('{"n": "3"}', "config field 'n' must be an integer, got \"3\""),
+    ('{"h_values": [1, true]}', "config field 'h_values' must be a list of integers, "
+                                "got [1, true]"),
+    ('{"tau": "0.1"}', "config field 'tau' must be a number or null, got \"0.1\""),
+])
+def test_config_values_are_type_checked(tmp_path, capsys, text, message):
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_json(text, experiment="walk")
+    assert str(info.value) == message
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli.main(["walk", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"weldlab walk: error: config {cfg_path}: {message}\n"
+
+
+def test_config_accepts_null_and_integral_numbers():
+    cfg = ExperimentConfig.from_json('{"budget": null, "t_max": 40, "tau": 0}',
+                                     experiment="walk")
+    assert (cfg.budget, cfg.t_max, cfg.tau) == (None, 40, 0)
+
+
+@pytest.mark.parametrize("name, text, reason", [
+    ("missing.txt", None, "No such file or directory"),
+    (".", None, "Is a directory"),
+    ("bad.txt", "not a circuit\n",
+     "line 1, column 1: expected header like 'hybrid n=2 g=12'"),
+])
+def test_cli_bad_circuit_file_exit_2(tmp_path, capsys, name, text, reason):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["simulate", "--circuit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"weldlab simulate: error: circuit {path}: {reason}\n"
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     argv = ["discovery", "-n", "3", "--trials", "300", "--seed", "4"]
