@@ -221,9 +221,11 @@ class EstimatorEnv:
 
 
 def _sample_accepted_trees(V: KnownVertices, x: int, i: int, env: EstimatorEnv,
-                           cfg: BottleneckConfig, call_id: int,
+                           cfg: BottleneckConfig, call_id: int | None = None,
                            ) -> tuple[list[set[int]], int]:
     """Label sets of sampled consistent trees whose replay reproduces x."""
+    if call_id is None:
+        call_id = env.next_call_id()
     accepted: list[set[int]] = []
     draws = tier_draws(env.tape.tier_seed)
     for s in range(cfg.sample_budget):
@@ -239,6 +241,11 @@ def _sample_accepted_trees(V: KnownVertices, x: int, i: int, env: EstimatorEnv,
     return accepted, cfg.sample_budget
 
 
+def _hits(accepted: list[set[int]], b: int) -> int:
+    """How many accepted trees give label ``b`` to a vertex."""
+    return sum(1 for labels in accepted if b in labels)
+
+
 def estimate_membership_probability(V: KnownVertices, x: int, i: int, b: int,
                                     env: EstimatorEnv, cfg: BottleneckConfig,
                                     call_id: int | None = None) -> EstimateResult:
@@ -248,13 +255,10 @@ def estimate_membership_probability(V: KnownVertices, x: int, i: int, b: int,
         return EstimateResult(0.0, 0.0, 0, 0)
     if b == 0 or b in V.known_labels():
         return EstimateResult(1.0, 0.0, 0, 0)
-    if call_id is None:
-        call_id = env.next_call_id()
     accepted, attempted = _sample_accepted_trees(V, x, i, env, cfg, call_id)
     if not accepted:
         return EstimateResult(None, None, 0, attempted)
-    hits = sum(1 for labels in accepted if b in labels)
-    p = hits / len(accepted)
+    p = _hits(accepted, b) / len(accepted)
     return EstimateResult(p, math.sqrt(max(p * (1 - p), 1 / len(accepted)) / len(accepted)),
                           len(accepted), attempted)
 
@@ -265,8 +269,6 @@ def estimate_consistency_ratio(V: KnownVertices, x: int, i: int,
     """Fraction of consistent trees whose replay reproduces x; 0 hits -> inconclusive."""
     if i == 0:
         return EstimateResult(1.0, 0.0, 0, 0)
-    if call_id is None:
-        call_id = env.next_call_id()
     accepted, attempted = _sample_accepted_trees(V, x, i, env, cfg, call_id)
     if not accepted:
         return EstimateResult(None, None, 0, attempted)
@@ -321,8 +323,7 @@ def complete_subtree(V: KnownVertices, V_hist: KnownVertices) -> KnownVertices:
             for c, y in row.items():
                 out.entries[(v, c)] = y
     # keep any extra entries the caller already held (subset of V_hist)
-    merged = out.merge(KnownVertices(V.invalid, dict(V.entries)))
-    return merged
+    return out.merge(V)
 
 
 def loop_ceiling(g: int, tape_len: int) -> int:
@@ -372,15 +373,13 @@ def bottleneck(i: int, x: int, V_current: KnownVertices, V_hist: KnownVertices,
         return (hits + 1) / (m + 2) > tau
 
     while True:
-        call_id = env.next_call_id()
-        accepted, _ = _sample_accepted_trees(V, x, i, env, cfg, call_id)
+        accepted, _ = _sample_accepted_trees(V, x, i, env, cfg)
         violator = None
         if accepted:
             m = len(accepted)
             known = V.known_labels() | {0}
             for b in sorted(V_hist.known_labels() - known):
-                hits = sum(1 for labels in accepted if b in labels)
-                if clears_tau(hits, m):
+                if clears_tau(_hits(accepted, b), m):
                     violator = b
                     break
             if violator is None:
@@ -389,8 +388,7 @@ def bottleneck(i: int, x: int, V_current: KnownVertices, V_hist: KnownVertices,
                     b = int(rng.integers(0, 1 << env.label_bits))
                     if b == inv or b in known or b in V_hist.known_labels():
                         continue
-                    hits = sum(1 for labels in accepted if b in labels)
-                    if clears_tau(hits, m):
+                    if clears_tau(_hits(accepted, b), m):
                         record.aborted = True
                         record.iterations = iterations
                         return Abort("guessable label outside the history")
@@ -423,40 +421,46 @@ def bottleneck(i: int, x: int, V_current: KnownVertices, V_hist: KnownVertices,
 # Tier simulation and wrapper
 # ---------------------------------------------------------------------------
 
-def bottleneck_tier_sim(t: C.Tier, j: int, x: int, V_current: KnownVertices,
-                        V_hist: KnownVertices, ctx: SimContext, env: EstimatorEnv,
-                        cfg: BottleneckConfig, calls: list[CallRecord],
-                        ) -> tuple[int, KnownVertices, KnownVertices]:
-    """One quantum tier with per-layer merge and bottleneck (tier number j).
+@dataclass
+class _BottleneckTiers:
+    """The oracle policy under which ``SV.drive_hybrid`` runs the pipeline.
 
-    The few-tier simulator's tier (with its 4^d|V| ceiling, tier accounting
-    and renormalization) with a bottleneck call before it and after each
-    layer; an ABORT from any of them is raised.
+    A tier is the few-tier simulator's (with its 4^d|V| ceiling and tier
+    accounting) with a bottleneck call before it and after each layer; an
+    ABORT from any of them is raised.  ``hist`` and ``calls`` outlive an
+    ABORT, which leaves ``hist`` as it stood when the tier began.
     """
-    if t.kind != "quantum":
-        raise ValueError("bottleneck pipeline expects quantum tiers")
 
-    def call(layer: int, V_cur: KnownVertices) -> KnownVertices:
-        rec = CallRecord(tier=j, layer=layer, iterations=0, aborted=False,
-                         v_current=V_cur.size(), v_out=0, v_hist=V_hist.size(),
-                         ratio=None)
-        calls.append(rec)
-        V_next = bottleneck(j - 1, x, V_cur, V_hist, env, cfg, record=rec)
-        if isinstance(V_next, Abort):
-            raise V_next
-        return V_next
+    ctx: SimContext
+    env: EstimatorEnv
+    cfg: BottleneckConfig
+    hist: KnownVertices
+    calls: list[CallRecord] = field(default_factory=list)
 
-    def layer_sim(lay, state, V, ctx, layer_index):
-        nonlocal V_hist
-        state, V_temp = quantum_layer_sim(lay, state, V, ctx, layer_index=layer_index)
-        V_hist = V_hist.merge(V_temp)
-        return state, call(layer_index, V_temp)
+    def quantum_tier(self, j: int, t: C.Tier, x: int, V: KnownVertices):
+        hist = self.hist
 
-    V0 = call(-1, KnownVertices(V_hist.invalid))
-    ctx.tier_index = j
-    probs, V = _quantum_tier_state(t, x, V0, ctx, layer_sim)
-    x_out = SV.sample_outcome(probs, tier_draws(env.tape.tier_seed)(j))
-    return x_out, V, V_hist.merge(V)
+        def call(layer: int, V_cur: KnownVertices) -> KnownVertices:
+            rec = CallRecord(tier=j, layer=layer, iterations=0, aborted=False,
+                             v_current=V_cur.size(), v_out=0, v_hist=hist.size(),
+                             ratio=None)
+            self.calls.append(rec)
+            V_next = bottleneck(j - 1, x, V_cur, hist, self.env, self.cfg, record=rec)
+            if isinstance(V_next, Abort):
+                raise V_next
+            return V_next
+
+        def layer_sim(lay, state, V, ctx, layer_index):
+            nonlocal hist
+            state, V_temp = quantum_layer_sim(lay, state, V, ctx, layer_index=layer_index)
+            hist = hist.merge(V_temp)
+            return state, call(layer_index, V_temp)
+
+        V0 = call(-1, KnownVertices(hist.invalid))
+        self.ctx.tier_index = j
+        probs, V = _quantum_tier_state(t, x, V0, self.ctx, layer_sim)
+        self.hist = hist.merge(V)
+        return probs, V
 
 
 def bottleneck_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree,
@@ -470,35 +474,26 @@ def bottleneck_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree,
     C.require_valid(circuit)
     if not circuit.all_quantum:
         raise ValueError("bottleneck pipeline expects the all-quantum-tier variant")
-    if tiers is None:
-        tiers = circuit.eta
     cfg = cfg or BottleneckConfig()
-    stats = C.accounting(circuit)
     if tape is None:
         tape = SeedTape.generate(seed, circuit.n, circuit.eta,
-                                 max(stats.max_quantum_depth, 1), circuit.g)
+                                 max(C.accounting(circuit).max_quantum_depth, 1), circuit.g)
     env = EstimatorEnv(circuit=circuit, tape=tape, n=circuit.n,
                        label_bits=bbt.label_bits, seed=seed,
                        structure=bbt.structure if cfg.mode == "labelings" else None,
                        coloring=bbt.coloring if cfg.mode == "labelings" else None)
     ctx = SimContext.fresh(bbt, instrument=cfg.instrument)
-    calls: list[CallRecord] = []
     V = entrance_known(ctx)
-    V_hist = V.copy()
-    x = 0
+    policy = _BottleneckTiers(ctx, env, cfg, hist=V.copy())
     try:
-        for j, t in enumerate(circuit.tiers[:tiers], start=1):
-            x &= (1 << t.width_in) - 1
-            x, V, V_hist = bottleneck_tier_sim(t, j, x, V, V_hist, ctx, env, cfg, calls)
+        acc, V = SV.drive_hybrid(circuit, policy, tier_draws(tape.tier_seed), V, tiers)
+        output, reason = next(iter(acc)), None
     except Abort as abort:
-        guess_rng = make_rng(seed, "abort-guess")
-        guess = int(guess_rng.integers(0, 1 << bbt.label_bits))
+        V, reason = None, abort.reason
+        output = int(make_rng(seed, "abort-guess").integers(0, 1 << bbt.label_bits))
         ctx.transcript.aborted = True
-        ctx.transcript.abort_reason = abort.reason
-        ctx.transcript.output = guess
-        return BottleneckResult(output=guess, known=None, hist=V_hist,
-                                transcript=ctx.transcript, calls=calls,
-                                aborted=True, abort_reason=abort.reason)
-    ctx.transcript.output = x
-    return BottleneckResult(output=x, known=V, hist=V_hist,
-                            transcript=ctx.transcript, calls=calls, aborted=False)
+        ctx.transcript.abort_reason = reason
+    ctx.transcript.output = output
+    return BottleneckResult(output=output, known=V, hist=policy.hist,
+                            transcript=ctx.transcript, calls=policy.calls,
+                            aborted=reason is not None, abort_reason=reason)

@@ -104,10 +104,15 @@ class ExperimentConfig:
         return doc
 
     def effective_jobs(self) -> int:
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be >= 0 (0 defers to {JOBS_ENV_VAR}), got {self.jobs}")
         if self.jobs > 0:
             return self.jobs
         env = os.environ.get(JOBS_ENV_VAR)
-        return max(1, int(env)) if env else 1
+        try:
+            return max(1, int(env)) if env else 1
+        except ValueError:
+            raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from None
 
     def walker_budget(self) -> int:
         return self.budget if self.budget is not None else round(2 ** (self.n / 3))
@@ -414,4 +419,5 @@ def run_command(config: ExperimentConfig) -> Report:
         fn = COMMANDS[config.experiment]
     except KeyError:
         raise ValueError(f"unknown experiment {config.experiment!r}") from None
+    config.effective_jobs()         # a bad job count fails before any work
     return fn(config)

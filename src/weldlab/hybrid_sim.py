@@ -217,8 +217,8 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
         # tree itself: instrumentation is not the simulator's oracle access.
         # fidelity is <psi'|L^T|phi> in the branch-diagonal form
         # sum_z |c_z|^2 <S(z)|L^T|z>; equal to 1 - outlier mass exactly (the
-        # global inner product gains cross terms when S collides two basis
-        # strings, so it is not the asserted quantity)
+        # global inner product gains cross terms where S sends one string to
+        # the true image of another, so it is not the asserted quantity)
         regs = _query_regs(lt, n, phi.live)
         if phi.wide:
             truth = SV.query_keys(support, regs, bbt.answer_many)
@@ -250,7 +250,7 @@ def _quantum_tier_state(t: C.Tier, x: int, V: KnownVertices, ctx: SimContext,
     """Outcome distribution of a simulated quantum tier from basis input ``x``.
 
     Layers run through ``layer_sim`` (default ``quantum_layer_sim``); then the
-    4^d|V| ceiling is asserted, the queries booked and a deformed norm fixed.
+    4^d|V| ceiling is asserted and the queries booked.
     """
     if t.kind != "quantum":
         raise ValueError("quantum tier expected")
@@ -265,13 +265,7 @@ def _quantum_tier_state(t: C.Tier, x: int, V: KnownVertices, ctx: SimContext,
         raise AssertionError(f"tier spent {spent} queries, ceiling "
                              f"{(4 ** t.depth) * max(size_in, 1)}")
     ctx.transcript.per_tier_queries.append(spent)
-    probs = state.marginal()
-    total = sum(probs.values())
-    # adversarial collisions can deform the simulated norm; renormalize only
-    # then, so faithful circuits stay bit-identical to the executor
-    if abs(total - 1.0) > 1e-12:
-        probs = {k: p / total for k, p in probs.items()}
-    return probs, V
+    return state.marginal(), V
 
 
 def classical_tier_sim(t: C.Tier, x: int, V: KnownVertices,
@@ -328,8 +322,6 @@ def few_tier_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree,
     measurement seed (the bottleneck equivalence tests share a seed tape).
     """
     C.require_valid(circuit)
-    if not 0 <= (circuit.eta if tiers is None else tiers) <= circuit.eta:
-        raise ValueError("tier count out of range")
     tier_seed_fn = tier_seed_fn or (lambda i: derive_seed(seed, "tier", i))
     ctx = SimContext.fresh(bbt, instrument=instrument)
     acc, V = SV.drive_hybrid(circuit, ctx, tier_draws(tier_seed_fn), entrance_known(ctx),

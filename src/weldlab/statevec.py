@@ -527,7 +527,8 @@ class TrueOracle:
 def _branches(probs: dict[int, float], rng) -> list[tuple[int, float]]:
     """(outcome, probability) branches of one measurement: the outcome drawn
     from ``rng``, or with ``rng=None`` every outcome with p > 0 in key order,
-    renormalized only if substituted queries put the norm off."""
+    renormalized only when float drift over many outcomes puts the total off
+    1 (no layer changes the norm: a query layer permutes the support)."""
     if rng is not None:
         return [(sample_outcome(probs, rng), 1.0)]
     total = sum(probs.values())
@@ -543,6 +544,8 @@ def drive_hybrid(circuit: C.HybridCircuit, policy, rng_for, known=None,
     Returns ({output: probability}, the policy's ``known`` at the last branch).
     """
     tiers = circuit.eta if tiers is None else tiers
+    if not 0 <= tiers <= circuit.eta:
+        raise ValueError(f"tier count {tiers} out of range 0..{circuit.eta}")
     acc: dict[int, float] = {}
     stack = [(0, 0, known, 1.0)]
     while stack:

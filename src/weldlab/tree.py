@@ -9,10 +9,9 @@ and exit (column 2n+1) are the only degree-2 vertices.
 Vertices carry distinct labels from {0,1}^(2n) by default; the entrance is
 labeled all-zeros, and the all-ones string INVALID labels nothing.  The
 oracle answers ``query(x, c)`` with the label of the c-colored neighbour of
-x, or INVALID when there is none.  Colors 1..9 are the pairs of a vertex
-coloring: odd columns take {1,2,3}, even columns take {A,B,C}, and every
-vertex sees pairwise distinct colors on its incident edges, so "c-neighbour"
-is single valued.
+x, or INVALID when there is none.  Edges carry colors 1..9 and every vertex
+sees pairwise distinct colors on its incident edges, so "c-neighbour" is
+single valued.
 
 Label-space note: 2n-bit labels require 2^(2n) - 2 >= vertex_count - 1,
 which fails only at n=1 (6 vertices, 4 strings).  ``generate_labels`` rejects
@@ -32,24 +31,6 @@ import numpy as np
 
 from .known import KnownVertices
 from .rng import make_rng
-
-ODD_PALETTE = ("1", "2", "3")
-EVEN_PALETTE = ("A", "B", "C")
-
-
-def color_id(odd_idx: int, even_idx: int) -> int:
-    """Edge color 1..9 from the palette indices of its two endpoints."""
-    return 3 * odd_idx + even_idx + 1
-
-
-def color_name(c: int) -> str:
-    odd_idx, even_idx = divmod(c - 1, 3)
-    return ODD_PALETTE[odd_idx] + EVEN_PALETTE[even_idx]
-
-
-def color_from_name(name: str) -> int:
-    return color_id(ODD_PALETTE.index(name[0]), EVEN_PALETTE.index(name[1]))
-
 
 def invalid_label(label_bits: int) -> int:
     return (1 << label_bits) - 1
@@ -120,68 +101,43 @@ class TreeStructure:
         return problems
 
 
+def _welded(n: int, cycle: list[int]) -> TreeStructure:
+    """The two height-``n`` trees in the canonical layout, joined by ``cycle``.
+
+    Each tree is numbered in heap order (local vertex u has children 2u+1
+    and 2u+2): the left tree from the entrance, then the right tree from the
+    exit.  Adjacency lists keep insertion order: tree edges top down, left
+    tree first, then the weld edges in cycle order.
+    """
+    half = (1 << (n + 1)) - 1                   # vertices per tree
+    depth = np.array([(u + 1).bit_length() - 1 for u in range(half)], dtype=np.int64)
+    adj: list[list[int]] = [[] for _ in range(2 * half)]
+    for base in (0, half):
+        for u in range(half >> 1):              # the inner vertices
+            for child in (2 * u + 1, 2 * u + 2):
+                adj[base + u].append(base + child)
+                adj[base + child].append(base + u)
+    for i, u in enumerate(cycle):
+        w = cycle[(i + 1) % len(cycle)]
+        adj[u].append(w)
+        adj[w].append(u)
+    return TreeStructure(n=n, vertex_count=2 * half,
+                         column=np.concatenate([depth, 2 * n + 1 - depth]),
+                         adjacency=[tuple(nbrs) for nbrs in adj],
+                         side=np.repeat(np.array([0, 1], dtype=np.int64), half),
+                         weld_cycle=list(cycle), entrance=0, exit=half)
+
+
 def generate_structure(n: int, seed: int) -> TreeStructure:
     """A uniformly random welding under ``seed``; deterministic per seed."""
     if n < 1:
         raise ValueError("tree height n must be >= 1")
     rng = make_rng(seed, "structure")
-    V = (1 << (n + 2)) - 2
-    base_r = (1 << (n + 1)) - 1
-
-    column = np.empty(V, dtype=np.int64)
-    side = np.empty(V, dtype=np.int64)
-    adj: list[list[int]] = [[] for _ in range(V)]
-
-    def l_vertex(j: int, i: int) -> int:
-        return (1 << j) - 1 + i
-
-    def r_vertex(k: int, i: int) -> int:
-        # depth k from the exit; sits in column 2n+1-k
-        return base_r + (1 << k) - 1 + i
-
-    for j in range(n + 1):
-        for i in range(1 << j):
-            v = l_vertex(j, i)
-            column[v] = j
-            side[v] = 0
-            if j < n:
-                for child in (l_vertex(j + 1, 2 * i), l_vertex(j + 1, 2 * i + 1)):
-                    adj[v].append(child)
-                    adj[child].append(v)
-    for k in range(n + 1):
-        for i in range(1 << k):
-            v = r_vertex(k, i)
-            column[v] = 2 * n + 1 - k
-            side[v] = 1
-            if k < n:
-                for child in (r_vertex(k + 1, 2 * i), r_vertex(k + 1, 2 * i + 1)):
-                    adj[v].append(child)
-                    adj[child].append(v)
-
-    l_leaves = [l_vertex(n, i) for i in range(1 << n)]
-    r_leaves = [r_vertex(n, i) for i in range(1 << n)]
-    a = [l_leaves[i] for i in rng.permutation(len(l_leaves))]
-    b = [r_leaves[i] for i in rng.permutation(len(r_leaves))]
-    cycle: list[int] = []
-    m = len(a)
-    for i in range(m):
-        cycle.append(a[i])
-        cycle.append(b[i])
-    for i in range(2 * m):
-        u, w = cycle[i], cycle[(i + 1) % (2 * m)]
-        adj[u].append(w)
-        adj[w].append(u)
-
-    return TreeStructure(
-        n=n,
-        vertex_count=V,
-        column=column,
-        adjacency=[tuple(nbrs) for nbrs in adj],
-        side=side,
-        weld_cycle=cycle,
-        entrance=0,
-        exit=base_r,
-    )
+    l_leaf = (1 << n) - 1                       # the first leaf of each tree
+    r_leaf = (1 << (n + 1)) - 1 + l_leaf
+    a = rng.permutation(1 << n) + l_leaf
+    b = rng.permutation(1 << n) + r_leaf
+    return _welded(n, [int(v) for pair in zip(a, b) for v in pair])
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +149,14 @@ class EdgeColoring:
     """Explicit proper edge coloring with the nine colors 1..9.
 
     Every vertex sees pairwise distinct colors on its incident edges, so the
-    oracle's "c-neighbour" map is single valued.  ``vertex_color`` keeps the
-    palette names ({1,2,3} on odd columns, {A,B,C} on even) for the
-    serialization format; edge colors are stored explicitly rather than
-    induced from vertex pairs, because the induced scheme has no solution on
-    random welded trees at desk scale (provably none at n=2..4; the leaf
-    cliques force rigid mod-3 chains around the weld cycle).
+    oracle's "c-neighbour" map is single valued.  Edge colors are stored
+    explicitly rather than induced from a coloring of the vertices by pairs,
+    because the induced scheme has no solution on random welded trees at
+    desk scale (provably none at n=2..4; the leaf cliques force rigid mod-3
+    chains around the weld cycle).
     """
 
-    vertex_color: np.ndarray
     edges: dict[tuple[int, int], int]
-
-    def vertex_color_name(self, structure: TreeStructure, v: int) -> str:
-        pal = ODD_PALETTE if structure.column[v] % 2 == 1 else EVEN_PALETTE
-        return pal[int(self.vertex_color[v])]
 
     def edge_color(self, structure: TreeStructure, u: int, v: int) -> int:
         return self.edges[(u, v) if u < v else (v, u)]
@@ -241,14 +191,6 @@ def neighbor_table(structure: TreeStructure, coloring: EdgeColoring) -> np.ndarr
             table[v][coloring.edge_color(structure, v, w)] = w
     coloring._nbc = table
     return table
-
-
-def _is_tree_child(structure: TreeStructure, v: int, w: int) -> bool:
-    n = structure.n
-    cv, cw = int(structure.column[v]), int(structure.column[w])
-    if structure.side[v] == 0:
-        return cw == cv + 1 and cw <= n
-    return cw == cv - 1 and cw >= n + 1
 
 
 def _all_edges(structure: TreeStructure) -> list[tuple[int, int]]:
@@ -318,9 +260,10 @@ def _greedy_edge_coloring(structure: TreeStructure, rng,
 def generate_coloring(structure: TreeStructure, seed: int) -> EdgeColoring:
     """A valid coloring, randomized over valid colorings under ``seed``."""
     rng = make_rng(seed, "coloring")
-    vertex_color = rng.integers(0, 3, size=structure.vertex_count)
-    return EdgeColoring(vertex_color=vertex_color,
-                        edges=_greedy_edge_coloring(structure, rng))
+    # the draw of a vertex palette that no longer exists: without it the
+    # stream, and with it every seeded coloring, would shift
+    rng.integers(0, 3, size=structure.vertex_count)
+    return EdgeColoring(_greedy_edge_coloring(structure, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +364,7 @@ class BlackBoxTree:
 
     def __post_init__(self):
         if not self.inverse:
-            self.inverse = {int(lab): v for v, lab in enumerate(self.labels)}
+            self.inverse = dict(zip(self.labels.tolist(), range(len(self.labels))))
         if self.neighbor_by_color is None:
             self.neighbor_by_color = neighbor_table(self.structure, self.coloring)
         if self.default_handle is None:
@@ -565,20 +508,11 @@ def generate_labels(structure: TreeStructure, coloring: EdgeColoring, seed: int,
     the default 2n bits).
     """
     label_bits = _checked_label_bits(structure, label_bits)
-    space = 1 << label_bits
-    V = structure.vertex_count
-    rng = make_rng(seed, "labels")
-    labels = np.empty(V, dtype=np.int64)
-    labels[structure.entrance] = 0
-    rest = np.array([v for v in range(V) if v != structure.entrance])
-    if space <= (1 << 22):
-        drawn = rng.choice(space - 2, size=len(rest), replace=False) + 1
-    else:
-        drawn = np.array(_sample_distinct(rng, 1, space - 1, len(rest)))
-    labels[rest] = drawn
-    inverse = dict(zip(labels.tolist(), range(V)))
+    drawn = _sample_distinct(make_rng(seed, "labels"), 1, (1 << label_bits) - 1,
+                             structure.vertex_count - 1)
+    labels = np.insert(np.array(drawn, dtype=np.int64), structure.entrance, 0)
     return BlackBoxTree(structure=structure, coloring=coloring, labels=labels,
-                        label_bits=label_bits, inverse=inverse)
+                        label_bits=label_bits)
 
 
 def make_blackbox(n: int, seed: int, label_bits: int | None = None) -> BlackBoxTree:
@@ -592,7 +526,10 @@ def make_blackbox(n: int, seed: int, label_bits: int | None = None) -> BlackBoxT
 # Counting consistent labelings
 # ---------------------------------------------------------------------------
 
-def _check_entries(entries: KnownVertices, n: int, label_bits: int) -> set[int]:
+def _check_entries(entries: KnownVertices, n: int,
+                   label_bits: int | None) -> tuple[int, set[int]]:
+    """(label_bits, default 2n; the labels the entries use, with the entrance's)."""
+    label_bits = 2 * n if label_bits is None else label_bits
     inv = invalid_label(label_bits)
     if entries.invalid != inv:
         raise ValueError("entries INVALID label does not match label_bits")
@@ -611,7 +548,7 @@ def _check_entries(entries: KnownVertices, n: int, label_bits: int) -> set[int]:
     labels_used = entries.known_labels() | {0}
     if len(labels_used) > (1 << label_bits) - 1:
         raise ValueError("entries mention more labels than the space holds")
-    return labels_used
+    return label_bits, labels_used
 
 
 def count_consistent(entries: KnownVertices, n: int, label_bits: int | None = None) -> int:
@@ -622,9 +559,7 @@ def count_consistent(entries: KnownVertices, n: int, label_bits: int | None = No
     k unlabeled vertices.  Exact arbitrary-precision integer; 0 when the
     space cannot accommodate the free vertices.
     """
-    if label_bits is None:
-        label_bits = 2 * n
-    labels_used = _check_entries(entries, n, label_bits)
+    label_bits, labels_used = _check_entries(entries, n, label_bits)
     m = len(labels_used)
     vertex_total = (1 << (n + 2)) - 2
     k = vertex_total - m
@@ -638,9 +573,7 @@ def count_consistent(entries: KnownVertices, n: int, label_bits: int | None = No
 
 def available_labels(entries: KnownVertices, n: int, label_bits: int | None = None) -> int:
     """N in the falling-factorial count: unused valid labels."""
-    if label_bits is None:
-        label_bits = 2 * n
-    labels_used = _check_entries(entries, n, label_bits)
+    label_bits, labels_used = _check_entries(entries, n, label_bits)
     return (1 << label_bits) - 1 - len(labels_used)
 
 
@@ -760,9 +693,7 @@ def sample_consistent(entries: KnownVertices, n: int, seed: int, *,
     uniform over consistent trees; the approximation is documented rather
     than hidden.
     """
-    if label_bits is None:
-        label_bits = 2 * n
-    _check_entries(entries, n, label_bits)
+    label_bits, _ = _check_entries(entries, n, label_bits)
     rng = make_rng(seed, "sample_consistent")
     if mode == "labelings":
         if structure is None or coloring is None:
@@ -1099,66 +1030,45 @@ def _complete_coloring(structure: TreeStructure, entries: KnownVertices,
         assigned = _greedy_edge_coloring(structure, rng, pinned=pinned, forbid=forbid)
     except ValueError as e:
         raise EmbeddingError(str(e)) from e
-    vertex_color = rng.integers(0, 3, size=structure.vertex_count)
-    return EdgeColoring(vertex_color=vertex_color, edges=assigned)
+    # as in generate_coloring: the labels drawn next keep their values
+    rng.integers(0, 3, size=structure.vertex_count)
+    return EdgeColoring(assigned)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def canonicalize(bbt: BlackBoxTree) -> BlackBoxTree:
     """Isomorphic copy on the canonical vertex layout (query map unchanged)."""
-    canon = generate_structure(bbt.n, 0)
-    # map our structure onto the canonical one: BFS both trees in lockstep
-    mapping = np.empty(bbt.structure.vertex_count, dtype=np.int64)  # old -> new
-
-    def map_tree(root_old: int, root_new: int, side: int):
-        mapping[root_old] = root_new
-        frontier = [(root_old, -1, root_new)]
+    old = bbt.structure
+    half = old.vertex_count // 2
+    mapping = np.empty(old.vertex_count, dtype=np.int64)  # old -> new
+    for root, base in ((old.entrance, 0), (old.exit, half)):
+        # walk each tree in lockstep with its canonical heap order, children
+        # (the same-side neighbours but the parent) taken in index order
+        mapping[root] = base
+        frontier = [(root, -1, 0)]
         while frontier:
-            v_old, parent_old, v_new = frontier.pop()
-            kids_old = [w for w in bbt.structure.adjacency[v_old]
-                        if w != parent_old and _is_tree_child(bbt.structure, v_old, w)]
-            kids_new = [w for w in canon.adjacency[v_new]
-                        if _is_tree_child(canon, v_new, w)]
-            for k_old, k_new in zip(sorted(kids_old), sorted(kids_new)):
-                mapping[k_old] = k_new
-                frontier.append((k_old, v_old, k_new))
+            v, parent, u = frontier.pop()
+            kids = sorted(w for w in old.adjacency[v]
+                          if old.side[w] == old.side[v] and w != parent)
+            for k, w in enumerate(kids):
+                mapping[w] = base + 2 * u + 1 + k
+                frontier.append((w, v, 2 * u + 1 + k))
 
-    map_tree(bbt.structure.entrance, canon.entrance, 0)
-    map_tree(bbt.structure.exit, canon.exit, 1)
-
-    new_cycle = [int(mapping[v]) for v in bbt.structure.weld_cycle]
-    V = bbt.structure.vertex_count
-    adj: list[set[int]] = [set() for _ in range(V)]
-    for v in range(V):
-        for w in canon.adjacency[v]:
-            if _is_tree_child(canon, v, w) or _is_tree_child(canon, w, v):
-                adj[v].add(w)
-    for i in range(len(new_cycle)):
-        u, w = new_cycle[i], new_cycle[(i + 1) % len(new_cycle)]
-        adj[u].add(w)
-        adj[w].add(u)
-    structure = TreeStructure(
-        n=bbt.n, vertex_count=V, column=canon.column,
-        adjacency=[tuple(sorted(s)) for s in adj], side=canon.side,
-        weld_cycle=new_cycle, entrance=canon.entrance, exit=canon.exit)
-    colors = np.empty(V, dtype=np.int64)
-    labels = np.empty(V, dtype=np.int64)
-    for v_old in range(V):
-        colors[int(mapping[v_old])] = bbt.coloring.vertex_color[v_old]
-        labels[int(mapping[v_old])] = bbt.labels[v_old]
+    labels = np.empty(old.vertex_count, dtype=np.int64)
+    labels[mapping] = bbt.labels
     edge_map = {}
     for (u, w), c in bbt.coloring.edges.items():
         a, b = int(mapping[u]), int(mapping[w])
         edge_map[(min(a, b), max(a, b))] = c
-    return BlackBoxTree(structure=structure,
-                        coloring=EdgeColoring(colors, edges=edge_map),
-                        labels=labels, label_bits=bbt.label_bits)
+    return BlackBoxTree(structure=_welded(bbt.n, [int(mapping[v]) for v in old.weld_cycle]),
+                        coloring=EdgeColoring(edge_map), labels=labels,
+                        label_bits=bbt.label_bits)
 
 
 def save_tree(bbt: BlackBoxTree) -> str:
@@ -1169,49 +1079,63 @@ def save_tree(bbt: BlackBoxTree) -> str:
         "format_version": _FORMAT_VERSION,
         "n": c.n,
         "label_bits": c.label_bits,
-        "weld_cycle": [int(v) for v in c.structure.weld_cycle],
-        "vertex_colors": [c.coloring.vertex_color_name(c.structure, v)
-                          for v in range(c.structure.vertex_count)],
+        "weld_cycle": c.structure.weld_cycle,
         "labels": [format(int(lab), f"0{hexw}x") for lab in c.labels],
+        "edge_colors": [[u, w, col] for (u, w), col in sorted(c.coloring.edges.items())],
     }
-    doc["edge_colors"] = [[u, w, col] for (u, w), col
-                          in sorted(c.coloring.edges.items())]
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _tree_field(doc: dict, key: str, ok, wanted: str):
+    """``doc[key]`` if ``ok`` accepts it, else a ValueError naming the field."""
+    if key not in doc or not ok(doc[key]):
+        raise ValueError(f"tree field {key!r} must be {wanted}")
+    return doc[key]
+
+
 def load_tree(text: str) -> BlackBoxTree:
+    """The tree ``save_tree`` wrote; a malformed document is a ValueError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a tree document must be a JSON object")
     if doc.get("format_version") != _FORMAT_VERSION:
-        raise ValueError("unknown tree format version")
-    n = doc["n"]
-    canon = generate_structure(n, 0)
-    V = canon.vertex_count
-    cycle = [int(v) for v in doc["weld_cycle"]]
-    adj: list[set[int]] = [set() for _ in range(V)]
-    for v in range(V):
-        for w in canon.adjacency[v]:
-            if _is_tree_child(canon, v, w) or _is_tree_child(canon, w, v):
-                adj[v].add(w)
-    for i in range(len(cycle)):
-        u, w = cycle[i], cycle[(i + 1) % len(cycle)]
-        adj[u].add(w)
-        adj[w].add(u)
-    structure = TreeStructure(
-        n=n, vertex_count=V, column=canon.column,
-        adjacency=[tuple(sorted(s)) for s in adj], side=canon.side,
-        weld_cycle=cycle, entrance=canon.entrance, exit=canon.exit)
+        raise ValueError(f"unknown tree format version {doc.get('format_version')!r}, "
+                         f"expected {_FORMAT_VERSION}")
+    n = _tree_field(doc, "n", lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+    label_bits = _tree_field(doc, "label_bits", lambda v: _is_int(v) and 1 <= v <= 63,
+                             "an integer in 1..63")
+    V = (1 << (n + 2)) - 2
+    cycle = _tree_field(doc, "weld_cycle", lambda v: isinstance(v, list) and all(
+        _is_int(u) and 0 <= u < V for u in v), f"a list of vertices in 0..{V - 1}")
+    edge_colors = _tree_field(doc, "edge_colors", lambda v: isinstance(v, list) and all(
+        isinstance(e, list) and len(e) == 3 and all(map(_is_int, e)) for e in v),
+        "a list of [u, w, color] integer triples")
+    wanted = f"a list of {V} hex strings, one per vertex"
+    hex_labels = _tree_field(doc, "labels", lambda v: isinstance(v, list) and len(v) == V
+                             and all(isinstance(h, str) for h in v), wanted)
+    try:
+        labels = [int(h, 16) for h in hex_labels]
+    except ValueError:
+        raise ValueError(f"tree field 'labels' must be {wanted}") from None
+    if not all(0 <= lab < invalid_label(label_bits) for lab in labels):
+        raise ValueError(f"tree field 'labels' holds a label outside the "
+                         f"{label_bits}-bit space or the INVALID label")
+    if len(set(labels)) != V:
+        raise ValueError("tree field 'labels' repeats a label")
+    if labels[0] != 0:
+        raise ValueError("tree field 'labels' must give the entrance label 0")
+
+    structure = _welded(n, cycle)
     problems = structure.validate()
     if problems:
         raise ValueError("loaded structure invalid: " + "; ".join(problems[:3]))
-    colors = np.empty(V, dtype=np.int64)
-    for v, name in enumerate(doc["vertex_colors"]):
-        pal = ODD_PALETTE if structure.column[v] % 2 == 1 else EVEN_PALETTE
-        colors[v] = pal.index(name)
-    edge_map = {(u, w): col for u, w, col in doc["edge_colors"]}
-    coloring = EdgeColoring(colors, edges=edge_map)
+    coloring = EdgeColoring({(u, w): col for u, w, col in edge_colors})
     problems = coloring.validate(structure)
     if problems:
         raise ValueError("loaded coloring invalid: " + "; ".join(problems[:3]))
-    labels = np.array([int(h, 16) for h in doc["labels"]], dtype=np.int64)
-    return BlackBoxTree(structure=structure, coloring=coloring, labels=labels,
-                        label_bits=doc["label_bits"])
+    return BlackBoxTree(structure=structure, coloring=coloring,
+                        labels=np.array(labels, dtype=np.int64), label_bits=label_bits)

@@ -298,6 +298,16 @@ def test_wrapper_base_case_tiers_zero(bbt2):
     assert res.known.entries == res.hist.entries
 
 
+@pytest.mark.parametrize("tiers", [-1, 3])
+def test_wrappers_reject_tier_count_out_of_range(bbt2, tiers):
+    circ = _allq(np.random.default_rng(16), eta=2)
+    message = f"tier count {tiers} out of range 0..2"
+    with pytest.raises(ValueError, match=message):
+        BN.bottleneck_wrapper(circ, bbt2, tiers=tiers, seed=1, tape=_tape_for(circ, 1))
+    with pytest.raises(ValueError, match=message):
+        HS.few_tier_wrapper(circ, bbt2, tiers=tiers, seed=1)
+
+
 def fidelity_gap_check(result: BN.BottleneckResult) -> list[dict]:
     """Per-layer 1-norm gap between simulated and true-query layer outputs.
 

@@ -236,6 +236,34 @@ def test_cli_bad_trials_exit_2(capsys):
     assert "walker_success_rate: trials must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config, env, message", [
+    (["--jobs", "-2"], None, None, "jobs must be >= 0 (0 defers to WELDLAB_JOBS), got -2"),
+    ([], '{"jobs": -2}', None, "jobs must be >= 0 (0 defers to WELDLAB_JOBS), got -2"),
+    ([], None, "abc", "WELDLAB_JOBS must be an integer, got 'abc'"),
+], ids=["flag", "config", "env"])
+def test_cli_bad_job_count_exit_2(tmp_path, capsys, monkeypatch, argv, config, env, message):
+    if env is None:
+        monkeypatch.delenv("WELDLAB_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("WELDLAB_JOBS", env)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    for experiment in ("walk", "discovery"):
+        assert cli.main([experiment, "-n", "3", "--trials", "10"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"{message}\n")
+
+
+def test_job_count_zero_defers_to_the_environment(monkeypatch):
+    monkeypatch.setenv("WELDLAB_JOBS", "3")
+    assert ExperimentConfig(experiment="walk").effective_jobs() == 3
+    assert ExperimentConfig(experiment="walk", jobs=2).effective_jobs() == 2
+    monkeypatch.delenv("WELDLAB_JOBS")
+    assert ExperimentConfig(experiment="walk").effective_jobs() == 1
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(ValueError):
         run_command(ExperimentConfig(experiment="nope"))

@@ -1,36 +1,42 @@
-"""Golden reports: the deterministic fields of two pinned ``simulate`` runs.
+"""Golden reports: the deterministic fields of pinned runs of every command.
 
 ``experiment``, ``config`` and ``checks`` of a report are a function of the
-config alone, so any change to them is a change in results.  The values
-below were recorded before the executor and the simulators were merged
-into one query kernel and one tier driver per circuit family; a refactor
-that keeps reports byte-identical keeps these tests green.
+config alone, so any change to them is a change in results.  The two
+``simulate`` values were recorded before the executor and the simulators
+were merged into one query kernel and one tier driver per circuit family,
+the others before the welded-structure builder was merged and the vertex
+palette dropped; a refactor that keeps reports byte-identical keeps these
+tests green.  The walk values come from scipy's sparse matrix exponential
+and are pinned on one machine's numpy/scipy builds.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from weldlab import cli
+from weldlab import cli, tree
 
 ROOT = Path(__file__).resolve().parents[1]
 CIRCUIT = "scripts/circuits/entrance_query_n2.txt"
 
 
-def _config(n: int, circuit_file: str | None) -> dict:
-    return {"budget": None, "circuit_file": circuit_file, "experiment": "simulate",
+def _config(n: int, circuit_file: str | None, experiment: str = "simulate",
+            **changed) -> dict:
+    return {"budget": None, "circuit_file": circuit_file, "experiment": experiment,
             "h_values": [1, 4, 16], "n": n, "rho_log2": None, "sample_budget": 24,
             "samples": 50, "seed": 0, "steps": 400, "t_max": 40.0, "tau": None,
-            "trials": 20000}
+            "trials": 20000, **changed}
+
+
+def check(name, kind, measured, bound, sigma=None):
+    return {"bound": bound, "fatal": False, "kind": kind, "measured": measured,
+            "name": name, "passed": True, "sigma": sigma}
 
 
 def _checks(wrapper_ceiling: float) -> list[dict]:
-    def check(name, kind, measured, bound, sigma=None):
-        return {"bound": bound, "fatal": False, "kind": kind, "measured": measured,
-                "name": name, "passed": True, "sigma": sigma}
-
     return [check("circuit validates", "hard", 0.0, 0.0),
             check("fidelity identity gap <= 1e-10", "hard", 4.440892098500626e-16, 1e-10),
             check("mean TV within query envelope", "statistical", 0.0, 3.5, 1e-300),
@@ -49,3 +55,58 @@ def test_simulate_report_pinned(argv, config, checks, monkeypatch, capsys):
     assert doc["experiment"] == "simulate"
     assert doc["config"] == config
     assert doc["checks"] == checks
+
+
+WALK_BEST_P = 0.7199606810160964
+E2E_BEST_P = 0.5631946280696672
+WALK_N4 = [
+    check("curve length equals steps", "hard", 400.0, 400.0),
+    check("best exit probability positive", "hard", WALK_BEST_P, 0.0),
+    check("best_t", "info", 4.2105263157894735, None),
+    check("best_p", "info", WALK_BEST_P, None),
+    check("reduced vs full agreement", "hard", 3.001765502830267e-14, 1e-09),
+    check("probability conservation", "hard", 1.1879386363489175e-13, 1e-09),
+    check("classical walker rate (budget 3)", "info", 0.0, None),
+    check("separation factor >= 10x", "hard", WALK_BEST_P, 0.0),
+]
+DISCOVERY_N3 = [
+    check("discovery n=3 h=1 rate<=bound", "statistical", 0.44705, 0.46875,
+          0.003515652837667565),
+    check("discovery n=3 h=4 rate<=bound", "statistical", 0.4463, 1.875,
+          0.0035150839961514435),
+    check("discovery n=3 h=16 rate<=bound", "statistical", 0.4034, 7.5,
+          0.003468922311035518),
+    check("printed bound n=3 h=1 equals 30/64", "hard", 0.46875, 0.46875),
+]
+E2E_N9 = [
+    check("classical walker rate <= 1e-3 (budget 8)", "hard", 0.0, 0.001),
+    check("quantum walk best_p", "info", E2E_BEST_P, None),
+    check("walk beats walker 10x", "hard", E2E_BEST_P, 0.0),
+    check("simulate: circuit validates", "hard", 0.0, 0.0),
+    check("simulate: fidelity identity gap <= 1e-10", "hard", 4.440892098500626e-16, 1e-10),
+    check("simulate: mean TV within query envelope", "statistical", 0.0, 1.875, 1e-300),
+    check("simulate: mean queries per run", "info", 1.0, None),
+    check("simulate: wrapper query ceiling", "hard", 1.0, 65536.0),
+]
+
+
+@pytest.mark.parametrize("argv, config, checks", [
+    (["walk", "-n", "4"], _config(4, None, "walk"), WALK_N4),
+    (["discovery", "-n", "3"], _config(3, None, "discovery"), DISCOVERY_N3),
+    (["e2e", "--config", "scripts/configs/e2e_n9.json"],
+     _config(9, None, "e2e", samples=20, steps=600, t_max=60.0, trials=10000), E2E_N9),
+], ids=["walk-n4", "discovery-n3", "e2e-n9"])
+def test_report_pinned(argv, config, checks, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["experiment"] == argv[0]
+    assert doc["config"] == config
+    assert doc["checks"] == checks
+
+
+def test_saved_tree_pinned():
+    # format v2: weld cycle, labels and edge colors on the canonical layout
+    text = tree.save_tree(tree.make_blackbox(3, 5))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "46ec3d8c5dede46dbb52c010f3efecd770e3f6771bd5d3c8387d4ac3263de3b3"

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -360,6 +362,39 @@ def test_serialization_round_trip(n, seed):
 def test_serialization_preserves_exit(bbt3):
     loaded = tree.load_tree(tree.save_tree(bbt3))
     assert loaded.exit_label() == bbt3.exit_label()
+
+
+def _swap_entrance_label(doc):
+    doc["labels"][0], doc["labels"][1] = doc["labels"][1], doc["labels"][0]
+
+
+@pytest.mark.parametrize("breakage, message", [
+    (lambda d: d.pop("n"), "tree field 'n' must be an integer >= 1"),
+    (lambda d: d.update(n="2"), "tree field 'n' must be an integer >= 1"),
+    (lambda d: d.update(label_bits=True), "tree field 'label_bits' must be an integer in 1..63"),
+    (lambda d: d.pop("weld_cycle"), "tree field 'weld_cycle' must be a list of vertices in 0..13"),
+    (lambda d: d["weld_cycle"].__setitem__(0, 14),
+     "tree field 'weld_cycle' must be a list of vertices in 0..13"),
+    (lambda d: d["edge_colors"].__setitem__(0, [0, 1]),
+     "tree field 'edge_colors' must be a list of [u, w, color] integer triples"),
+    (lambda d: d["labels"].pop(), "tree field 'labels' must be a list of 14 hex strings"),
+    (lambda d: d["labels"].__setitem__(3, "zz"),
+     "tree field 'labels' must be a list of 14 hex strings"),
+    (lambda d: d["labels"].__setitem__(3, d["labels"][4]), "tree field 'labels' repeats a label"),
+    (lambda d: d["labels"].__setitem__(3, "1f"), "tree field 'labels' holds a label outside"),
+    (lambda d: d["labels"].__setitem__(3, "f"), "outside the 4-bit space or the INVALID label"),
+    (lambda d: d["labels"].__setitem__(3, "-1"), "tree field 'labels' holds a label outside"),
+    (_swap_entrance_label, "tree field 'labels' must give the entrance label 0"),
+    (lambda d: d["edge_colors"].pop(), "loaded coloring invalid"),
+    (lambda d: d.update(format_version=1, vertex_colors=["A"] * 14),
+     "unknown tree format version 1, expected 2"),
+])
+def test_load_tree_rejects_malformed_documents(breakage, message):
+    doc = json.loads(tree.save_tree(tree.make_blackbox(2, 0)))
+    tree.load_tree(json.dumps(doc))
+    breakage(doc)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tree.load_tree(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
