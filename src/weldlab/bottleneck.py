@@ -49,7 +49,7 @@ class SeedTape:
     The tape is laid out in segments of n*q*g bits, one per tier; the
     measurement generator for tier i is keyed by the bytes of segment i, so
     it is a function of the prefix alone.  A tape is not changed once made,
-    so each tier's seed is folded once and kept.
+    so the uniform that measures each tier is drawn once and kept.
     """
 
     n: int
@@ -57,8 +57,8 @@ class SeedTape:
     q: int
     g: int
     bits: np.ndarray
-    _tier_seeds: dict[int, int] = field(default_factory=dict, init=False, repr=False,
-                                        compare=False)
+    _tier_uniforms: dict[int, float] = field(default_factory=dict, init=False, repr=False,
+                                             compare=False)
 
     @classmethod
     def generate(cls, master: int, n: int, eta: int, q: int, g: int) -> "SeedTape":
@@ -79,14 +79,17 @@ class SeedTape:
 
     def tier_seed(self, i: int) -> int:
         """64-bit seed folded from tier i's segment (1-based)."""
-        seed = self._tier_seeds.get(i)
-        if seed is None:
-            seg = self.bits[(i - 1) * self.segment_len: i * self.segment_len]
-            acc = 0
-            for byte in np.packbits(seg).tobytes():
-                acc = derive_seed(acc, byte)
-            seed = self._tier_seeds[i] = derive_seed(acc, "tape-tier", i)
-        return seed
+        seg = self.bits[(i - 1) * self.segment_len: i * self.segment_len]
+        acc = 0
+        for byte in np.packbits(seg).tobytes():
+            acc = derive_seed(acc, byte)
+        return derive_seed(acc, "tape-tier", i)
+
+    def tier_uniform(self, i: int) -> float:
+        """The uniform that measures tier i: ``tier_draws(self.tier_seed)(i)``."""
+        if i not in self._tier_uniforms:
+            self._tier_uniforms[i] = tier_draws(self.tier_seed)(i)
+        return self._tier_uniforms[i]
 
     def with_suffix_scrambled(self, i: int, master: int) -> "SeedTape":
         """Same prefix r_<=i, fresh bits afterwards (for determinism tests)."""
@@ -227,7 +230,6 @@ def _sample_accepted_trees(V: KnownVertices, x: int, i: int, env: EstimatorEnv,
     if call_id is None:
         call_id = env.next_call_id()
     accepted: list[set[int]] = []
-    draws = tier_draws(env.tape.tier_seed)
     for s in range(cfg.sample_budget):
         seed_s = derive_seed(env.seed, "estimator", call_id, i, s)
         P = sample_consistent(V, env.n, seed_s, mode=cfg.mode,
@@ -235,9 +237,10 @@ def _sample_accepted_trees(V: KnownVertices, x: int, i: int, env: EstimatorEnv,
                               label_bits=env.label_bits)
         # the tau=0 replay of tiers 1..i (validated once, by bottleneck_wrapper)
         ctx = SimContext.fresh(P, instrument=False)
-        reached, _ = SV.drive_hybrid(env.circuit, ctx, draws, entrance_known(ctx), i)
+        reached, _ = SV.drive_hybrid(env.circuit, ctx, env.tape.tier_uniform,
+                                     entrance_known(ctx), i)
         if x in reached:
-            accepted.append(set(int(l) for l in P.labels))
+            accepted.append(set(P.labels.tolist()))
     return accepted, cfg.sample_budget
 
 
@@ -486,7 +489,7 @@ def bottleneck_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree,
     V = entrance_known(ctx)
     policy = _BottleneckTiers(ctx, env, cfg, hist=V.copy())
     try:
-        acc, V = SV.drive_hybrid(circuit, policy, tier_draws(tape.tier_seed), V, tiers)
+        acc, V = SV.drive_hybrid(circuit, policy, tape.tier_uniform, V, tiers)
         output, reason = next(iter(acc)), None
     except Abort as abort:
         V, reason = None, abort.reason

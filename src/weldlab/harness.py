@@ -110,9 +110,12 @@ class ExperimentConfig:
             return self.jobs
         env = os.environ.get(JOBS_ENV_VAR)
         try:
-            return max(1, int(env)) if env else 1
+            jobs = int(env) if env else 0
         except ValueError:
             raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from None
+        if jobs < 0:
+            raise ValueError(f"{JOBS_ENV_VAR} must be >= 0 (0 means 1), got {jobs}")
+        return max(1, jobs)
 
     def walker_budget(self) -> int:
         return self.budget if self.budget is not None else round(2 ** (self.n / 3))

@@ -307,8 +307,9 @@ def wrapper_query_ceiling(circuit: C.Circuit) -> int:
 
 
 def tier_draws(tier_seed_fn):
-    """The simulators' measurement rule: tier i draws from ``tier_seed_fn(i)``."""
-    return lambda i: make_rng(tier_seed_fn(i), "sim-tier-measure")
+    """The simulators' measurement rule: tier i is measured with one uniform
+    drawn from ``tier_seed_fn(i)``."""
+    return lambda i: make_rng(tier_seed_fn(i), "sim-tier-measure").random()
 
 
 def few_tier_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree,
@@ -352,7 +353,8 @@ def jozsa_wrapper(circuit: C.JozsaCircuit, bbt: BlackBoxTree, seed: int = 0,
     C.require_valid(circuit)
     ctx = SimContext.fresh(bbt, instrument=instrument)
     acc, V = SV.drive_jozsa(
-        circuit, ctx, lambda i: make_rng(seed, "sim-r1", i) if i else make_rng(seed, "sim-final"),
+        circuit, ctx,
+        lambda i: (make_rng(seed, "sim-r1", i) if i else make_rng(seed, "sim-final")).random(),
         entrance_known(ctx))
     ctx.transcript.output = next(iter(acc))
     return SimResult(output=ctx.transcript.output, known=V, transcript=ctx.transcript)

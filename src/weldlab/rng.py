@@ -11,6 +11,8 @@ with Python's randomized ``hash``.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -28,12 +30,18 @@ def splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+@functools.lru_cache(maxsize=None)
+def _fnv1a(tag: str) -> int:
+    """FNV-1a (64 bit) of the UTF-8 bytes; tags are few, so each is folded once."""
+    h = _FNV_OFFSET
+    for b in tag.encode("utf-8"):
+        h = ((h ^ b) * _FNV_PRIME) & _MASK64
+    return h
+
+
 def _fold_tag(state: int, tag: int | str) -> int:
     if isinstance(tag, str):
-        h = _FNV_OFFSET
-        for b in tag.encode("utf-8"):
-            h = ((h ^ b) * _FNV_PRIME) & _MASK64
-        tag = h
+        tag = _fnv1a(tag)
     return splitmix64((state ^ (tag & _MASK64)) & _MASK64)
 
 

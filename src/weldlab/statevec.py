@@ -453,10 +453,11 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
     return out
 
 
-def sample_outcome(probs: dict[int, float], rng) -> int:
+def sample_outcome(probs: dict[int, float], u: float) -> int:
+    """The outcome the uniform ``u`` in [0, 1) picks, outcomes in key order."""
     keys = sorted(probs)
     total = sum(probs[k] for k in keys)
-    u = rng.random() * total
+    u = u * total
     acc = 0.0
     for k in keys:
         acc += probs[k]
@@ -524,13 +525,13 @@ class TrueOracle:
         return state.marginal(), known
 
 
-def _branches(probs: dict[int, float], rng) -> list[tuple[int, float]]:
-    """(outcome, probability) branches of one measurement: the outcome drawn
-    from ``rng``, or with ``rng=None`` every outcome with p > 0 in key order,
-    renormalized only when float drift over many outcomes puts the total off
-    1 (no layer changes the norm: a query layer permutes the support)."""
-    if rng is not None:
-        return [(sample_outcome(probs, rng), 1.0)]
+def _branches(probs: dict[int, float], u: float | None) -> list[tuple[int, float]]:
+    """(outcome, probability) branches of one measurement: the outcome the
+    uniform ``u`` picks, or with ``u=None`` every outcome with p > 0 in key order,
+    renormalized only when float drift over many outcomes puts the total off 1
+    (no layer changes the norm: a query layer permutes the support)."""
+    if u is not None:
+        return [(sample_outcome(probs, u), 1.0)]
     total = sum(probs.values())
     scale = total if abs(total - 1.0) > 1e-12 else 1.0
     return [(y, p / scale) for y, p in sorted(probs.items()) if p > 0]
@@ -540,7 +541,7 @@ def drive_hybrid(circuit: C.HybridCircuit, policy, rng_for, known=None,
                  tiers: int | None = None) -> tuple[dict[int, float], object]:
     """Run the first ``tiers`` tiers from the all-zeros input, depth first.
 
-    ``rng_for(i)`` draws tier i's outcome; ``rng_for=None`` enumerates them.
+    ``rng_for(i)`` is the uniform that measures tier i; ``None`` enumerates outcomes.
     Returns ({output: probability}, the policy's ``known`` at the last branch).
     """
     tiers = circuit.eta if tiers is None else tiers
@@ -634,7 +635,8 @@ def run_hybrid(circuit: C.HybridCircuit, bbt: BlackBoxTree, seed: int,
     """Sampled execution; input is the all-zeros n-bit string."""
     C.require_valid(circuit)
     acc, _ = drive_hybrid(circuit, TrueOracle(bbt, circuit.n, handle),
-                          lambda i: make_rng(derive_seed(seed, "tier", i), "tier-measurement"))
+                          lambda i: make_rng(derive_seed(seed, "tier", i),
+                                             "tier-measurement").random())
     return next(iter(acc))
 
 
@@ -650,7 +652,8 @@ def run_jozsa(circuit: C.JozsaCircuit, bbt: BlackBoxTree, seed: int,
               handle: OracleHandle | None = None) -> int:
     C.require_valid(circuit)
     acc, _ = drive_jozsa(circuit, TrueOracle(bbt, circuit.n, handle),
-                         lambda i: make_rng(seed, "r1", i) if i else make_rng(seed, "final"))
+                         lambda i: (make_rng(seed, "r1", i) if i
+                                    else make_rng(seed, "final")).random())
     return next(iter(acc))
 
 

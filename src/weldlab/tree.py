@@ -21,6 +21,8 @@ explicit ``label_bits``; that mode is test-only.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import weakref
@@ -66,25 +68,28 @@ class TreeStructure:
 
     def columns(self) -> list[list[int]]:
         cols: list[list[int]] = [[] for _ in range(2 * self.n + 2)]
+        column = self.column.tolist()
         for v in range(self.vertex_count):
-            cols[int(self.column[v])].append(v)
+            cols[column[v]].append(v)
         return cols
 
     def validate(self) -> list[str]:
         problems: list[str] = []
         n, V = self.n, self.vertex_count
+        column, adjacency = self.column.tolist(), self.adjacency
         if V != (1 << (n + 2)) - 2:
             problems.append(f"vertex count {V} != 2^(n+2)-2")
         for j, col in enumerate(self.columns()):
             if len(col) != column_size(n, j):
                 problems.append(f"column {j} has {len(col)} vertices")
+        ends = (self.entrance, self.exit)
         for v in range(V):
-            deg = len(self.adjacency[v])
-            want = 2 if v in (self.entrance, self.exit) else 3
-            if deg != want:
-                problems.append(f"vertex {v} has degree {deg}, expected {want}")
-            for w in self.adjacency[v]:
-                if abs(int(self.column[v]) - int(self.column[w])) != 1:
+            nbrs, cv = adjacency[v], column[v]
+            want = 2 if v in ends else 3
+            if len(nbrs) != want:
+                problems.append(f"vertex {v} has degree {len(nbrs)}, expected {want}")
+            for w in nbrs:
+                if column[w] - cv not in (1, -1):
                     problems.append(f"edge {v}-{w} skips columns")
         cyc = self.weld_cycle
         if len(cyc) != 2 * (1 << n):
@@ -93,10 +98,10 @@ class TreeStructure:
             problems.append("weld cycle revisits a vertex")
         for i, v in enumerate(cyc):
             want_col = n if i % 2 == 0 else n + 1
-            if int(self.column[v]) != want_col:
+            if column[v] != want_col:
                 problems.append(f"weld cycle position {i} not alternating")
             w = cyc[(i + 1) % len(cyc)]
-            if w not in self.adjacency[v]:
+            if w not in adjacency[v]:
                 problems.append(f"weld cycle edge {v}-{w} missing from adjacency")
         return problems
 
@@ -176,6 +181,9 @@ class EdgeColoring:
                 seen.append(c)
             if len(set(seen)) != len(seen):
                 problems.append(f"vertex {v} has two same-colored incident edges")
+        edge_count = sum(len(nbrs) for nbrs in structure.adjacency) // 2
+        if len(self.edges) != edge_count:
+            problems.append(f"{len(self.edges)} edge colors for {edge_count} edges")
         return problems
 
 
@@ -184,48 +192,51 @@ def neighbor_table(structure: TreeStructure, coloring: EdgeColoring) -> np.ndarr
     cached = getattr(coloring, "_nbc", None)
     if cached is not None and cached.shape[0] == structure.vertex_count:
         return cached
-    V = structure.vertex_count
-    table = -np.ones((V, 10), dtype=np.int64)
-    for v in range(V):
-        for w in structure.adjacency[v]:
-            table[v][coloring.edge_color(structure, v, w)] = w
+    table = -np.ones((structure.vertex_count, 10), dtype=np.int64)
+    count = len(coloring.edges)
+    ends = np.fromiter(itertools.chain.from_iterable(coloring.edges), dtype=np.int64,
+                       count=2 * count).reshape(count, 2)
+    colors = np.fromiter(coloring.edges.values(), dtype=np.int64, count=count)
+    table[ends[:, 0], colors] = ends[:, 1]
+    table[ends[:, 1], colors] = ends[:, 0]
     coloring._nbc = table
     return table
 
 
-def _all_edges(structure: TreeStructure) -> list[tuple[int, int]]:
-    return sorted({(min(u, w), max(u, w))
-                   for u in range(structure.vertex_count)
-                   for w in structure.adjacency[u]})
+# the colors 1..9 absent from a 10-bit mask of colors, in ascending order
+_FREE_COLORS = [tuple(c for c in range(1, 10) if not mask >> c & 1) for mask in range(1 << 10)]
 
 
 def _greedy_edge_coloring(structure: TreeStructure, rng,
                           pinned: dict[tuple[int, int], int] | None = None,
-                          forbid: dict[int, set[int]] | None = None,
+                          forbid: dict[int, int] | None = None,
                           ) -> dict[tuple[int, int], int]:
     """Random proper edge coloring; backtracking only matters under forbids.
 
     With nine colors and degree at most three, an unconstrained edge sees at
     most four blocked colors, so plain greedy never gets stuck; recorded
-    INVALID answers can forbid colors at a vertex and then small backtracking
-    takes over.
+    INVALID answers can forbid colors at a vertex (``forbid[v]``, a bit mask;
+    bits outside 1..9 block nothing) and then small backtracking takes over.
+    ``blocked[v]`` masks the colors v may not take: forbids and colored edges.
     """
     pinned = pinned or {}
-    forbid = forbid or {}
-    used: list[set[int]] = [set() for _ in range(structure.vertex_count)]
-    assigned: dict[tuple[int, int], int] = {}
+    blocked = [0] * structure.vertex_count
+    for v, mask in (forbid or {}).items():
+        blocked[v] = mask & 0x3FE
     for (u, w), c in pinned.items():
-        if c in used[u] or c in used[w] or c in forbid.get(u, ()) or c in forbid.get(w, ()):
+        if (blocked[u] | blocked[w]) >> c & 1:
             raise ValueError("pinned edge colors are inconsistent")
-        assigned[(u, w)] = c
-        used[u].add(c)
-        used[w].add(c)
-    todo = [e for e in _all_edges(structure) if e not in pinned]
-    todo = [todo[i] for i in rng.permutation(len(todo))] if todo else []
+        blocked[u] |= 1 << c
+        blocked[w] |= 1 << c
+    todo = [(u, w) for u, nbrs in enumerate(structure.adjacency)
+            for w in sorted(nbrs) if u < w and (u, w) not in pinned]
+    if len(todo) > 1:
+        rng.shuffle(todo)
 
     # iterative backtracking; None marks a node not yet expanded under the
     # current prefix, [] an exhausted one (reset when leaving backwards)
     pending: list[list[int] | None] = [None] * len(todo)
+    colors = [0] * len(todo)
     steps = 0
     i = 0
     while i < len(todo):
@@ -233,17 +244,15 @@ def _greedy_edge_coloring(structure: TreeStructure, rng,
         if steps > 200_000:
             raise ValueError("edge coloring search budget exhausted")
         u, w = todo[i]
-        if pending[i] is None:
-            options = [c for c in range(1, 10)
-                       if c not in used[u] and c not in used[w]
-                       and c not in forbid.get(u, ()) and c not in forbid.get(w, ())]
-            pending[i] = [options[j] for j in rng.permutation(len(options))] \
-                if options else []
-        if pending[i]:
-            c = pending[i].pop()
-            assigned[(u, w)] = c
-            used[u].add(c)
-            used[w].add(c)
+        options = pending[i]
+        if options is None:
+            options = pending[i] = list(_FREE_COLORS[blocked[u] | blocked[w]])
+            if len(options) > 1:
+                rng.shuffle(options)
+        if options:
+            c = colors[i] = options.pop()
+            blocked[u] |= 1 << c
+            blocked[w] |= 1 << c
             i += 1
         else:
             pending[i] = None
@@ -251,9 +260,10 @@ def _greedy_edge_coloring(structure: TreeStructure, rng,
                 raise ValueError("no proper edge coloring under the given constraints")
             i -= 1
             pu, pw = todo[i]
-            c = assigned.pop((pu, pw))
-            used[pu].discard(c)
-            used[pw].discard(c)
+            blocked[pu] &= ~(1 << colors[i])
+            blocked[pw] &= ~(1 << colors[i])
+    assigned = dict(pinned)
+    assigned.update(zip(todo, colors))
     return assigned
 
 
@@ -386,13 +396,12 @@ class BlackBoxTree:
         Only executors (which pay in quantum query gates, not classical
         calls) and test instrumentation may use this directly.
         """
-        if c < 1 or c > 9:
-            return self.invalid
+        inv = self.invalid
         v = self.inverse.get(x)
-        if v is None or x == self.invalid:
-            return self.invalid
-        w = int(self.neighbor_by_color[v][c])
-        return self.invalid if w < 0 else int(self.labels[w])
+        if v is None or x == inv or not 1 <= c <= 9:
+            return inv
+        w = self.neighbor_by_color[v, c]
+        return inv if w < 0 else int(self.labels[w])
 
     @cached_property
     def _one_row(self) -> LabelingBatch:
@@ -419,13 +428,13 @@ class BlackBoxTree:
         return {c: self.answer(x, c) for c in range(1, 10)}
 
 
-def _sample_distinct(rng, low: int, high: int, k: int) -> list[int]:
+def _sample_distinct(rng, low: int, high: int, k: int) -> np.ndarray:
     """k distinct ints uniform over [low, high); Floyd's algorithm when huge."""
     span = high - low
     if k > span:
         raise ValueError("not enough labels available")
     if span <= (1 << 22):
-        return [low + int(x) for x in rng.choice(span, size=k, replace=False)]
+        return low + rng.choice(span, size=k, replace=False)
     chosen: set[int] = set()
     out = []
     for j in range(span - k, span):
@@ -433,7 +442,7 @@ def _sample_distinct(rng, low: int, high: int, k: int) -> list[int]:
         pick = t if t not in chosen else j
         chosen.add(pick)
         out.append(low + pick)
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 def _checked_label_bits(structure: TreeStructure, label_bits: int | None) -> int:
@@ -510,7 +519,7 @@ def generate_labels(structure: TreeStructure, coloring: EdgeColoring, seed: int,
     label_bits = _checked_label_bits(structure, label_bits)
     drawn = _sample_distinct(make_rng(seed, "labels"), 1, (1 << label_bits) - 1,
                              structure.vertex_count - 1)
-    labels = np.insert(np.array(drawn, dtype=np.int64), structure.entrance, 0)
+    labels = np.insert(drawn, structure.entrance, 0)
     return BlackBoxTree(structure=structure, coloring=coloring, labels=labels,
                         label_bits=label_bits)
 
@@ -654,24 +663,23 @@ def embed_entries(entries: KnownVertices, bbt_structure: TreeStructure,
 
 def _fill_labels(structure: TreeStructure, pinned: dict[int, int], rng,
                  label_bits: int) -> np.ndarray:
+    """The entrance labeled 0, ``pinned`` (label -> vertex) placed, the rest
+    labeled uniformly without replacement.  One draw of free + used labels
+    always suffices: 0 is never drawn, so at most used - 1 drawn are taken."""
     space = 1 << label_bits
-    V = structure.vertex_count
-    labels = -np.ones(V, dtype=np.int64)
+    labels = [-1] * structure.vertex_count
     labels[structure.entrance] = 0
     for lab, v in pinned.items():
         labels[v] = lab
-    used = set(int(x) for x in labels if x >= 0)
-    free_vs = [v for v in range(V) if labels[v] < 0]
-    if space - 1 - len(used) < len(free_vs):
+    used = {lab for lab in labels if lab >= 0}
+    free = [v for v, lab in enumerate(labels) if lab < 0]
+    if space - 1 - len(used) < len(free):
         raise EmbeddingError("label space exhausted")
-    pool: dict[int, None] = {}          # an ordered set
-    while len(pool) < len(free_vs):
-        need = len(free_vs) - len(pool)
-        cand = _sample_distinct(rng, 1, space - 1, min(space - 2, need + len(used)))
-        pool.update((x, None) for x in cand if x not in used)
-    for v, lab in zip(free_vs, pool):
-        labels[v] = lab
-    return labels
+    if free:
+        drawn = _sample_distinct(rng, 1, space - 1, min(space - 2, len(free) + len(used)))
+        for v, lab in zip(free, [lab for lab in drawn.tolist() if lab not in used]):
+            labels[v] = lab
+    return np.array(labels, dtype=np.int64)
 
 
 def sample_consistent(entries: KnownVertices, n: int, seed: int, *,
@@ -778,46 +786,26 @@ def _assign_columns(edges: dict[int, dict[int, int]], labels_in_play: list[int],
     counts = [0] * (2 * n + 2)
 
     def feasible(x: int, j: int) -> bool:
-        if j < 0 or j > 2 * n + 1:
+        if not 0 <= j <= 2 * n + 1 or counts[j] >= column_size(n, j):
             return False
-        if counts[j] >= column_size(n, j):
-            return False
+        dl, dr = _direction_slots(n, j)
         lo, hi = degree_bounds.get(x, (0, 3))
-        dl_x, dr_x = _direction_slots(n, j)
-        if not lo <= dl_x + dr_x <= hi:
+        if not lo <= dl + dr <= hi:
             return False
         left = right = 0
         for y in edges.get(x, {}).values():
-            if y in cols:
-                d = cols[y] - j
-                if abs(d) != 1:
-                    return False
-                if d == -1:
-                    left += 1
-                else:
-                    right += 1
-        dl, dr = _direction_slots(n, j)
-        if left > dl or right > dr:
-            return False
-        # every already-placed neighbour must also keep its slot budget
-        for y in edges.get(x, {}).values():
-            if y in cols:
-                yl = yr = 0
-                for z in edges.get(y, {}).values():
-                    if z == x:
-                        zc = j
-                    elif z in cols:
-                        zc = cols[z]
-                    else:
-                        continue
-                    if zc == cols[y] - 1:
-                        yl += 1
-                    elif zc == cols[y] + 1:
-                        yr += 1
-                ydl, ydr = _direction_slots(n, cols[y])
-                if yl > ydl or yr > ydr:
-                    return False
-        return True
+            cy = cols.get(y)
+            if cy is None:
+                continue
+            if abs(cy - j) != 1:
+                return False
+            left, right = left + (cy < j), right + (cy > j)
+            # the placed neighbour must also keep its slot budget
+            around = [j if z == x else cols.get(z) for z in edges.get(y, {}).values()]
+            ydl, ydr = _direction_slots(n, cy)
+            if around.count(cy - 1) > ydl or around.count(cy + 1) > ydr:
+                return False
+        return left <= dl and right <= dr
 
     def rec(idx: int) -> bool:
         if idx == len(order):
@@ -855,54 +843,63 @@ def _assign_columns(edges: dict[int, dict[int, int]], labels_in_play: list[int],
     return cols
 
 
+@functools.lru_cache(maxsize=None)
+def _column_layout(n: int):
+    """The sampler's column-by-column vertex numbering: ids per column, column and
+    parent column per vertex, read-only column and side arrays, and the (children,
+    parents, child slots per parent) of each column pair tree completion fills."""
+    by_col, column = [], []
+    for j in range(2 * n + 2):
+        by_col.append(range(len(column), len(column) + column_size(n, j)))
+        column += [j] * column_size(n, j)
+    up = tuple(j - 1 if j <= n else j + 1 for j in column)
+    column_arr = np.array(column, dtype=np.int64)
+    side_arr = (column_arr > n).astype(np.int64)
+    column_arr.flags.writeable = side_arr.flags.writeable = False
+    pairs = []
+    for j_child, j_parent in [(j + 1, j) for j in range(n)] + \
+                             [(j - 1, j) for j in range(2 * n + 1, n + 1, -1)]:
+        dl, dr = _direction_slots(n, j_parent)
+        pairs.append((by_col[j_child], by_col[j_parent], dr if j_child > j_parent else dl))
+    return tuple(by_col), tuple(column), up, column_arr, side_arr, tuple(pairs)
+
+
 def _complete_structure(edges: dict[int, dict[int, int]], cols: dict[int, int],
                         n: int, rng) -> tuple[TreeStructure, dict[int, int]]:
-    V = (1 << (n + 2)) - 2
-    # allocate vertex ids column by column: pinned labels first, then fresh
+    by_col, column, up, column_arr, side_arr, pairs = _column_layout(n)
+    V = len(column)
+    # each column's pinned labels, in label order, take its first vertex ids
     vid: dict[int, int] = {}
-    by_col: list[list[int]] = [[] for _ in range(2 * n + 2)]  # vertex ids per column
-    column = np.empty(V, dtype=np.int64)
-    side = np.empty(V, dtype=np.int64)
-    next_id = 0
-    for j in range(2 * n + 2):
-        pinned_here = sorted(x for x, c in cols.items() if c == j)
-        for x in pinned_here:
-            vid[x] = next_id
-            by_col[j].append(next_id)
-            next_id += 1
-        while len(by_col[j]) < column_size(n, j):
-            by_col[j].append(next_id)
-            next_id += 1
-        for v in by_col[j]:
-            column[v] = j
-            side[v] = 0 if j <= n else 1
+    taken = [0] * len(by_col)
+    for x in sorted(cols):
+        j = cols[x]
+        vid[x] = by_col[j][taken[j]]
+        taken[j] += 1
 
     adj: list[set[int]] = [set() for _ in range(V)]
-    pinned_edges: set[tuple[int, int]] = set()
     for x, row in edges.items():
         for y in row.values():
             u, w = vid[x], vid[y]
-            pinned_edges.add((min(u, w), max(u, w)))
             adj[u].add(w)
             adj[w].add(u)
 
-    # complete the two binary trees: parent side toward the nearer root
-    for j_child, j_parent in [(j + 1, j) for j in range(n)] + \
-                             [(j - 1, j) for j in range(2 * n + 1, n + 1, -1)]:
-        open_children = []
-        for w in by_col[j_child]:
-            if not any(column[u] == j_parent for u in adj[w]):
-                open_children.append(w)
-        slots = []
-        for u in by_col[j_parent]:
-            have = sum(1 for w in adj[u] if column[w] == j_child)
-            dl, dr = _direction_slots(n, j_parent)
-            cap = dr if j_child > j_parent else dl
-            slots.extend([u] * (cap - have))
+    # complete the two binary trees: parent side toward the nearer root.  A
+    # column pair is completed once, so until then its only edges are pinned
+    has_parent = [False] * V
+    pinned_children = [0] * V
+    for v in vid.values():
+        for w in adj[v]:
+            if column[w] == up[v]:
+                has_parent[v] = True
+            elif up[w] == column[v]:
+                pinned_children[v] += 1
+    for children, parents, cap in pairs:
+        open_children = [w for w in children if not has_parent[w]]
+        slots = [u for u in parents for _ in range(cap - pinned_children[u])]
         if len(slots) != len(open_children):
             raise EmbeddingError("tree completion slots do not line up")
-        slots = [slots[i] for i in rng.permutation(len(slots))]
-        open_children = [open_children[i] for i in rng.permutation(len(open_children))]
+        rng.shuffle(slots)
+        rng.shuffle(open_children)
         for u, w in zip(slots, open_children):
             adj[u].add(w)
             adj[w].add(u)
@@ -913,23 +910,21 @@ def _complete_structure(edges: dict[int, dict[int, int]], cols: dict[int, int],
         adj[u].add(w)
         adj[w].add(u)
 
-    entrance = by_col[0][0]
-    exit_v = by_col[2 * n + 1][0]
     structure = TreeStructure(
-        n=n, vertex_count=V, column=column,
-        adjacency=[tuple(sorted(s)) for s in adj],
-        side=side, weld_cycle=weld_cycle, entrance=entrance, exit=exit_v)
+        n=n, vertex_count=V, column=column_arr, adjacency=[tuple(sorted(s)) for s in adj],
+        side=side_arr, weld_cycle=weld_cycle, entrance=by_col[0][0], exit=by_col[-1][0])
     problems = structure.validate()
     if problems:
         raise EmbeddingError("completed structure invalid: " + "; ".join(problems[:3]))
     return structure, vid
 
 
-def _complete_weld(adj: list[set[int]], l_leaves: list[int], r_leaves: list[int],
+def _complete_weld(adj: list[set[int]], l_leaves: range, r_leaves: range,
                    rng) -> list[int]:
     """Complete pinned weld edges into one alternating cycle."""
     l_set, r_set = set(l_leaves), set(r_leaves)
-    pinned: dict[int, list[int]] = {v: [] for v in l_leaves + r_leaves}
+    leaves = [*l_leaves, *r_leaves]
+    pinned: dict[int, list[int]] = {v: [] for v in leaves}
     for u in l_leaves:
         for w in adj[u]:
             if w in r_set:
@@ -939,68 +934,60 @@ def _complete_weld(adj: list[set[int]], l_leaves: list[int], r_leaves: list[int]
         if len(ps) > 2:
             raise EmbeddingError("a leaf carries more than two weld edges")
 
-    # fragments: maximal alternating paths through pinned edges
+    # fragments: maximal alternating paths through pinned edges, each walked
+    # from one end; a leaf without pinned weld edges is a fragment of its own
     visited = set()
     fragments: list[list[int]] = []
-    for v in l_leaves + r_leaves:
-        if v in visited:
-            continue
-        if len(pinned[v]) == 2:
-            continue  # interior of a fragment (or part of a closed cycle)
-        path = [v]
-        visited.add(v)
-        prev = None
-        cur = v
-        while True:
-            nxt = [w for w in pinned[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            if cur in visited:
-                raise EmbeddingError("pinned weld edges form a bad configuration")
-            visited.add(cur)
-            path.append(cur)
-        fragments.append(path)
-    leftovers = [v for v in l_leaves + r_leaves if v not in visited]
-    if leftovers:
-        # remaining pinned edges would have to be closed cycles
-        if any(pinned[v] for v in leftovers):
-            m = len(l_leaves)
-            closed_ok = all(len(pinned[v]) == 2 for v in leftovers) and \
-                len(leftovers) == 2 * m and not fragments
-            if not closed_ok:
-                raise EmbeddingError("pinned weld edges close a sub-cycle")
-            # entries already pin the entire cycle: reconstruct it
-            cyc = [l_leaves[0]]
+    for v in leaves:
+        if not pinned[v]:
+            fragments.append([v])
+        elif len(pinned[v]) == 1 and v not in visited:
+            path = [v]
+            visited.add(v)
             prev = None
-            while len(cyc) < 2 * m:
-                nxt = [w for w in pinned[cyc[-1]] if w != prev]
-                prev = cyc[-1]
-                cyc.append(nxt[0])
-            return cyc if cyc[0] in l_set else cyc[1:] + cyc[:1]
-        fragments.extend([v] for v in leftovers)
+            cur = v
+            while True:
+                nxt = [w for w in pinned[cur] if w != prev]
+                if not nxt:
+                    break
+                prev, cur = cur, nxt[0]
+                if cur in visited:
+                    raise EmbeddingError("pinned weld edges form a bad configuration")
+                visited.add(cur)
+                path.append(cur)
+            fragments.append(path)
+    # pinned leaves no walk reached lie on closed cycles
+    leftovers = [v for v in leaves if pinned[v] and v not in visited]
+    if leftovers:
+        m = len(l_leaves)
+        if len(leftovers) != 2 * m or fragments:
+            raise EmbeddingError("pinned weld edges close a sub-cycle")
+        # entries already pin the entire cycle: reconstruct it
+        cyc = [l_leaves[0]]
+        prev = None
+        while len(cyc) < 2 * m:
+            nxt = [w for w in pinned[cyc[-1]] if w != prev]
+            prev = cyc[-1]
+            cyc.append(nxt[0])
+        return cyc if cyc[0] in l_set else cyc[1:] + cyc[:1]
 
-    def end_type(path, which):
-        return "L" if path[which] in l_set else "R"
-
-    frags = [list(p) for p in fragments]
-    idx0 = int(rng.integers(0, len(frags)))
-    chain = frags.pop(idx0)
+    # ends[2i] and ends[2i + 1]: whether fragment i starts, and ends, on the left
+    ends = [p[e] in l_set for p in fragments for e in (0, -1)]
+    idx0 = int(rng.integers(0, len(fragments)))
+    chain = fragments.pop(idx0)
+    del ends[2 * idx0:2 * idx0 + 2]
     if rng.integers(0, 2):
         chain.reverse()
-    while frags:
-        need = "R" if chain[-1] in l_set else "L"
-        options = []
-        for i, p in enumerate(frags):
-            if end_type(p, 0) == need:
-                options.append((i, False))
-            if end_type(p, -1) == need:
-                options.append((i, True))
+    while fragments:
+        need_left = chain[-1] not in l_set
+        # option k joins fragment k // 2, reversed when k is odd
+        options = [k for k, left in enumerate(ends) if left == need_left]
         if not options:
             raise EmbeddingError("weld completion is stuck")
-        i, rev = options[int(rng.integers(0, len(options)))]
-        p = frags.pop(i)
-        if rev:
+        k = options[int(rng.integers(0, len(options)))]
+        p = fragments.pop(k // 2)
+        del ends[k // 2 * 2:k // 2 * 2 + 2]
+        if k % 2:
             p.reverse()
         chain.extend(p)
     if len(chain) != len(l_leaves) + len(r_leaves):
@@ -1016,16 +1003,15 @@ def _complete_coloring(structure: TreeStructure, entries: KnownVertices,
     """Complete a proper edge coloring around the entries' pinned colors."""
     pinned: dict[tuple[int, int], int] = {}
     for x, row in edges.items():
+        u = vid[x]
         for c, y in row.items():
-            u, w = vid[x], vid[y]
-            key = (min(u, w), max(u, w))
-            if pinned.get(key, c) != c:
+            w = vid[y]
+            if pinned.setdefault((u, w) if u < w else (w, u), c) != c:
                 raise EmbeddingError("entry edge colors contradict each other")
-            pinned[key] = c
-    forbid: dict[int, set[int]] = {}
-    for (x, c) in _invalid_pairs(entries):
-        if x in vid:
-            forbid.setdefault(vid[x], set()).add(c)
+    forbid: dict[int, int] = {}         # vertex -> mask of its INVALID colors
+    for (x, c), y in entries.entries.items():
+        if y == entries.invalid and x in vid:
+            forbid[vid[x]] = forbid.get(vid[x], 0) | 1 << c
     try:
         assigned = _greedy_edge_coloring(structure, rng, pinned=pinned, forbid=forbid)
     except ValueError as e:
@@ -1124,6 +1110,10 @@ def load_tree(text: str) -> BlackBoxTree:
     if not all(0 <= lab < invalid_label(label_bits) for lab in labels):
         raise ValueError(f"tree field 'labels' holds a label outside the "
                          f"{label_bits}-bit space or the INVALID label")
+    hexw = max(1, (label_bits + 3) // 4)
+    if any(h != format(lab, f"0{hexw}x") for h, lab in zip(hex_labels, labels)):
+        raise ValueError(f"tree field 'labels' must hold {hexw}-digit lowercase hex "
+                         f"strings, as save_tree writes them")
     if len(set(labels)) != V:
         raise ValueError("tree field 'labels' repeats a label")
     if labels[0] != 0:

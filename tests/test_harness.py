@@ -256,6 +256,17 @@ def test_cli_bad_job_count_exit_2(tmp_path, capsys, monkeypatch, argv, config, e
         assert captured.err.endswith(f"{message}\n")
 
 
+def test_cli_negative_job_count_in_the_environment_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("WELDLAB_JOBS", "-3")
+    for experiment in ("walk", "discovery"):
+        assert cli.main([experiment, "-n", "3", "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("WELDLAB_JOBS must be >= 0 (0 means 1), got -3\n")
+    monkeypatch.setenv("WELDLAB_JOBS", "0")
+    assert ExperimentConfig(experiment="walk").effective_jobs() == 1
+
+
 def test_job_count_zero_defers_to_the_environment(monkeypatch):
     monkeypatch.setenv("WELDLAB_JOBS", "3")
     assert ExperimentConfig(experiment="walk").effective_jobs() == 3

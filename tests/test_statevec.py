@@ -122,7 +122,7 @@ def _tier_probs(x: int, t: C.Tier, bbt) -> dict[int, float]:
 
 
 def _run_quantum_tier(x: int, t: C.Tier, bbt, seed: int) -> int:
-    return SV.sample_outcome(_tier_probs(x, t, bbt), make_rng(seed, "tier-measurement"))
+    return SV.sample_outcome(_tier_probs(x, t, bbt), make_rng(seed, "tier-measurement").random())
 
 
 def test_identity_tier_echo(bbt2):
@@ -144,7 +144,7 @@ def test_sampled_vs_exact_distribution_tv(bbt2):
     draw_rng = make_rng(99, "draws")
     draws = {}
     for _ in range(10_000):
-        z = SV.sample_outcome(dist.probs, draw_rng)
+        z = SV.sample_outcome(dist.probs, draw_rng.random())
         draws[z] = draws.get(z, 0) + 1
     emp = {k: v / 10_000 for k, v in draws.items()}
     assert SV.tv_distance(emp, dist.probs) <= 0.02

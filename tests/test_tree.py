@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
 import re
@@ -343,6 +344,72 @@ def test_sample_membership_statistics(bbt2):
 
 
 # ---------------------------------------------------------------------------
+# the sampler's random stream: every draw is pinned, so a rewrite that
+# reorders, adds or drops a draw changes these digests
+# ---------------------------------------------------------------------------
+
+def _raw_tree(structure, coloring, labels=None) -> list:
+    """The raw layout, no canonicalize; json refuses numpy scalars."""
+    return [[list(nbrs) for nbrs in structure.adjacency], structure.weld_cycle,
+            sorted([u, w, c] for (u, w), c in coloring.edges.items()),
+            None if labels is None else labels.tolist()]
+
+
+def _digest(parts) -> str:
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()[:16]
+
+
+def _pin_entries(bbt, s: int) -> KnownVertices:
+    """Full answer rows along a walk of s % (2n+2) steps.  On odd seeds only
+    the valid answers and the INVALID ones at colors c with c + s divisible
+    by 3 are kept.  On seeds divisible by 3 every frontier vertex is also
+    answered INVALID at its 5 + s % 2 lowest unrecorded colors: those
+    forbids make the coloring backtrack, at times until its budget runs out."""
+    V = _entries_from_walk(bbt, s % (2 * bbt.n + 2), seed=s)
+    if s % 2:
+        V.entries = {(x, c): y for (x, c), y in V.entries.items()
+                     if y != V.invalid or (c + s) % 3 == 0}
+    if s % 3 == 0:
+        for y in sorted(V.value_labels() - V.key_labels()):
+            recorded = {c for (_x, c), z in V.entries.items() if z == y}
+            for c in [c for c in range(1, 10) if c not in recorded][:5 + s % 2]:
+                V.entries[(y, c)] = V.invalid
+    return V
+
+
+def _sampled(V, n, s, **kwargs):
+    try:
+        samp = tree.sample_consistent(V, n, s, **kwargs)
+    except tree.EmbeddingError as e:
+        return f"EmbeddingError: {e}"
+    return _raw_tree(samp.structure, samp.coloring, samp.labels)
+
+
+STREAM_PINS = {
+    (2, "structures"): "09283a497d05dc3b", (2, "labelings"): "75f06b0c1244b88c",
+    (3, "structures"): "7a768ffd159ba899", (3, "labelings"): "aa04713f5dae9ac2",
+    (4, "structures"): "3a73b8e92dd16d0a", (4, "labelings"): "02c8875fdadf82ab",
+}
+
+
+@pytest.mark.parametrize("n, mode", sorted(STREAM_PINS))
+def test_sample_consistent_stream_pinned(n, mode):
+    bbt = tree.make_blackbox(n, 1000 + n)
+    fixed = dict(structure=bbt.structure, coloring=bbt.coloring) if mode == "labelings" else {}
+    parts = [_sampled(_pin_entries(bbt, s), n, s, mode=mode, **fixed) for s in range(20)]
+    assert _digest(parts) == STREAM_PINS[(n, mode)]
+
+
+def test_generate_coloring_stream_pinned():
+    parts = []
+    for n in range(1, 7):
+        for seed in (0, 1, 2, 1234567):
+            ts = tree.generate_structure(n, seed)
+            parts.append(_raw_tree(ts, tree.generate_coloring(ts, seed)))
+    assert _digest(parts) == "00584da36c14a42d"
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -386,6 +453,7 @@ def _swap_entrance_label(doc):
     (lambda d: d["labels"].__setitem__(3, "-1"), "tree field 'labels' holds a label outside"),
     (_swap_entrance_label, "tree field 'labels' must give the entrance label 0"),
     (lambda d: d["edge_colors"].pop(), "loaded coloring invalid"),
+    (lambda d: d["edge_colors"].append([0, 13, 9]), "loaded coloring invalid: 21 edge colors"),
     (lambda d: d.update(format_version=1, vertex_colors=["A"] * 14),
      "unknown tree format version 1, expected 2"),
 ])
@@ -394,6 +462,15 @@ def test_load_tree_rejects_malformed_documents(breakage, message):
     tree.load_tree(json.dumps(doc))
     breakage(doc)
     with pytest.raises(ValueError, match=re.escape(message)):
+        tree.load_tree(json.dumps(doc))
+
+
+@pytest.mark.parametrize("label", ["0x1", " 2 ", "1_0", "0A", "1"])
+def test_load_tree_takes_labels_only_as_save_tree_writes_them(label):
+    doc = json.loads(tree.save_tree(tree.make_blackbox(3, 0)))
+    doc["labels"][3] = label
+    with pytest.raises(ValueError, match=re.escape(
+            "tree field 'labels' must hold 2-digit lowercase hex strings")):
         tree.load_tree(json.dumps(doc))
 
 
