@@ -1,12 +1,11 @@
 """Alternating parent/change runs of perfbench, summarized as one JSON document.
 
-    python3 scripts/bench_pairs.py --parent DIR [--change DIR] [--pairs 5]
-        [--seconds 30] [--workloads blind-walks,exact-wide,bottleneck] --out BENCH.json
+    python3 scripts/bench_pairs.py --parent DIR [--pairs 10] [--seconds 30] --out BENCH.json
 
-DIR is a source checkout (a clone or worktree) of the commit to compare
-against; --change defaults to this checkout.  Pair i runs both checkouts on
-workload seed 900 + i, the parent first on odd pairs and the change first on
-even ones, with the same ``perfbench/run.py --seconds`` setting.  For each
+DIR is a source checkout (a clone or worktree) of the commit to compare this
+checkout against.  Pair i runs both checkouts on each workload with seed
+900 + i, the parent first on odd pairs and the change first on even ones,
+with the same ``perfbench/run.py --seconds`` setting.  For each
 end-to-end metric the document holds every run's value, each side's median
 and quartiles, the ratio of the medians (change over parent) and how many
 pairs the change won.
@@ -55,18 +54,16 @@ def compare(runs: list[dict], better: dict[str, str]) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True)
-    p.add_argument("--change", type=Path, default=ROOT)
-    p.add_argument("--pairs", type=int, default=5)
+    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30)
-    p.add_argument("--workloads", default=",".join(WORKLOADS))
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     doc = {"command": " ".join(["python3", "scripts/bench_pairs.py"] + sys.argv[1:]),
            "pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         runs = []
         for i in range(1, args.pairs + 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")

@@ -66,22 +66,15 @@ class TreeStructure:
     entrance: int
     exit: int
 
-    def columns(self) -> list[list[int]]:
-        cols: list[list[int]] = [[] for _ in range(2 * self.n + 2)]
-        column = self.column.tolist()
-        for v in range(self.vertex_count):
-            cols[column[v]].append(v)
-        return cols
-
     def validate(self) -> list[str]:
         problems: list[str] = []
         n, V = self.n, self.vertex_count
         column, adjacency = self.column.tolist(), self.adjacency
         if V != (1 << (n + 2)) - 2:
             problems.append(f"vertex count {V} != 2^(n+2)-2")
-        for j, col in enumerate(self.columns()):
-            if len(col) != column_size(n, j):
-                problems.append(f"column {j} has {len(col)} vertices")
+        for j in range(2 * n + 2):
+            if column.count(j) != column_size(n, j):
+                problems.append(f"column {j} has {column.count(j)} vertices")
         ends = (self.entrance, self.exit)
         for v in range(V):
             nbrs, cv = adjacency[v], column[v]
@@ -192,7 +185,7 @@ def neighbor_table(structure: TreeStructure, coloring: EdgeColoring) -> np.ndarr
     cached = getattr(coloring, "_nbc", None)
     if cached is not None and cached.shape[0] == structure.vertex_count:
         return cached
-    table = -np.ones((structure.vertex_count, 10), dtype=np.int64)
+    table = np.full((structure.vertex_count, 10), -1, dtype=np.int64)
     count = len(coloring.edges)
     ends = np.fromiter(itertools.chain.from_iterable(coloring.edges), dtype=np.int64,
                        count=2 * count).reshape(count, 2)
@@ -229,7 +222,8 @@ def _greedy_edge_coloring(structure: TreeStructure, rng,
         blocked[u] |= 1 << c
         blocked[w] |= 1 << c
     todo = [(u, w) for u, nbrs in enumerate(structure.adjacency)
-            for w in sorted(nbrs) if u < w and (u, w) not in pinned]
+            for w in nbrs if u < w and (u, w) not in pinned]
+    todo.sort()
     if len(todo) > 1:
         rng.shuffle(todo)
 
@@ -905,13 +899,12 @@ def _complete_structure(edges: dict[int, dict[int, int]], cols: dict[int, int],
             adj[w].add(u)
 
     weld_cycle = _complete_weld(adj, by_col[n], by_col[n + 1], rng)
-    for i in range(len(weld_cycle)):
-        u, w = weld_cycle[i], weld_cycle[(i + 1) % len(weld_cycle)]
+    for u, w in zip(weld_cycle, weld_cycle[1:] + weld_cycle[:1]):
         adj[u].add(w)
         adj[w].add(u)
 
     structure = TreeStructure(
-        n=n, vertex_count=V, column=column_arr, adjacency=[tuple(sorted(s)) for s in adj],
+        n=n, vertex_count=V, column=column_arr, adjacency=list(map(tuple, map(sorted, adj))),
         side=side_arr, weld_cycle=weld_cycle, entrance=by_col[0][0], exit=by_col[-1][0])
     problems = structure.validate()
     if problems:
@@ -971,23 +964,28 @@ def _complete_weld(adj: list[set[int]], l_leaves: range, r_leaves: range,
             cyc.append(nxt[0])
         return cyc if cyc[0] in l_set else cyc[1:] + cyc[:1]
 
-    # ends[2i] and ends[2i + 1]: whether fragment i starts, and ends, on the left
-    ends = [p[e] in l_set for p in fragments for e in (0, -1)]
-    idx0 = int(rng.integers(0, len(fragments)))
-    chain = fragments.pop(idx0)
-    del ends[2 * idx0:2 * idx0 + 2]
+    # option 2i joins fragment i at its start, 2i + 1 reversed at its end;
+    # open_ends[left] holds the options not yet taken whose end is on that side
+    left = [p[e] in l_set for p in fragments for e in (0, -1)]
+    open_ends: tuple[list[int], list[int]] = ([], [])
+    for k, is_left in enumerate(left):
+        open_ends[is_left].append(k)
+
+    def take(i: int) -> list[int]:
+        open_ends[left[2 * i]].remove(2 * i)
+        open_ends[left[2 * i + 1]].remove(2 * i + 1)
+        return fragments[i]
+
+    chain = take(int(rng.integers(0, len(fragments))))
     if rng.integers(0, 2):
         chain.reverse()
-    while fragments:
-        need_left = chain[-1] not in l_set
-        # option k joins fragment k // 2, reversed when k is odd
-        options = [k for k, left in enumerate(ends) if left == need_left]
+    for _ in range(len(fragments) - 1):
+        options = open_ends[chain[-1] not in l_set]
         if not options:
             raise EmbeddingError("weld completion is stuck")
-        k = options[int(rng.integers(0, len(options)))]
-        p = fragments.pop(k // 2)
-        del ends[k // 2 * 2:k // 2 * 2 + 2]
-        if k % 2:
+        i, rev = divmod(options[int(rng.integers(0, len(options)))], 2)
+        p = take(i)
+        if rev:
             p.reverse()
         chain.extend(p)
     if len(chain) != len(l_leaves) + len(r_leaves):
@@ -1057,16 +1055,20 @@ def canonicalize(bbt: BlackBoxTree) -> BlackBoxTree:
                         label_bits=bbt.label_bits)
 
 
+def _hex_label(lab: int, label_bits: int) -> str:
+    """A label as tree documents hold it: lowercase hex, one digit per 4 bits."""
+    return format(lab, f"0{max(1, (label_bits + 3) // 4)}x")
+
+
 def save_tree(bbt: BlackBoxTree) -> str:
     """Canonical JSON text; byte-stable round trip with ``load_tree``."""
     c = canonicalize(bbt)
-    hexw = max(1, (c.label_bits + 3) // 4)
     doc = {
         "format_version": _FORMAT_VERSION,
         "n": c.n,
         "label_bits": c.label_bits,
         "weld_cycle": c.structure.weld_cycle,
-        "labels": [format(int(lab), f"0{hexw}x") for lab in c.labels],
+        "labels": [_hex_label(lab, c.label_bits) for lab in c.labels.tolist()],
         "edge_colors": [[u, w, col] for (u, w), col in sorted(c.coloring.edges.items())],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -1110,10 +1112,9 @@ def load_tree(text: str) -> BlackBoxTree:
     if not all(0 <= lab < invalid_label(label_bits) for lab in labels):
         raise ValueError(f"tree field 'labels' holds a label outside the "
                          f"{label_bits}-bit space or the INVALID label")
-    hexw = max(1, (label_bits + 3) // 4)
-    if any(h != format(lab, f"0{hexw}x") for h, lab in zip(hex_labels, labels)):
-        raise ValueError(f"tree field 'labels' must hold {hexw}-digit lowercase hex "
-                         f"strings, as save_tree writes them")
+    if any(h != _hex_label(lab, label_bits) for h, lab in zip(hex_labels, labels)):
+        raise ValueError(f"tree field 'labels' must hold {len(_hex_label(0, label_bits))}-digit "
+                         f"lowercase hex strings, as save_tree writes them")
     if len(set(labels)) != V:
         raise ValueError("tree field 'labels' repeats a label")
     if labels[0] != 0:

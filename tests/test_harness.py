@@ -240,7 +240,8 @@ def test_cli_bad_trials_exit_2(capsys):
     (["--jobs", "-2"], None, None, "jobs must be >= 0 (0 defers to WELDLAB_JOBS), got -2"),
     ([], '{"jobs": -2}', None, "jobs must be >= 0 (0 defers to WELDLAB_JOBS), got -2"),
     ([], None, "abc", "WELDLAB_JOBS must be an integer, got 'abc'"),
-], ids=["flag", "config", "env"])
+    ([], None, "-3", "WELDLAB_JOBS must be >= 0 (0 means 1), got -3"),
+], ids=["flag", "config", "env", "env-negative"])
 def test_cli_bad_job_count_exit_2(tmp_path, capsys, monkeypatch, argv, config, env, message):
     if env is None:
         monkeypatch.delenv("WELDLAB_JOBS", raising=False)
@@ -256,22 +257,13 @@ def test_cli_bad_job_count_exit_2(tmp_path, capsys, monkeypatch, argv, config, e
         assert captured.err.endswith(f"{message}\n")
 
 
-def test_cli_negative_job_count_in_the_environment_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("WELDLAB_JOBS", "-3")
-    for experiment in ("walk", "discovery"):
-        assert cli.main([experiment, "-n", "3", "--trials", "10"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.endswith("WELDLAB_JOBS must be >= 0 (0 means 1), got -3\n")
-    monkeypatch.setenv("WELDLAB_JOBS", "0")
-    assert ExperimentConfig(experiment="walk").effective_jobs() == 1
-
-
 def test_job_count_zero_defers_to_the_environment(monkeypatch):
     monkeypatch.setenv("WELDLAB_JOBS", "3")
     assert ExperimentConfig(experiment="walk").effective_jobs() == 3
     assert ExperimentConfig(experiment="walk", jobs=2).effective_jobs() == 2
     monkeypatch.delenv("WELDLAB_JOBS")
+    assert ExperimentConfig(experiment="walk").effective_jobs() == 1
+    monkeypatch.setenv("WELDLAB_JOBS", "0")
     assert ExperimentConfig(experiment="walk").effective_jobs() == 1
 
 
