@@ -456,15 +456,15 @@ def _swap_entrance_label(doc):
     (lambda d: d["edge_colors"].append([0, 13, 9]), "loaded coloring invalid: 21 edge colors"),
     (lambda d: d.update(format_version=1, vertex_colors=["A"] * 14),
      "unknown tree format version 1, expected 2"),
-    (lambda d: d["labels"].__setitem__(3, "0x1"),
+    (lambda d: d["labels"].__setitem__(3, "0x3"),
      "tree field 'labels' must hold 1-digit lowercase hex strings, as save_tree writes them"),
-    (lambda d: d["labels"].__setitem__(3, " 2 "),
+    (lambda d: d["labels"].__setitem__(3, " 3 "),
      "tree field 'labels' must hold 1-digit lowercase hex strings, as save_tree writes them"),
-    (lambda d: d["labels"].__setitem__(3, "0_1"),
+    (lambda d: d["labels"].__setitem__(3, "0_3"),
      "tree field 'labels' must hold 1-digit lowercase hex strings, as save_tree writes them"),
-    (lambda d: d["labels"].__setitem__(3, "0A"),
+    (lambda d: d["labels"].__setitem__(3, "03"),
      "tree field 'labels' must hold 1-digit lowercase hex strings, as save_tree writes them"),
-    (lambda d: d["labels"].__setitem__(3, "01"),
+    (lambda d: d["labels"].__setitem__(1, "A"),
      "tree field 'labels' must hold 1-digit lowercase hex strings, as save_tree writes them"),
 ])
 def test_load_tree_rejects_malformed_documents(breakage, message):
