@@ -74,9 +74,6 @@ class SeedTape:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def prefix(self, i: int) -> np.ndarray:
-        return self.bits[: i * self.segment_len]
-
     def tier_seed(self, i: int) -> int:
         """64-bit seed folded from tier i's segment (1-based)."""
         seg = self.bits[(i - 1) * self.segment_len: i * self.segment_len]
@@ -90,14 +87,6 @@ class SeedTape:
         if i not in self._tier_uniforms:
             self._tier_uniforms[i] = tier_draws(self.tier_seed)(i)
         return self._tier_uniforms[i]
-
-    def with_suffix_scrambled(self, i: int, master: int) -> "SeedTape":
-        """Same prefix r_<=i, fresh bits afterwards (for determinism tests)."""
-        other = SeedTape.generate(master, self.n, self.eta, self.q, self.g)
-        bits = self.bits.copy()
-        cut = i * self.segment_len
-        bits[cut:] = other.bits[cut:]
-        return SeedTape(self.n, self.eta, self.q, self.g, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +213,9 @@ class EstimatorEnv:
 
 
 def _sample_accepted_trees(V: KnownVertices, x: int, i: int, env: EstimatorEnv,
-                           cfg: BottleneckConfig, call_id: int | None = None,
-                           ) -> tuple[list[set[int]], int]:
+                           cfg: BottleneckConfig) -> tuple[list[set[int]], int]:
     """Label sets of sampled consistent trees whose replay reproduces x."""
-    if call_id is None:
-        call_id = env.next_call_id()
+    call_id = env.next_call_id()
     accepted: list[set[int]] = []
     for s in range(cfg.sample_budget):
         seed_s = derive_seed(env.seed, "estimator", call_id, i, s)
@@ -250,15 +237,14 @@ def _hits(accepted: list[set[int]], b: int) -> int:
 
 
 def estimate_membership_probability(V: KnownVertices, x: int, i: int, b: int,
-                                    env: EstimatorEnv, cfg: BottleneckConfig,
-                                    call_id: int | None = None) -> EstimateResult:
+                                    env: EstimatorEnv, cfg: BottleneckConfig) -> EstimateResult:
     """P[b is a valid label] over consistent trees reproducing transcript x."""
     inv = (1 << env.label_bits) - 1
     if b == inv:
         return EstimateResult(0.0, 0.0, 0, 0)
     if b == 0 or b in V.known_labels():
         return EstimateResult(1.0, 0.0, 0, 0)
-    accepted, attempted = _sample_accepted_trees(V, x, i, env, cfg, call_id)
+    accepted, attempted = _sample_accepted_trees(V, x, i, env, cfg)
     if not accepted:
         return EstimateResult(None, None, 0, attempted)
     p = _hits(accepted, b) / len(accepted)
@@ -267,12 +253,11 @@ def estimate_membership_probability(V: KnownVertices, x: int, i: int, b: int,
 
 
 def estimate_consistency_ratio(V: KnownVertices, x: int, i: int,
-                               env: EstimatorEnv, cfg: BottleneckConfig,
-                               call_id: int | None = None) -> EstimateResult:
+                               env: EstimatorEnv, cfg: BottleneckConfig) -> EstimateResult:
     """Fraction of consistent trees whose replay reproduces x; 0 hits -> inconclusive."""
     if i == 0:
         return EstimateResult(1.0, 0.0, 0, 0)
-    accepted, attempted = _sample_accepted_trees(V, x, i, env, cfg, call_id)
+    accepted, attempted = _sample_accepted_trees(V, x, i, env, cfg)
     if not accepted:
         return EstimateResult(None, None, 0, attempted)
     p = len(accepted) / attempted

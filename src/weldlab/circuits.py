@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 
 class GateKind(Enum):
@@ -65,11 +66,6 @@ def query_registers(gate: Gate, n: int) -> tuple[tuple[int, ...], tuple[int, ...
     return w[: 2 * n], w[2 * n: 2 * n + 4], w[2 * n + 4:]
 
 
-def query_gate(n: int, base: int = 0) -> Gate:
-    """A query gate on the contiguous wires base .. base+4n+3."""
-    return Gate(GateKind.QUERY, tuple(range(base, base + 4 * n + 4)))
-
-
 @dataclass(frozen=True)
 class Layer:
     width_in: int
@@ -79,6 +75,20 @@ class Layer:
     @property
     def working_width(self) -> int:
         return max(self.width_in, self.width_out)
+
+    @cached_property
+    def split(self) -> tuple["Layer", "Layer"]:
+        """Disjoint (non-query, query-only) layers with the query part after.
+
+        The composition acts as the layer does on every basis state, as a
+        layer's gates are wire-disjoint.  The query gates are in first-wire
+        order.
+        """
+        non_query = tuple(g for g in self.gates if g.kind != GateKind.QUERY)
+        queries = tuple(sorted((g for g in self.gates if g.kind == GateKind.QUERY),
+                               key=lambda g: g.wires[0]))
+        return (Layer(self.width_in, self.width_out, non_query),
+                Layer(self.width_out, self.width_out, queries))
 
 
 def layer(width_in: int, gates: list[Gate] | tuple[Gate, ...] = ()) -> Layer:
@@ -332,10 +342,6 @@ def accounting(circuit: Circuit) -> CircuitStats:
     return CircuitStats(n=circuit.n, eta=eta, g=circuit.g,
                         max_classical_depth=c_depth, max_quantum_depth=q_depth,
                         gate_counts=counts, query_gates=counts[GateKind.QUERY.value])
-
-
-def total_quantum_layers(circuit: Circuit) -> int:
-    return sum(t.depth for t in _iter_tiers(circuit) if t.kind == "quantum")
 
 
 # ---------------------------------------------------------------------------

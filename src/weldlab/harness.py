@@ -120,6 +120,13 @@ class ExperimentConfig:
     def walker_budget(self) -> int:
         return self.budget if self.budget is not None else round(2 ** (self.n / 3))
 
+    def require_at_least(self, **minimum) -> None:
+        """A ValueError naming the first of the given fields below its minimum."""
+        for name, least in minimum.items():
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"config field {name!r} must be >= {least}, got {value}")
+
 
 @dataclass
 class CheckResult:
@@ -150,9 +157,8 @@ def stat_check(name: str, measured: float, bound: float, sigma: float) -> CheckR
                        fatal=fatal)
 
 
-def info_check(name: str, measured: float, bound: float | None = None) -> CheckResult:
-    return CheckResult(name=name, kind="info", measured=float(measured),
-                       bound=None if bound is None else float(bound),
+def info_check(name: str, measured: float) -> CheckResult:
+    return CheckResult(name=name, kind="info", measured=float(measured), bound=None,
                        sigma=None, passed=True, fatal=False)
 
 
@@ -260,6 +266,7 @@ def cmd_discovery(config: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def cmd_walk(config: ExperimentConfig) -> Report:
+    config.require_at_least(steps=1, t_max=0)
     report = Report(experiment="walk", config=config.result_fields())
     n = config.n
     res = walk.sweep(n, config.t_max, config.steps, config.seed)
@@ -337,6 +344,7 @@ def load_circuit(config: ExperimentConfig) -> C.Circuit:
 
 
 def cmd_simulate(config: ExperimentConfig) -> Report:
+    config.require_at_least(samples=1)
     report = Report(experiment="simulate", config=config.result_fields())
     circuit = load_circuit(config)
     problems = C.validate(circuit)
@@ -389,6 +397,7 @@ def cmd_simulate(config: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def cmd_e2e(config: ExperimentConfig) -> Report:
+    config.require_at_least(samples=1, steps=1, t_max=0)
     report = Report(experiment="e2e", config=config.result_fields())
     n = config.n
     budget = config.walker_budget()

@@ -114,23 +114,11 @@ def entrance_known(ctx: SimContext) -> KnownVertices:
     return V
 
 
-def split_layer(lay: C.Layer) -> tuple[C.Layer, C.Layer]:
-    """Disjoint (non-query, query-only) layers with L_T after L_G.
-
-    The composition acts identically to the original layer on every basis
-    state because depth-1 layers have wire-disjoint gates.
-    """
-    non_query = tuple(g for g in lay.gates if g.kind != C.GateKind.QUERY)
-    queries = tuple(g for g in lay.gates if g.kind == C.GateKind.QUERY)
-    lg = C.Layer(lay.width_in, lay.width_out, non_query)
-    lt = C.Layer(lay.width_out, lay.width_out, queries)
-    return lg, lt
-
-
 def _query_regs(lt: C.Layer, n: int, live: tuple[int, ...]):
-    """Physical (x, c, y) wires of each query gate, in first-wire order."""
+    """Physical (x, c, y) wires of each query gate, in the layer's order
+    (first-wire order in the query part of ``C.Layer.split``)."""
     return [tuple(tuple(live[w] for w in reg) for reg in C.query_registers(g, n))
-            for g in sorted(lt.gates, key=lambda g: g.wires[0])]
+            for g in lt.gates]
 
 
 def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
@@ -191,7 +179,7 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
     Both kernels visit the support in sorted key order; see ``statevec``.
     """
     bbt, n = ctx.bbt, ctx.bbt.n
-    lg, lt = split_layer(lay)
+    lg, lt = lay.split
     phi = SV.apply_layer(state, lg, bbt, n)
     size_before = V.size()
     q_before = ctx.transcript.queries
@@ -278,7 +266,7 @@ def classical_tier_sim(t: C.Tier, x: int, V: KnownVertices,
     width = max((lay.working_width for lay in t.layers), default=t.width_in)
     out = x
     for lay in t.layers:
-        lg, lt = split_layer(lay)
+        lg, lt = lay.split
         out = SV.eval_classical_layer(out, lg, bbt, None, n)
         live = tuple(range(lay.width_out))
         S, V = simulate_oracle(V, bbt, lt, [out], live, n, ctx)
@@ -385,8 +373,8 @@ class CompareReport:
         return json.dumps(self.__dict__, sort_keys=True, separators=(",", ":"))
 
 
-def compare_to_reference(circuit: C.Circuit, structure, labelings: int, seed: int,
-                         label_bits: int | None = None) -> CompareReport:
+def compare_to_reference(circuit: C.Circuit, structure, labelings: int,
+                         seed: int) -> CompareReport:
     """Per-labeling TV between simulator and exact executor distributions."""
     from .tree import generate_coloring, generate_labels
 
@@ -400,8 +388,7 @@ def compare_to_reference(circuit: C.Circuit, structure, labelings: int, seed: in
         if isinstance(circuit, C.HybridCircuit)
         else (SV.run_jozsa_exact, jozsa_exact_distribution, jozsa_wrapper))
     for t_idx in range(labelings):
-        bbt = generate_labels(structure, coloring, derive_seed(seed, "labeling", t_idx),
-                              label_bits=label_bits)
+        bbt = generate_labels(structure, coloring, derive_seed(seed, "labeling", t_idx))
         tvs.append(SV.tv_distance(exact(circuit, bbt).probs, simulated(circuit, bbt).probs))
         run = wrapper(circuit, bbt, seed=derive_seed(seed, "run", t_idx))
         queries.append(run.transcript.queries)

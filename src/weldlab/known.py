@@ -44,10 +44,6 @@ class KnownVertices:
     def row(self, x: int) -> dict[int, int]:
         return {c: self.entries[(x, c)] for c in range(1, 10) if (x, c) in self.entries}
 
-    def neighbors_of(self, x: int) -> dict[int, int]:
-        """Non-INVALID recorded answers at ``x``, keyed by color."""
-        return {c: y for (xx, c), y in self.entries.items() if xx == x and y != self.invalid}
-
     def copy(self) -> "KnownVertices":
         return KnownVertices(self.invalid, dict(self.entries))
 
@@ -67,9 +63,3 @@ class KnownVertices:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KnownVertices):
-            return NotImplemented
-        return self.invalid == other.invalid and self.entries == other.entries
-

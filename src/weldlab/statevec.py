@@ -223,11 +223,6 @@ class PureState:
             return seq_sum(abs_sq(self.arrays()[1]))
         return seq_sum((a * a.conjugate()).real for a in self.amps.values())
 
-    def assert_normalized(self, tol: float = NORM_TOL) -> None:
-        nrm = self.norm_sq()
-        if abs(nrm - 1.0) > tol:
-            raise AssertionError(f"state norm drifted: |psi|^2 = {nrm!r}")
-
     def marginal(self, wires: int | None = None) -> dict[int, float]:
         """Probability of each outcome on the first ``wires`` logical wires
         (all by default); dead wires and the rest are traced out."""
@@ -237,11 +232,12 @@ class PureState:
             zs, group = _first_groups(_gather(keys, live))
             return dict(zip(zs.tolist(),
                             np.bincount(group, abs_sq(vals), zs.size).tolist()))
+        runs = [(w, j, (1 << length) - 1) for w, j, length in _runs(live)]
         probs: dict[int, float] = {}
         for key, a in self.amps.items():
             z = 0
-            for j, phys in enumerate(live):
-                z |= ((key >> phys) & 1) << j
+            for w, j, mask in runs:
+                z |= ((key >> w) & mask) << j
             probs[z] = probs.get(z, 0.0) + (a * a.conjugate()).real
         return probs
 

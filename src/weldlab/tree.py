@@ -15,9 +15,8 @@ single valued.
 
 Label-space note: 2n-bit labels require 2^(2n) - 2 >= vertex_count - 1,
 which fails only at n=1 (6 vertices, 4 strings).  ``generate_labels`` rejects
-that case; ``count_consistent`` correctly reports 0 extensions there.  Tests
-that need a shrunken label space (exhaustive enumeration oracles) may pass an
-explicit ``label_bits``; that mode is test-only.
+that case.  Tests that need a shrunken label space (exhaustive enumeration
+oracles) may pass an explicit ``label_bits``; that mode is test-only.
 """
 from __future__ import annotations
 
@@ -25,7 +24,6 @@ import functools
 import itertools
 import json
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -155,9 +153,6 @@ class EdgeColoring:
     """
 
     edges: dict[tuple[int, int], int]
-
-    def edge_color(self, structure: TreeStructure, u: int, v: int) -> int:
-        return self.edges[(u, v) if u < v else (v, u)]
 
     def validate(self, structure: TreeStructure) -> list[str]:
         problems = []
@@ -362,19 +357,12 @@ class BlackBoxTree:
     coloring: EdgeColoring
     labels: np.ndarray              # vertex -> label
     label_bits: int
-    inverse: dict[int, int] = field(default_factory=dict, repr=False)
-    neighbor_by_color: np.ndarray | None = field(default=None, repr=False)
-    default_handle: OracleHandle | None = field(default=None, repr=False)
+    inverse: dict[int, int] = field(init=False, repr=False)
+    neighbor_by_color: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.inverse:
-            self.inverse = dict(zip(self.labels.tolist(), range(len(self.labels))))
-        if self.neighbor_by_color is None:
-            self.neighbor_by_color = neighbor_table(self.structure, self.coloring)
-        if self.default_handle is None:
-            # a weak back-reference: a strong one would make every tree a
-            # reference cycle, whose tables wait for the cyclic collector
-            self.default_handle = OracleHandle(weakref.proxy(self))
+        self.inverse = dict(zip(self.labels.tolist(), range(len(self.labels))))
+        self.neighbor_by_color = neighbor_table(self.structure, self.coloring)
 
     @property
     def n(self) -> int:
@@ -409,17 +397,9 @@ class BlackBoxTree:
     def handle(self) -> OracleHandle:
         return OracleHandle(self)
 
-    @property
-    def query_count(self) -> int:
-        return self.default_handle.count
-
     def exit_label(self) -> int:
         """Grading only; hidden from algorithms under test."""
         return int(self.labels[self.structure.exit])
-
-    def vertex_row(self, x: int) -> dict[int, int]:
-        """All nine answers at label ``x`` (uncounted; instrumentation)."""
-        return {c: self.answer(x, c) for c in range(1, 10)}
 
 
 def _sample_distinct(rng, low: int, high: int, k: int) -> np.ndarray:
@@ -526,12 +506,11 @@ def make_blackbox(n: int, seed: int, label_bits: int | None = None) -> BlackBoxT
 
 
 # ---------------------------------------------------------------------------
-# Counting consistent labelings
+# Sampling consistent black-box trees
 # ---------------------------------------------------------------------------
 
-def _check_entries(entries: KnownVertices, n: int,
-                   label_bits: int | None) -> tuple[int, set[int]]:
-    """(label_bits, default 2n; the labels the entries use, with the entrance's)."""
+def _check_entries(entries: KnownVertices, n: int, label_bits: int | None) -> int:
+    """``label_bits`` (default 2n), once ``entries`` can come from such a tree."""
     label_bits = 2 * n if label_bits is None else label_bits
     inv = invalid_label(label_bits)
     if entries.invalid != inv:
@@ -548,41 +527,10 @@ def _check_entries(entries: KnownVertices, n: int,
     for x, nbrs in nbrs_of.items():
         if len(nbrs) > 3:
             raise ValueError(f"vertex {x:#x} has more than 3 distinct neighbours")
-    labels_used = entries.known_labels() | {0}
-    if len(labels_used) > (1 << label_bits) - 1:
+    if len(entries.known_labels() | {0}) > (1 << label_bits) - 1:
         raise ValueError("entries mention more labels than the space holds")
-    return label_bits, labels_used
+    return label_bits
 
-
-def count_consistent(entries: KnownVertices, n: int, label_bits: int | None = None) -> int:
-    """Number of labelings of a fixed welded tree extending ``entries``.
-
-    Falling factorial P(N, k): N remaining labels (space minus INVALID minus
-    labels already used, the entrance's zero label always counted as used),
-    k unlabeled vertices.  Exact arbitrary-precision integer; 0 when the
-    space cannot accommodate the free vertices.
-    """
-    label_bits, labels_used = _check_entries(entries, n, label_bits)
-    m = len(labels_used)
-    vertex_total = (1 << (n + 2)) - 2
-    k = vertex_total - m
-    if k < 0:
-        raise ValueError("entries mention more vertices than the tree has")
-    avail = (1 << label_bits) - 1 - m
-    if avail < 0:
-        raise ValueError("entries use more labels than exist")
-    return math.perm(avail, k) if k <= avail else 0
-
-
-def available_labels(entries: KnownVertices, n: int, label_bits: int | None = None) -> int:
-    """N in the falling-factorial count: unused valid labels."""
-    label_bits, labels_used = _check_entries(entries, n, label_bits)
-    return (1 << label_bits) - 1 - len(labels_used)
-
-
-# ---------------------------------------------------------------------------
-# Sampling consistent black-box trees
-# ---------------------------------------------------------------------------
 
 class EmbeddingError(ValueError):
     """Entries cannot be embedded into the requested structure."""
@@ -695,7 +643,7 @@ def sample_consistent(entries: KnownVertices, n: int, seed: int, *,
     uniform over consistent trees; the approximation is documented rather
     than hidden.
     """
-    label_bits, _ = _check_entries(entries, n, label_bits)
+    label_bits = _check_entries(entries, n, label_bits)
     rng = make_rng(seed, "sample_consistent")
     if mode == "labelings":
         if structure is None or coloring is None:
@@ -750,19 +698,14 @@ def _sample_structure_mode(entries: KnownVertices, n: int, rng,
 
 
 def _assign_columns(edges: dict[int, dict[int, int]], labels_in_play: list[int],
-                    n: int, rng,
-                    degree_bounds: dict[int, tuple[int, int]] | None = None,
-                    ) -> dict[int, int]:
-    """Backtracking column assignment for the entry graph.
+                    n: int, rng, degree_bounds: dict[int, tuple[int, int]]) -> dict[int, int]:
+    """Backtracking column assignment for the entry graph (labels with 0 among them).
 
     ``degree_bounds[label] = (lo, hi)`` from the recorded answers: valid
     answers force at least lo edges, INVALID answers cap the degree at hi
     (a full row with two valid answers can only sit at the entrance or exit
     column).
     """
-    degree_bounds = degree_bounds or {}
-    if 0 not in labels_in_play:
-        labels_in_play = [0] + labels_in_play
     order: list[int] = []
     seen = {0}
     queue = [0]
@@ -783,7 +726,7 @@ def _assign_columns(edges: dict[int, dict[int, int]], labels_in_play: list[int],
         if not 0 <= j <= 2 * n + 1 or counts[j] >= column_size(n, j):
             return False
         dl, dr = _direction_slots(n, j)
-        lo, hi = degree_bounds.get(x, (0, 3))
+        lo, hi = degree_bounds[x]
         if not lo <= dl + dr <= hi:
             return False
         left = right = 0

@@ -159,29 +159,14 @@ def blind_walks(handle: OracleHandle, budget: int, trials: int,
     return path
 
 
-def _walker_hits(bbt: BlackBoxTree, query_budget: int, trials: int,
-                 rng: np.random.Generator) -> int:
-    path = blind_walks(bbt.handle(), query_budget, trials, rng)
-    return int(np.count_nonzero((path == bbt.exit_label()).any(axis=1)))
-
-
-def classical_walker(bbt: BlackBoxTree, query_budget: int, seed: int) -> bool:
-    """Blind random walk through the oracle; True iff it ever saw the exit.
-
-    One query per step on a uniform random color; moves on valid answers.
-    The exit test compares visited labels against the hidden exit label only
-    after the budget is spent (grading, not strategy).
-    """
-    check_trials("classical_walker", 1, query_budget)
-    return _walker_hits(bbt, query_budget, 1, make_rng(seed, "walker")) == 1
-
-
 def walker_success_rate(bbt: BlackBoxTree, query_budget: int, trials: int,
                         seed: int) -> float:
     """Share of ``trials`` blind walkers that see the exit, in batches of lockstep walks."""
     check_trials("walker_success_rate", trials, query_budget)
     per = batch_trials(query_budget + 1)
-    hits = sum(_walker_hits(bbt, query_budget, min(per, trials - start),
-                            make_rng(seed, "walker", start))
-               for start in range(0, trials, per))
+    hits = 0
+    for start in range(0, trials, per):
+        path = blind_walks(bbt.handle(), query_budget, min(per, trials - start),
+                           make_rng(seed, "walker", start))
+        hits += int(np.count_nonzero((path == bbt.exit_label()).any(axis=1)))
     return hits / trials

@@ -9,6 +9,15 @@ from __future__ import annotations
 from weldlab import circuits as C
 
 
+def query_gate(n: int, base: int = 0) -> C.Gate:
+    """A query gate on the contiguous wires base .. base+4n+3."""
+    return C.Gate(C.GateKind.QUERY, tuple(range(base, base + 4 * n + 4)))
+
+
+def total_quantum_layers(circuit: C.Circuit) -> int:
+    return sum(t.depth for t in C._iter_tiers(circuit) if t.kind == "quantum")
+
+
 def _x_layers(width: int, wires: list[int]) -> list[C.Layer]:
     """Four layers realizing X on each listed wire (H, P, P, H)."""
     if not wires:
@@ -118,7 +127,7 @@ def entrance_query_circuit(n: int, extra_h: int = 2) -> C.HybridCircuit:
     h_wires = [2 * n + j for j in range(2)]  # low c-register wires: colors vary
     h_wires += [4 * n + 4 + j for j in range(extra_h)]
     h_layer = C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in h_wires])
-    q_layer = C.layer(g, [C.query_gate(n)])
+    q_layer = C.layer(g, [query_gate(n)])
     c1 = C.tier("classical", [grow])
     q1 = C.tier("quantum", [h_layer, q_layer])
     return C.HybridCircuit(n=n, g=g, tiers=(c1, q1))
@@ -146,8 +155,8 @@ def hardcoded_guess_circuit(n: int, guess: int, color: int | None = None,
     if not layers:
         layers = [C.identity_layer(g)]
     for _ in range(queries):
-        layers.append(C.layer(g, [C.query_gate(n)]))
-        layers.append(C.layer(g, [C.query_gate(n)]))  # uncompute keeps y clean
+        layers.append(C.layer(g, [query_gate(n)]))
+        layers.append(C.layer(g, [query_gate(n)]))  # uncompute keeps y clean
     layers.pop()  # leave the final query's answer in y
     c1 = C.tier("classical", [grow])
     q1 = C.tier("quantum", layers)

@@ -24,8 +24,10 @@ from weldlab.known import KnownVertices
 from weldlab.rng import derive_seed
 
 from circuit_gen import (entrance_query_circuit, hardcoded_guess_circuit,
-                         random_hybrid, random_jozsa, random_quantum_layer)
+                         random_hybrid, random_jozsa, random_quantum_layer,
+                         total_quantum_layers)
 from dense_reference import dense_tier_state
+from tree_tools import vertex_row
 
 
 def _line(idx: int, name: str, ok: bool, detail: str) -> None:
@@ -221,7 +223,7 @@ def test_criterion_8_jozsa_path():
         circ = random_jozsa(rng, n=2, g=12, eta=int(rng.integers(1, 3)),
                             max_c=2, max_q=2, p_query=0.6)
         res = HS.jozsa_wrapper(circ, bbt, seed=trial)
-        d = C.total_quantum_layers(circ)
+        d = total_quantum_layers(circ)
         c_depth = C.accounting(circ).max_classical_depth
         if res.transcript.queries > 4 ** d + c_depth * circ.g:
             ceiling_ok = False
@@ -308,9 +310,9 @@ def test_criterion_9_bottleneck():
     V = KnownVertices(bbt.invalid)
     V.set_vertex(0, {c: h.query(0, c) for c in range(1, 10)})
     for lab in sorted(V.known_labels() - V.key_labels())[:2]:
-        V.set_vertex(lab, bbt.vertex_row(lab))
+        V.set_vertex(lab, vertex_row(bbt, lab))
     for lab in sorted(V.known_labels() - V.key_labels())[:3]:
-        V.set_vertex(lab, bbt.vertex_row(lab))
+        V.set_vertex(lab, vertex_row(bbt, lab))
     x = HS.few_tier_wrapper(circ, bbt, tiers=1, instrument=False,
                             tier_seed_fn=tape.tier_seed).output
     pos = tree.embed_entries(V, bbt.structure, bbt.coloring, 4)

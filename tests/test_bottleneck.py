@@ -12,7 +12,8 @@ from weldlab import hybrid_sim as HS
 from weldlab import tree
 from weldlab.known import KnownVertices
 
-from circuit_gen import random_hybrid
+from circuit_gen import query_gate, random_hybrid
+from tree_tools import vertex_row
 
 
 def _allq(rng, n=2, g=12, eta=2, max_q=2, p_query=0.6):
@@ -30,13 +31,23 @@ def _tape_for(circ, seed):
 # seed tape
 # ---------------------------------------------------------------------------
 
+def _with_suffix_scrambled(tape, i, master):
+    """The tape with the same prefix r_<=i and fresh bits afterwards."""
+    other = BN.SeedTape.generate(master, tape.n, tape.eta, tape.q, tape.g)
+    bits = tape.bits.copy()
+    cut = i * tape.segment_len
+    bits[cut:] = other.bits[cut:]
+    return BN.SeedTape(tape.n, tape.eta, tape.q, tape.g, bits)
+
+
 def test_tape_prefix_determinism():
     rng = np.random.default_rng(0)
     circ = _allq(rng, eta=3)
     bbt = tree.make_blackbox(2, 5)
     tape = _tape_for(circ, 9)
-    scrambled = tape.with_suffix_scrambled(2, master=12345)
-    assert np.array_equal(tape.prefix(2), scrambled.prefix(2))
+    scrambled = _with_suffix_scrambled(tape, 2, master=12345)
+    assert np.array_equal(tape.bits[:2 * tape.segment_len],
+                          scrambled.bits[:2 * tape.segment_len])
     assert not np.array_equal(tape.bits, scrambled.bits)
     cfg = BN.BottleneckConfig(tau=0.0)
     a = BN.bottleneck_wrapper(circ, bbt, tiers=2, seed=9, cfg=cfg, tape=tape)
@@ -48,7 +59,7 @@ def test_tape_prefix_determinism():
 
 def test_tape_tier_seed_reads_segment_only():
     tape = BN.SeedTape.generate(1, 2, 3, 2, 8)
-    scr = tape.with_suffix_scrambled(1, master=7)
+    scr = _with_suffix_scrambled(tape, 1, master=7)
     assert tape.tier_seed(1) == scr.tier_seed(1)
     assert tape.tier_seed(2) != scr.tier_seed(2)
 
@@ -130,7 +141,7 @@ def test_abort_ratio_path_tight_rho():
     grow = C.Layer(n, g, tuple(C.Gate(C.GateKind.ANCILLA, (w,)) for w in range(n, g)))
     layers = [grow] + _x_layers(g, [4]) + [
         C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in range(4)]),
-        C.layer(g, [C.query_gate(n)])]
+        C.layer(g, [query_gate(n)])]
     t1 = C.Tier("quantum", tuple(layers), n, g)
     circ = C.HybridCircuit(n=n, g=g, tiers=(t1,), all_quantum=True)
     C.require_valid(circ)
@@ -174,12 +185,12 @@ def test_complete_subtree_minimal_on_paths(bbt2):
     cur, chain = 0, [0]
     hist.set_vertex(0, {c: h.query(0, c) for c in range(1, 10)})
     for _ in range(3):
-        nxt = sorted(hist.neighbors_of(cur).items())[0][1]
+        nxt = next(y for y in hist.row(cur).values() if y != hist.invalid)
         hist.set_vertex(nxt, {c: h.query(nxt, c) for c in range(1, 10)})
         chain.append(nxt)
         cur = nxt
     want = KnownVertices(bbt2.invalid)
-    want.set_vertex(chain[-1], bbt2.vertex_row(chain[-1]))
+    want.set_vertex(chain[-1], vertex_row(bbt2, chain[-1]))
     out = BN.complete_subtree(want, hist)
     assert set(chain) <= out.key_labels()
 
@@ -220,9 +231,9 @@ def test_estimators_match_enumeration(bbt2):
     V.set_vertex(0, {c: h.query(0, c) for c in range(1, 10)})
     frontier = sorted(V.known_labels() - V.key_labels())
     for lab in frontier[:2]:
-        V.set_vertex(lab, bbt2.vertex_row(lab))
+        V.set_vertex(lab, vertex_row(bbt2, lab))
     for lab in sorted(V.known_labels() - V.key_labels())[:3]:
-        V.set_vertex(lab, bbt2.vertex_row(lab))
+        V.set_vertex(lab, vertex_row(bbt2, lab))
     x = HS.few_tier_wrapper(circ, bbt2, tiers=1, instrument=False,
                             tier_seed_fn=env.tape.tier_seed).output
 
@@ -326,7 +337,7 @@ def test_fidelity_gap_positive_and_bounded_on_outliers():
     grow = C.Layer(n, g, tuple(C.Gate(C.GateKind.ANCILLA, (w,)) for w in range(n, g)))
     h_layer = C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in range(4)])
     from circuit_gen import _x_layers
-    layers = [grow] + _x_layers(g, [4]) + [h_layer, C.layer(g, [C.query_gate(n)])]
+    layers = [grow] + _x_layers(g, [4]) + [h_layer, C.layer(g, [query_gate(n)])]
     circ = C.HybridCircuit(n=n, g=g, tiers=(C.Tier("quantum", tuple(layers), n, g),),
                            all_quantum=True)
     bbt = tree.make_blackbox(2, 44)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weldlab import circuits as C
-from circuit_gen import random_hybrid, random_jozsa
+from circuit_gen import query_gate, random_hybrid, random_jozsa
 
 
 def test_parse_format_round_trip_corpus():
@@ -114,13 +114,13 @@ def test_accounting_three_layer_tier_depth():
 
 
 def test_query_registers_split():
-    g = C.query_gate(2, base=3)
+    g = query_gate(2, base=3)
     xw, cw, yw = C.query_registers(g, 2)
     assert xw == (3, 4, 5, 6) and cw == (7, 8, 9, 10) and yw == (11, 12, 13, 14)
 
 
 def test_query_discard_same_layer_rejected():
-    gates = (C.query_gate(2), C.Gate(C.GateKind.DISCARD, (13,)))
+    gates = (query_gate(2), C.Gate(C.GateKind.DISCARD, (13,)))
     lay = C.Layer(14, 13, gates)
     t = C.Tier("quantum", (lay,), 14, 13)
     circ = C.HybridCircuit(n=14, g=13,

@@ -226,14 +226,23 @@ def test_discovery_rate_rejects_bad_counts(trials, budget, message):
         discovery_rate(3, budget, trials=trials, seed=0)
 
 
-def test_cli_bad_trials_exit_2(capsys):
-    assert cli.main(["discovery", "-n", "3", "--trials", "0"]) == 2
+@pytest.mark.parametrize("argv, config, message", [
+    (["discovery", "--trials", "0"], None, "discovery_rate: trials must be >= 1, got 0"),
+    (["walk", "--trials", "0"], None, "walker_success_rate: trials must be >= 1, got 0"),
+    (["simulate", "--samples", "0"], None, "config field 'samples' must be >= 1, got 0"),
+    (["e2e"], '{"samples": 0}', "config field 'samples' must be >= 1, got 0"),
+    (["walk"], '{"steps": 0}', "config field 'steps' must be >= 1, got 0"),
+    (["walk"], '{"t_max": -5}', "config field 't_max' must be >= 0, got -5"),
+], ids=["discovery-trials", "walk-trials", "simulate-samples", "e2e-samples",
+        "walk-steps", "walk-t_max"])
+def test_cli_bad_trials_exit_2(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert cli.main(argv + ["-n", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("weldlab discovery: error: discovery_rate: "
-                            "trials must be >= 1, got 0\n")
-    assert cli.main(["walk", "-n", "3", "--trials", "0"]) == 2
-    assert "walker_success_rate: trials must be >= 1" in capsys.readouterr().err
+    assert captured.err == f"weldlab {argv[0]}: error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, config, env, message", [

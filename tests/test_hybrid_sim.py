@@ -9,8 +9,9 @@ from weldlab import hybrid_sim as HS
 from weldlab import statevec as SV
 from weldlab import tree
 
-from circuit_gen import (entrance_query_circuit, hardcoded_guess_circuit,
-                         random_hybrid, random_jozsa, random_quantum_layer)
+from circuit_gen import (entrance_query_circuit, hardcoded_guess_circuit, query_gate,
+                         random_hybrid, random_jozsa, random_quantum_layer,
+                         total_quantum_layers)
 
 
 def _ctx(bbt):
@@ -25,7 +26,7 @@ def test_branch_a_known_key_spends_nothing(bbt2):
     ctx = _ctx(bbt2)
     V = HS.entrance_known(ctx)
     assert ctx.transcript.queries == 1  # the initialization vertex query
-    lt = C.Layer(12, 12, (C.query_gate(2),))
+    lt = C.Layer(12, 12, (query_gate(2),))
     valid_color = next(c for c in range(1, 10) if bbt2.answer(0, c) != bbt2.invalid)
     z = valid_color << 4          # x-register = entrance, c = valid color
     S, V2 = HS.simulate_oracle(V, bbt2, lt, [z], tuple(range(12)), 2, ctx)
@@ -37,7 +38,7 @@ def test_branch_b_fresh_key_spends_exactly_one_query(bbt2):
     ctx = _ctx(bbt2)
     V = HS.entrance_known(ctx)
     child = next(v for v in V.value_labels())
-    lt = C.Layer(12, 12, (C.query_gate(2),))
+    lt = C.Layer(12, 12, (query_gate(2),))
     z = child | (1 << 4)
     S, V2 = HS.simulate_oracle(V, bbt2, lt, [z], tuple(range(12)), 2, ctx)
     assert ctx.transcript.queries == 2          # entrance + the new vertex
@@ -50,7 +51,7 @@ def test_branch_c_junk_substitutes_invalid_without_querying(bbt2):
     V = HS.entrance_known(ctx)
     junk = next(x for x in range(1, 16)
                 if x not in V.known_labels() and x != bbt2.invalid)
-    lt = C.Layer(12, 12, (C.query_gate(2),))
+    lt = C.Layer(12, 12, (query_gate(2),))
     z = junk | (1 << 4)
     S, V2 = HS.simulate_oracle(V, bbt2, lt, [z], tuple(range(12)), 2, ctx)
     assert ctx.transcript.queries == 1
@@ -67,7 +68,7 @@ def test_branch_c_junk_substitutes_invalid_without_querying(bbt2):
 def test_split_partitions_wires(seed):
     rng = np.random.default_rng(seed)
     lay = random_quantum_layer(rng, 13, n=2, p_query=0.7)
-    lg, lt = HS.split_layer(lay)
+    lg, lt = lay.split
     assert all(g.kind != C.GateKind.QUERY for g in lg.gates)
     assert all(g.kind == C.GateKind.QUERY for g in lt.gates)
     orig = {w for g in lay.gates for w in g.wires}
@@ -78,10 +79,10 @@ def test_split_partitions_wires(seed):
 
 def test_split_query_free_and_all_query():
     lay = C.layer(4, [C.Gate(C.GateKind.H, (0,))])
-    lg, lt = HS.split_layer(lay)
+    lg, lt = lay.split
     assert lt.gates == ()
-    lay = C.layer(12, [C.query_gate(2)])
-    lg, lt = HS.split_layer(lay)
+    lay = C.layer(12, [query_gate(2)])
+    lg, lt = lay.split
     assert lg.gates == ()
 
 
@@ -164,7 +165,7 @@ def test_classical_tier_matches_real_oracle_when_known(bbt2):
     # queries at the entrance: simulated answer equals the real evaluation
     ctx = _ctx(bbt2)
     V = HS.entrance_known(ctx)
-    qlay = C.layer(12, [C.query_gate(2)])
+    qlay = C.layer(12, [query_gate(2)])
     t = C.tier("classical", [qlay])
     valid_color = next(c for c in range(1, 10) if bbt2.answer(0, c) != bbt2.invalid)
     x = valid_color << 4
@@ -221,7 +222,7 @@ def test_jozsa_query_ceiling_corpus(bbt2):
         circ = random_jozsa(rng, n=2, g=12, eta=int(rng.integers(1, 3)),
                             max_c=2, max_q=2, p_query=0.7)
         res = HS.jozsa_wrapper(circ, bbt2, seed=trial)
-        d = C.total_quantum_layers(circ)
+        d = total_quantum_layers(circ)
         stats = C.accounting(circ)
         ceiling = 4 ** d + stats.max_classical_depth * circ.g
         assert res.transcript.queries <= ceiling

@@ -18,7 +18,7 @@ from weldlab import hybrid_sim as HS
 from weldlab import statevec as SV
 from weldlab import tree
 
-from circuit_gen import (_grow_layer, hardcoded_guess_circuit, random_hybrid,
+from circuit_gen import (_grow_layer, hardcoded_guess_circuit, query_gate, random_hybrid,
                          random_jozsa, random_quantum_layer)
 from dense_reference import dense_tier_vector
 
@@ -195,7 +195,7 @@ def _deferred_discard_circuit() -> C.HybridCircuit:
                                       C.Gate(C.GateKind.PHASE, (9,))]))
         layers.append(C.layer(g + k, [C.Gate(C.GateKind.DISCARD, (g + j,))
                                       for j in range(k)]))
-    layers.append(C.layer(g, [C.query_gate(2)]))
+    layers.append(C.layer(g, [query_gate(2)]))
     layers.append(C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in (0, 3, 5)]))
     circ = C.HybridCircuit(n=2, g=g, tiers=(C.tier("classical", [_grow_layer(2, g)]),
                                             C.tier("quantum", layers)))
@@ -224,7 +224,7 @@ def test_executor_matches_dense_reference_at_wide_support(bbt2):
     W = 16
     layers = [C.layer(W, [C.Gate(C.GateKind.H, (w,)) for w in range(W) if w != 9])]
     layers += [random_quantum_layer(rng, W, n=2, p_query=1.0) for _ in range(3)]
-    layers.append(C.layer(W, [C.query_gate(2, base=4)]))
+    layers.append(C.layer(W, [query_gate(2, base=4)]))
     t = C.tier("quantum", layers)
     state = SV.PureState.basis(W, 0)
     support = []

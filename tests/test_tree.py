@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from weldlab import tree
 from weldlab.known import KnownVertices
 
+from tree_tools import edge_color, vertex_row
+
 
 def test_structure_counts_forced_at_n1():
     ts = tree.generate_structure(1, 0)
@@ -65,7 +67,7 @@ def test_coloring_entrance_edges_distinct_n1():
     ts = tree.generate_structure(1, 3)
     col = tree.generate_coloring(ts, 3)
     e = ts.entrance
-    c1, c2 = (col.edge_color(ts, e, w) for w in ts.adjacency[e])
+    c1, c2 = (edge_color(col, e, w) for w in ts.adjacency[e])
     assert c1 != c2
 
 
@@ -91,8 +93,9 @@ def test_labels_impossible_at_n1():
 def test_query_all_ones_and_entrance(bbt3):
     inv = bbt3.invalid
     for c in range(1, 10):
-        assert bbt3.default_handle.query(inv, c) == inv
-    hits = {c: bbt3.default_handle.query(0, c) for c in range(1, 10)}
+        assert bbt3.handle().query(inv, c) == inv
+    h = bbt3.handle()
+    hits = {c: h.query(0, c) for c in range(1, 10)}
     valid = [y for y in hits.values() if y != inv]
     assert len(valid) == 2  # entrance has degree 2
 
@@ -159,7 +162,7 @@ def test_label_batch_rows_answer_like_trees():
 
 def test_tree_freed_without_cycle_collector():
     bbt = tree.make_blackbox(3, 1)
-    bbt.default_handle.query(0, 1)
+    bbt.handle().query(0, 1)
     bbt.answer_many(np.zeros(3, dtype=np.int64), np.arange(1, 4))
     gone = weakref.ref(bbt)
     gc.disable()
@@ -196,7 +199,7 @@ def test_exit_label(bbt3):
 
 
 # ---------------------------------------------------------------------------
-# count_consistent
+# sample_consistent
 # ---------------------------------------------------------------------------
 
 def _entries_from_walk(bbt, steps, seed):
@@ -206,7 +209,7 @@ def _entries_from_walk(bbt, steps, seed):
     cur = 0
     V.set_vertex(0, {c: h.query(0, c) for c in range(1, 10)})
     for _ in range(steps):
-        nbrs = V.neighbors_of(cur)
+        nbrs = {c: y for c, y in V.row(cur).items() if y != V.invalid}
         c = sorted(nbrs)[rng.integers(0, len(nbrs))]
         cur = nbrs[c]
         if cur not in V.key_labels():
@@ -214,60 +217,13 @@ def _entries_from_walk(bbt, steps, seed):
     return V
 
 
-def test_count_trivial_values():
-    # N=5 available, k=2 unlabeled -> 20; arrange via label_bits/known sizes
-    assert math.perm(5, 2) == 20
-    # k=0 -> 1: all vertices known
-    bbt = tree.make_blackbox(2, 1)
-    V = KnownVertices(bbt.invalid)
-    for x in bbt.inverse:
-        V.set_vertex(int(x), bbt.vertex_row(int(x)))
-    assert tree.count_consistent(V, 2) == 1
-
-
-def test_count_n1_entrance_only_matches_enumeration():
-    # at n=1 the 2-bit space cannot label six vertices: enumeration gives 0
-    inv = tree.invalid_label(2)
-    V = KnownVertices(inv)
-    V.set_vertex(0, {1: 1, 2: 2, **{c: inv for c in range(3, 10)}})
-    assert tree.count_consistent(V, 1, label_bits=2) == 0
-
-
-def test_count_chain_invariant(bbt2):
-    V = _entries_from_walk(bbt2, 4, seed=1)
-    c1 = tree.count_consistent(V, 2)
-    avail = tree.available_labels(V, 2)
-    frontier = sorted(V.known_labels() - V.key_labels())
-    V2 = V.copy()
-    V2.set_vertex(frontier[0], bbt2.vertex_row(frontier[0]))
-    before = len(V.known_labels() | {0})
-    added = len(V2.known_labels() | {0}) - before
-    expected = c1
-    for i in range(added):
-        expected //= (avail - i)
-    assert tree.count_consistent(V2, 2) == expected
-
-
-def test_count_matches_enumeration_against_fixed_structure(bbt2):
-    V = _entries_from_walk(bbt2, 8, seed=3)
-    count = tree.count_consistent(V, 2)
-    pos = tree.embed_entries(V, bbt2.structure, bbt2.coloring, bbt2.label_bits)
-    free = bbt2.structure.vertex_count - len(pos)
-    avail = tree.available_labels(V, 2)
-    assert count == math.perm(avail, free)
-
-
 def test_count_rejects_inconsistent():
     inv = tree.invalid_label(4)
     V = KnownVertices(inv)
     V.entries[(inv, 1)] = 3
     with pytest.raises(ValueError):
-        tree.count_consistent(V, 2)
+        tree.sample_consistent(V, 2, 0)
 
-
-# ---------------------------------------------------------------------------
-# sample_consistent
-# ---------------------------------------------------------------------------
 
 def test_sample_labelings_mode_replays(bbt2):
     V = _entries_from_walk(bbt2, 6, seed=5)
@@ -287,10 +243,10 @@ def test_sample_labelings_mode_uniform_over_free_labels(bbt2):
     for v in range(s.vertex_count):
         if int(s.column[v]) <= s.n:
             lab = int(bbt2.labels[v])
-            V.set_vertex(lab, bbt2.vertex_row(lab))
+            V.set_vertex(lab, vertex_row(bbt2, lab))
     pos = tree.embed_entries(V, s, bbt2.coloring, bbt2.label_bits)
     free_count = s.vertex_count - len(pos)
-    avail = tree.available_labels(V, 2)
+    avail = (1 << 4) - 1 - len(V.known_labels() | {0})
     assert free_count == 3 and avail == free_count + 1
     counts: dict[int, int] = {}
     trials = 600
@@ -327,7 +283,7 @@ def test_sample_rejects_unrooted_entries(bbt2):
     inv = bbt2.invalid
     V = KnownVertices(inv)
     far = int(bbt2.labels[9])  # some vertex, no path recorded from entrance
-    V.set_vertex(far, bbt2.vertex_row(far))
+    V.set_vertex(far, vertex_row(bbt2, far))
     with pytest.raises(tree.EmbeddingError):
         tree.sample_consistent(V, 2, 0, mode="labelings",
                                structure=bbt2.structure, coloring=bbt2.coloring)

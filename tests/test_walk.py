@@ -99,7 +99,7 @@ def test_sweep_curve():
 
 def test_walker_budget_zero_false():
     bbt = tree.make_blackbox(2, 4)
-    assert walk.classical_walker(bbt, 0, seed=1) is False
+    assert walk.walker_success_rate(bbt, 0, trials=1, seed=1) == 0.0
 
 
 def test_walker_small_tree_generous_budget():
@@ -118,33 +118,20 @@ def test_walker_rejects_bad_counts():
         walk.walker_success_rate(bbt, 3, trials=0, seed=0)
     with pytest.raises(ValueError, match="walker_success_rate: query budget must be >= 0"):
         walk.walker_success_rate(bbt, -1, trials=5, seed=0)
-    with pytest.raises(ValueError, match="classical_walker: query budget must be >= 0"):
-        walk.classical_walker(bbt, -1, seed=0)
 
 
 def test_blind_walks_query_accounting():
     # every trial spends exactly the budget through the batched handle it
-    # was given; the tree's own default handle stays untouched
+    # was given
     bbt = tree.make_blackbox(3, 8)
     handle = bbt.handle()
     path = walk.blind_walks(handle, 7, 50, np.random.default_rng(0))
     assert handle.count == 50 * 7 and path.shape == (50, 8)
-    assert bbt.query_count == 0
-    walk.walker_success_rate(bbt, 7, trials=300, seed=1)
-    assert bbt.query_count == 0
     batch = tree.generate_label_batch(bbt.structure, bbt.coloring, 40,
                                       np.random.default_rng(1))
     handle = batch.handle()
     walk.blind_walks(handle, 5, 40, np.random.default_rng(2))
     assert handle.count == 40 * 5
-
-
-def test_walker_never_reads_hidden_structure():
-    # the walk itself spends exactly the budget on the oracle handle
-    bbt = tree.make_blackbox(3, 8)
-    handle_before = bbt.query_count
-    walk.classical_walker(bbt, 50, seed=3)
-    assert bbt.query_count == handle_before  # walker used its own handle
 
 
 def test_separation_snapshot_report():
