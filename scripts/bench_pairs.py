@@ -1,6 +1,7 @@
 """Alternating parent/change runs of perfbench, summarized as one JSON document.
 
     python3 scripts/bench_pairs.py --parent DIR [--pairs 10] [--seconds 30] --out BENCH.json
+    python3 scripts/bench_pairs.py --compare OLD.json NEW.json
 
 DIR is a source checkout (a clone or worktree) of the commit to compare this
 checkout against.  Pair i runs both checkouts on each workload with seed
@@ -9,6 +10,12 @@ with the same ``perfbench/run.py --seconds`` setting.  For each
 end-to-end metric the document holds every run's value, each side's median
 and quartiles, the ratio of the medians (change over parent) and how many
 pairs the change won.
+
+``--compare`` reads two such documents and prints, for each workload and
+end-to-end metric, the median of NEW's change side over that of OLD's (the
+revision each document was made for), marking ``WORSE`` every ratio worse
+than the metric's ``BENCHMARK.json`` bound; it exits 1 if any is.  Both
+documents should come from the same host and ``--seconds``.
 """
 from __future__ import annotations
 
@@ -51,15 +58,41 @@ def compare(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def compare_docs(old: dict, new: dict, end_to_end: list[dict]) -> list[tuple]:
+    """(workload, metric, OLD median, NEW median, NEW/OLD, worse than the bound)
+    for every workload both documents hold, from each document's change side."""
+    rows = []
+    for workload in sorted(set(old["workloads"]) & set(new["workloads"])):
+        for metric in end_to_end:
+            name, bound = metric["name"], metric["bound"]
+            before, after = (doc["workloads"][workload]["metrics"][name]["change"]["median"]
+                             for doc in (old, new))
+            ratio = after / before
+            worse = ratio < 1 - bound if metric["better"] == "higher" else ratio > 1 + bound
+            rows.append((workload, name, before, after, ratio, worse))
+    return rows
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--parent", type=Path)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30)
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=Path)
+    p.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"))
     args = p.parse_args(argv)
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.compare:
+        old, new = (json.loads(path.read_text()) for path in args.compare)
+        rows = compare_docs(old, new, end_to_end)
+        print(f"{'workload':<12} {'metric':<12} {'old':>10} {'new':>10} {'new/old':>8}")
+        for workload, name, before, after, ratio, worse in rows:
+            print(f"{workload:<12} {name:<12} {before:>10.4g} {after:>10.4g} {ratio:>8.3f}"
+                  + ("  WORSE" if worse else ""))
+        return int(any(row[-1] for row in rows))
+    if args.parent is None or args.out is None:
+        p.error("--parent and --out are required unless --compare is given")
+    better = {m["name"]: m["better"] for m in end_to_end}
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     doc = {"command": " ".join(["python3", "scripts/bench_pairs.py"] + sys.argv[1:]),
            "pairs": args.pairs, "seconds": args.seconds, "workloads": {}}

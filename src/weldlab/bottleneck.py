@@ -21,6 +21,10 @@ All estimator randomness is purpose-keyed off the master seed; measurement
 randomness comes only from the seed tape, one segment per tier, so
 rerunning tiers 1..i with the same tape prefix reproduces identical
 results regardless of later tape bits.
+
+At the default tau a round certifies a label only once it accepts m* = 47, 71
+or 143 trees (n = 3, 2, 1): the default budget of 24 never does.  A conclusive
+ratio, at least 1/budget, sits far above the default rho floor 2^(-n(g+|r|)).
 """
 from __future__ import annotations
 
@@ -213,10 +217,10 @@ class EstimatorEnv:
 
 
 def _sample_accepted_trees(V: KnownVertices, x: int, i: int, env: EstimatorEnv,
-                           cfg: BottleneckConfig) -> tuple[list[set[int]], int]:
-    """Label sets of sampled consistent trees whose replay reproduces x."""
+                           cfg: BottleneckConfig) -> tuple[list[BlackBoxTree], int]:
+    """Sampled consistent trees whose replay reproduces x."""
     call_id = env.next_call_id()
-    accepted: list[set[int]] = []
+    accepted: list[BlackBoxTree] = []
     for s in range(cfg.sample_budget):
         seed_s = derive_seed(env.seed, "estimator", call_id, i, s)
         P = sample_consistent(V, env.n, seed_s, mode=cfg.mode,
@@ -227,13 +231,13 @@ def _sample_accepted_trees(V: KnownVertices, x: int, i: int, env: EstimatorEnv,
         reached, _ = SV.drive_hybrid(env.circuit, ctx, env.tape.tier_uniform,
                                      entrance_known(ctx), i)
         if x in reached:
-            accepted.append(set(P.labels.tolist()))
+            accepted.append(P)
     return accepted, cfg.sample_budget
 
 
-def _hits(accepted: list[set[int]], b: int) -> int:
+def _hits(accepted: list[BlackBoxTree], b: int) -> int:
     """How many accepted trees give label ``b`` to a vertex."""
-    return sum(1 for labels in accepted if b in labels)
+    return sum(1 for P in accepted if b in P.inverse)
 
 
 def estimate_membership_probability(V: KnownVertices, x: int, i: int, b: int,
@@ -268,14 +272,6 @@ def estimate_consistency_ratio(V: KnownVertices, x: int, i: int,
 # The Bottleneck subroutine
 # ---------------------------------------------------------------------------
 
-def _hist_graph(V_hist: KnownVertices) -> dict[int, dict[int, int]]:
-    g: dict[int, dict[int, int]] = {}
-    for (xx, c), y in V_hist.entries.items():
-        if y != V_hist.invalid:
-            g.setdefault(xx, {})[c] = y
-    return g
-
-
 def complete_subtree(V: KnownVertices, V_hist: KnownVertices) -> KnownVertices:
     """Minimum entrance-rooted subtree of V_hist containing V, as full rows.
 
@@ -284,7 +280,10 @@ def complete_subtree(V: KnownVertices, V_hist: KnownVertices) -> KnownVertices:
     entrance itself) is closed into a dictionary by copying each chosen
     vertex's full answer row from V_hist.
     """
-    graph = _hist_graph(V_hist)
+    graph: dict[int, dict[int, int]] = {}
+    for (xx, c), y in V_hist.entries.items():
+        if y != V_hist.invalid:
+            graph.setdefault(xx, {})[c] = y
     parent: dict[int, int | None] = {0: None}
     order = [0]
     qi = 0
@@ -353,14 +352,19 @@ def bottleneck(i: int, x: int, V_current: KnownVertices, V_hist: KnownVertices,
     V = V_current.copy()
     ceiling = loop_ceiling(g, tape_len)
     iterations = 0
-    rng = make_rng(env.seed, "fresh-candidates", env.next_call_id())
+    rng_call_id = env.next_call_id()
 
     def clears_tau(hits: int, m: int) -> bool:
         # Laplace-smoothed comparison: a finite sample cannot certify
         # p > tau when tau is this close to 1 unless the evidence is strong
         return (hits + 1) / (m + 2) > tau
 
-    while True:
+    # no round can certify a label if even hits = m = sample_budget fails
+    certifiable = clears_tau(cfg.sample_budget, cfg.sample_budget)
+    rng = make_rng(env.seed, "fresh-candidates", rng_call_id) if certifiable else None
+    if not certifiable:
+        env.next_call_id()      # the skipped round's, so later seeds stay put
+    while certifiable:
         accepted, _ = _sample_accepted_trees(V, x, i, env, cfg)
         violator = None
         if accepted:

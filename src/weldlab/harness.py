@@ -127,6 +127,11 @@ class ExperimentConfig:
             if value < least:
                 raise ValueError(f"config field {name!r} must be >= {least}, got {value}")
 
+    def require_unit_tau(self) -> None:
+        """A ValueError naming ``tau`` when it is set outside [0, 1] (or NaN)."""
+        if self.tau is not None and not 0.0 <= self.tau <= 1.0:
+            raise ValueError(f"config field 'tau' must be in [0, 1], got {self.tau}")
+
 
 @dataclass
 class CheckResult:
@@ -344,7 +349,8 @@ def load_circuit(config: ExperimentConfig) -> C.Circuit:
 
 
 def cmd_simulate(config: ExperimentConfig) -> Report:
-    config.require_at_least(samples=1)
+    config.require_at_least(samples=1, sample_budget=1)
+    config.require_unit_tau()
     report = Report(experiment="simulate", config=config.result_fields())
     circuit = load_circuit(config)
     problems = C.validate(circuit)
@@ -373,9 +379,8 @@ def cmd_simulate(config: ExperimentConfig) -> Report:
                                    tree.generate_coloring(structure,
                                                           derive_seed(config.seed, "col")),
                                    derive_seed(config.seed, "lab"))
-        acct = C.accounting(circuit)
         tape = BN.SeedTape.generate(config.seed, n, circuit.eta,
-                                    max(acct.max_quantum_depth, 1), circuit.g)
+                                    max(stats.max_quantum_depth, 1), circuit.g)
         b0 = BN.bottleneck_wrapper(circuit, bbt, seed=config.seed,
                                    cfg=BN.BottleneckConfig(tau=0.0), tape=tape)
         f0 = HS.few_tier_wrapper(circuit, bbt, seed=config.seed,
@@ -397,7 +402,8 @@ def cmd_simulate(config: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def cmd_e2e(config: ExperimentConfig) -> Report:
-    config.require_at_least(samples=1, steps=1, t_max=0)
+    config.require_at_least(samples=1, steps=1, t_max=0, sample_budget=1)
+    config.require_unit_tau()
     report = Report(experiment="e2e", config=config.result_fields())
     n = config.n
     budget = config.walker_budget()

@@ -1,0 +1,42 @@
+"""``scripts/bench_pairs.py --compare``: one revision's medians over another's."""
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+OLD = {"work_per_s": 20.0, "item_p50_ms": 40.0, "item_p90_ms": 100.0,
+       "peak_rss_mb": 70.0, "setup_s": 0.7}
+
+
+def _write(path: Path, medians: dict) -> Path:
+    metrics = {name: {"change": {"median": value}, "parent": {"median": 1.0}}
+               for name, value in medians.items()}
+    path.write_text(json.dumps({"workloads": {"bottleneck": {"metrics": metrics}}}))
+    return path
+
+
+def test_compare_marks_only_ratios_beyond_the_bound(tmp_path, capsys):
+    # work_per_s 0.74x (bound 0.25, higher is better) and peak_rss_mb 1.11x
+    # (bound 0.1) are worse than their bounds; item_p90_ms 1.24x is not
+    new = {**OLD, "work_per_s": 14.8, "item_p90_ms": 124.0, "peak_rss_mb": 77.7}
+    argv = ["--compare", str(_write(tmp_path / "old.json", OLD)),
+            str(_write(tmp_path / "new.json", new))]
+    assert bench_pairs.main(argv) == 1
+    worse = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+             if line.endswith("WORSE")]
+    assert worse == ["work_per_s", "peak_rss_mb"]
+
+
+def test_compare_passes_within_bounds(tmp_path, capsys):
+    new = {**OLD, "work_per_s": 40.0, "item_p50_ms": 20.0, "setup_s": 0.87}
+    argv = ["--compare", str(_write(tmp_path / "old.json", OLD)),
+            str(_write(tmp_path / "new.json", new))]
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "WORSE" not in out and " 2.000" in out and " 0.500" in out

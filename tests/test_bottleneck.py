@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -12,13 +13,27 @@ from weldlab import hybrid_sim as HS
 from weldlab import tree
 from weldlab.known import KnownVertices
 
-from circuit_gen import query_gate, random_hybrid
+from circuit_gen import _x_layers, query_gate, random_hybrid
 from tree_tools import vertex_row
 
 
 def _allq(rng, n=2, g=12, eta=2, max_q=2, p_query=0.6):
     return random_hybrid(rng, n=n, g=g, eta=eta, max_c=1, max_q=max_q,
                          p_query=p_query, all_quantum=True)
+
+
+def _superposed_query_circuit(n=2, g=12):
+    """One quantum tier: color 1 (X on the first color wire), H on wires
+    0..3, then a query of the superposed x-register, so its transcript
+    depends on the tree's labels."""
+    grow = C.Layer(n, g, tuple(C.Gate(C.GateKind.ANCILLA, (w,)) for w in range(n, g)))
+    layers = [grow] + _x_layers(g, [2 * n]) + [
+        C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in range(4)]),
+        C.layer(g, [query_gate(n)])]
+    circ = C.HybridCircuit(n=n, g=g, tiers=(C.Tier("quantum", tuple(layers), n, g),),
+                           all_quantum=True)
+    C.require_valid(circ)
+    return circ
 
 
 def _tape_for(circ, seed):
@@ -135,19 +150,9 @@ def test_abort_ratio_path_tight_rho():
     # querying a superposed x-register makes the tier transcript depend on
     # the tree's labels; conditioning on a minority transcript with a rho
     # floor near 1 fires the ratio abort
-    from circuit_gen import _x_layers
-
-    n, g = 2, 12
-    grow = C.Layer(n, g, tuple(C.Gate(C.GateKind.ANCILLA, (w,)) for w in range(n, g)))
-    layers = [grow] + _x_layers(g, [4]) + [
-        C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in range(4)]),
-        C.layer(g, [query_gate(n)])]
-    t1 = C.Tier("quantum", tuple(layers), n, g)
-    circ = C.HybridCircuit(n=n, g=g, tiers=(t1,), all_quantum=True)
-    C.require_valid(circ)
+    circ = _superposed_query_circuit()
     bbt = tree.make_blackbox(2, 9)
-    stats = C.accounting(circ)
-    tape = BN.SeedTape.generate(0, 2, 1, stats.max_quantum_depth, g)
+    tape = _tape_for(circ, 0)
     env = BN.EstimatorEnv(circuit=circ, tape=tape, n=2, label_bits=bbt.label_bits,
                           seed=6, structure=bbt.structure, coloring=bbt.coloring)
     empty = KnownVertices(bbt.invalid)
@@ -333,13 +338,7 @@ def fidelity_gap_check(result: BN.BottleneckResult) -> list[dict]:
 def test_fidelity_gap_positive_and_bounded_on_outliers():
     # a tier querying a superposed x-register produces outliers; the gap is
     # positive and bounded by twice the outlier amplitude mass
-    n, g = 2, 12
-    grow = C.Layer(n, g, tuple(C.Gate(C.GateKind.ANCILLA, (w,)) for w in range(n, g)))
-    h_layer = C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in range(4)])
-    from circuit_gen import _x_layers
-    layers = [grow] + _x_layers(g, [4]) + [h_layer, C.layer(g, [query_gate(n)])]
-    circ = C.HybridCircuit(n=n, g=g, tiers=(C.Tier("quantum", tuple(layers), n, g),),
-                           all_quantum=True)
+    circ = _superposed_query_circuit()
     bbt = tree.make_blackbox(2, 44)
     res = BN.bottleneck_wrapper(circ, bbt, seed=2, tape=_tape_for(circ, 2))
     rep = fidelity_gap_check(res)
@@ -371,3 +370,84 @@ def test_bottleneck_report_json():
     assert {"tier", "layer", "loop_iterations", "aborted", "v_current",
             "v_out", "v_hist", "ratio", "ratio_stderr"} <= set(call)
     assert res.report_json() == res.report_json()
+
+
+# ---------------------------------------------------------------------------
+# pinned runs and the certify round's skip rule
+# ---------------------------------------------------------------------------
+
+def _pinned_run(case: str) -> BN.BottleneckResult:
+    """The Bottleneck run that ``test_bottleneck_run_pinned`` names by ``case``."""
+    if case == "tiny-tau":      # the run of test_abort_guess_path_tiny_tau
+        circ = _allq(np.random.default_rng(3), eta=2, p_query=0.7)
+        cfg = BN.BottleneckConfig(tau=1e-12, sample_budget=10, fresh_candidates=8)
+        return BN.bottleneck_wrapper(circ, tree.make_blackbox(2, 7), seed=4, cfg=cfg,
+                                     tape=_tape_for(circ, 4))
+    if case == "tight-rho":     # test_abort_ratio_path_tight_rho's config, whole pipeline
+        circ = _superposed_query_circuit()
+        cfg = BN.BottleneckConfig(rho_log2=-0.2, sample_budget=80, fresh_candidates=0)
+        return BN.bottleneck_wrapper(circ, tree.make_blackbox(2, 9), seed=6, cfg=cfg,
+                                     tape=_tape_for(circ, 0))
+    # n=3 at the default tau; a second tier starts from a label-dependent
+    # transcript, so its ratio estimates (and their seeds) show in the report
+    n, g = 3, 16
+    again = C.tier("quantum", [C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in range(3)]),
+                               C.layer(g, [query_gate(n)])])
+    circ = C.HybridCircuit(n=n, g=g, tiers=_superposed_query_circuit(n, g).tiers + (again,),
+                           all_quantum=True)
+    mode, budget = case.split("-")
+    cfg = BN.BottleneckConfig(sample_budget=int(budget), mode=mode)
+    return BN.bottleneck_wrapper(circ, tree.make_blackbox(n, 3), seed=5, cfg=cfg,
+                                 tape=_tape_for(circ, 5))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of report_json() and transcript.to_json(), recorded before the
+# certify round learnt to skip what cannot certify
+PINNED_RUNS = {
+    "labelings-12": ("ad86fa8c0534b4de26618b155ab84ea2cfcdb578a80452d916baae4050082387",
+        "3a2fc892936f052b3ff90396ac801f6f76731ea446728f327185eaa843e26a2b"),
+    "labelings-24": ("f08183bcf129d401529c2f8054e3eac7d96654485e54889ec84e392b8903eb3a",
+        "3a2fc892936f052b3ff90396ac801f6f76731ea446728f327185eaa843e26a2b"),
+    "structures-12": ("ca273d00483d00db92c9667a32e2578537a76a95a8406a47ee75444d0b7df70f",
+        "3a2fc892936f052b3ff90396ac801f6f76731ea446728f327185eaa843e26a2b"),
+    "structures-24": ("b8a55c5bf44dcd5b4556598ce1f6052bb03ecf298c2af2445a0952189dbe56a6",
+        "3a2fc892936f052b3ff90396ac801f6f76731ea446728f327185eaa843e26a2b"),
+    "tiny-tau": ("4b9a216497e22c7f3f0b1b2f64e03d6ea032aa70227b4b35c0ce4738c56b0631",
+        "50ec3a3b7167a7948e5411e627520af613630c0114ca3378a9e509531145d93b"),
+    "tight-rho": ("49fd2ea7519bafcc8a430e538aaac96a60a7dbbc109f4bf06fc66dc91a6f68e0",
+        "cc4d80e32f00fd21a75775413edc8da1080f84a30bfe4d64d2d131a131b16242"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_RUNS)
+def test_bottleneck_run_pinned(case):
+    res = _pinned_run(case)
+    assert (_sha(res.report_json()), _sha(res.transcript.to_json())) == PINNED_RUNS[case]
+
+
+@pytest.mark.parametrize("tau, budget, draws", [
+    (None, 46, 0), (None, 47, 47), (0.75, 2, 0), (0.75, 3, 3)])
+def test_certify_round_draws_only_if_a_full_sample_clears_tau(bbt3, monkeypatch,
+                                                             tau, budget, draws):
+    # the best a round can do is hits = m = budget, (budget+1)/(budget+2) > tau:
+    # at n=3 the default tau 2^(-3/100) first allows it at budget 47, and
+    # tau = 3/4 equals it at budget 2
+    drawn = []
+
+    def spy(*args, **kwargs):
+        drawn.append(args[2])
+        return tree.sample_consistent(*args, **kwargs)
+
+    monkeypatch.setattr(BN, "sample_consistent", spy)
+    circ = _allq(np.random.default_rng(21), n=3, g=16)
+    env = _env_for(circ, bbt3, 3)
+    V = HS.entrance_known(HS.SimContext.fresh(bbt3))
+    # tier 0: the ratio estimate draws nothing, so every draw is the certify round's
+    out = BN.bottleneck(0, 0, V, V.copy(), env, BN.BottleneckConfig(tau=tau, sample_budget=budget))
+    assert len(drawn) == draws
+    assert not isinstance(out, BN.Abort) and out.entries == V.entries
+    assert env.call_counter == 2        # the round's call id is taken either way

@@ -233,8 +233,18 @@ def test_discovery_rate_rejects_bad_counts(trials, budget, message):
     (["e2e"], '{"samples": 0}', "config field 'samples' must be >= 1, got 0"),
     (["walk"], '{"steps": 0}', "config field 'steps' must be >= 1, got 0"),
     (["walk"], '{"t_max": -5}', "config field 't_max' must be >= 0, got -5"),
+    (["simulate"], '{"sample_budget": 0}', "config field 'sample_budget' must be >= 1, got 0"),
+    (["simulate"], '{"sample_budget": -3}',
+     "config field 'sample_budget' must be >= 1, got -3"),
+    (["simulate"], '{"tau": -1}', "config field 'tau' must be in [0, 1], got -1"),
+    (["simulate"], '{"tau": 1.5}', "config field 'tau' must be in [0, 1], got 1.5"),
+    (["simulate"], '{"tau": NaN}', "config field 'tau' must be in [0, 1], got nan"),
+    (["e2e"], '{"sample_budget": 0}', "config field 'sample_budget' must be >= 1, got 0"),
+    (["e2e"], '{"tau": -1}', "config field 'tau' must be in [0, 1], got -1"),
 ], ids=["discovery-trials", "walk-trials", "simulate-samples", "e2e-samples",
-        "walk-steps", "walk-t_max"])
+        "walk-steps", "walk-t_max", "simulate-sample_budget-0", "simulate-sample_budget-neg",
+        "simulate-tau-neg", "simulate-tau-above-1", "simulate-tau-nan", "e2e-sample_budget",
+        "e2e-tau"])
 def test_cli_bad_trials_exit_2(tmp_path, capsys, argv, config, message):
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)
