@@ -11,11 +11,11 @@ floor rho.
 Computing the consistent-tree sets exactly is doubly exponential, so
 they are replaced by seeded Monte Carlo: a batch of trees consistent
 with the current dictionary is drawn, the first i tiers are replayed
-against each tree with the same seed-tape prefix, and the trees reproducing
-the transcript form the acceptance sample.  Replays run the tier pipeline
-in the tau=0 degeneration (no pruning, no aborts), which is also the mode
-in which the whole bottleneck pipeline is transcript-identical to the
-few-tier simulator.
+against each tree with the same seed-tape prefix (``replay_prefix``), and
+the trees reproducing the transcript form the acceptance sample.  Replays
+run the tier pipeline in the tau=0 degeneration (no pruning, no aborts),
+which is also the mode in which the whole bottleneck pipeline is
+transcript-identical to the few-tier simulator.
 
 All estimator randomness is purpose-keyed off the master seed; measurement
 randomness comes only from the seed tape, one segment per tier, so
@@ -111,7 +111,6 @@ class BottleneckConfig:
     sample_budget: int = 24
     fresh_candidates: int = 4
     mode: str = "labelings"
-    instrument: bool = True
 
     def resolved_tau(self, n: int) -> float:
         return 2 ** (-n / 100) if self.tau is None else self.tau
@@ -204,8 +203,6 @@ class EstimatorEnv:
 
     circuit: C.HybridCircuit
     tape: SeedTape
-    n: int
-    label_bits: int
     seed: int
     structure: TreeStructure | None = None
     coloring: EdgeColoring | None = None
@@ -216,6 +213,18 @@ class EstimatorEnv:
         return self.call_counter
 
 
+def replay_prefix(circuit: C.HybridCircuit, P: BlackBoxTree, tape: SeedTape, i: int) -> int:
+    """The transcript of tiers 1..i on tree ``P`` in the tau=0 degeneration.
+
+    Tier j is measured with ``tape.tier_uniform(j)``, so the transcript is a
+    function of the tape prefix r_<=i.  ``circuit`` is not validated here
+    (``bottleneck_wrapper`` validates it once).
+    """
+    ctx = SimContext.fresh(P, instrument=False)
+    reached, _ = SV.drive_hybrid(circuit, ctx, tape.tier_uniform, entrance_known(ctx), i)
+    return next(iter(reached))
+
+
 def _sample_accepted_trees(V: KnownVertices, x: int, i: int, env: EstimatorEnv,
                            cfg: BottleneckConfig) -> tuple[list[BlackBoxTree], int]:
     """Sampled consistent trees whose replay reproduces x."""
@@ -223,14 +232,9 @@ def _sample_accepted_trees(V: KnownVertices, x: int, i: int, env: EstimatorEnv,
     accepted: list[BlackBoxTree] = []
     for s in range(cfg.sample_budget):
         seed_s = derive_seed(env.seed, "estimator", call_id, i, s)
-        P = sample_consistent(V, env.n, seed_s, mode=cfg.mode,
-                              structure=env.structure, coloring=env.coloring,
-                              label_bits=env.label_bits)
-        # the tau=0 replay of tiers 1..i (validated once, by bottleneck_wrapper)
-        ctx = SimContext.fresh(P, instrument=False)
-        reached, _ = SV.drive_hybrid(env.circuit, ctx, env.tape.tier_uniform,
-                                     entrance_known(ctx), i)
-        if x in reached:
+        P = sample_consistent(V, env.circuit.n, seed_s, mode=cfg.mode,
+                              structure=env.structure, coloring=env.coloring)
+        if replay_prefix(env.circuit, P, env.tape, i) == x:
             accepted.append(P)
     return accepted, cfg.sample_budget
 
@@ -243,8 +247,7 @@ def _hits(accepted: list[BlackBoxTree], b: int) -> int:
 def estimate_membership_probability(V: KnownVertices, x: int, i: int, b: int,
                                     env: EstimatorEnv, cfg: BottleneckConfig) -> EstimateResult:
     """P[b is a valid label] over consistent trees reproducing transcript x."""
-    inv = (1 << env.label_bits) - 1
-    if b == inv:
+    if b == V.invalid:
         return EstimateResult(0.0, 0.0, 0, 0)
     if b == 0 or b in V.known_labels():
         return EstimateResult(1.0, 0.0, 0, 0)
@@ -327,7 +330,7 @@ def bottleneck(i: int, x: int, V_current: KnownVertices, V_hist: KnownVertices,
     """Rebuild the effectively-known dictionary; ABORT is a return value."""
     if not V_current.is_key_subset_of(V_hist):
         raise ValueError("V_current must be a key-subset of V_hist")
-    n, g = env.n, env.circuit.g
+    n, g = env.circuit.n, env.circuit.g
     tape_len = len(env.tape)
     tau = cfg.resolved_tau(n)
     if record is None:
@@ -375,9 +378,9 @@ def bottleneck(i: int, x: int, V_current: KnownVertices, V_hist: KnownVertices,
                     violator = b
                     break
             if violator is None:
-                inv = (1 << env.label_bits) - 1
+                inv = V_hist.invalid
                 for _ in range(cfg.fresh_candidates):
-                    b = int(rng.integers(0, 1 << env.label_bits))
+                    b = int(rng.integers(0, inv + 1))
                     if b == inv or b in known or b in V_hist.known_labels():
                         continue
                     if clears_tau(_hits(accepted, b), m):
@@ -455,8 +458,7 @@ class _BottleneckTiers:
         return probs, V
 
 
-def bottleneck_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree,
-                       tiers: int | None = None, seed: int = 0,
+def bottleneck_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree, seed: int = 0,
                        cfg: BottleneckConfig | None = None,
                        tape: SeedTape | None = None) -> BottleneckResult:
     """Iterative composition of bottlenecked tier simulations (all-quantum).
@@ -470,15 +472,14 @@ def bottleneck_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree,
     if tape is None:
         tape = SeedTape.generate(seed, circuit.n, circuit.eta,
                                  max(C.accounting(circuit).max_quantum_depth, 1), circuit.g)
-    env = EstimatorEnv(circuit=circuit, tape=tape, n=circuit.n,
-                       label_bits=bbt.label_bits, seed=seed,
+    env = EstimatorEnv(circuit=circuit, tape=tape, seed=seed,
                        structure=bbt.structure if cfg.mode == "labelings" else None,
                        coloring=bbt.coloring if cfg.mode == "labelings" else None)
-    ctx = SimContext.fresh(bbt, instrument=cfg.instrument)
+    ctx = SimContext.fresh(bbt)
     V = entrance_known(ctx)
     policy = _BottleneckTiers(ctx, env, cfg, hist=V.copy())
     try:
-        acc, V = SV.drive_hybrid(circuit, policy, tape.tier_uniform, V, tiers)
+        acc, V = SV.drive_hybrid(circuit, policy, tape.tier_uniform, V)
         output, reason = next(iter(acc)), None
     except Abort as abort:
         V, reason = None, abort.reason

@@ -15,7 +15,7 @@ import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import scipy
@@ -121,9 +121,12 @@ class ExperimentConfig:
         return self.budget if self.budget is not None else round(2 ** (self.n / 3))
 
     def require_at_least(self, **minimum) -> None:
-        """A ValueError naming the first of the given fields below its minimum."""
+        """A ValueError naming the first of the given fields that is not
+        finite or is below its minimum."""
         for name, least in minimum.items():
             value = getattr(self, name)
+            if not value < math.inf:        # NaN and inf; a large int is finite
+                raise ValueError(f"config field {name!r} must be finite, got {value}")
             if value < least:
                 raise ValueError(f"config field {name!r} must be >= {least}, got {value}")
 
@@ -418,10 +421,8 @@ def cmd_e2e(config: ExperimentConfig) -> Report:
     report.checks.append(info_check("quantum walk best_p", res.best_p))
     report.checks.append(hard_check("walk beats walker 10x",
                                     res.best_p, 10 * rate, res.best_p >= 10 * rate))
-    sim_cfg = ExperimentConfig(experiment="simulate", n=min(n, 3),
-                               seed=config.seed, samples=min(config.samples, 30),
-                               circuit_file=config.circuit_file)
-    sub = cmd_simulate(sim_cfg)
+    sub = cmd_simulate(replace(config, experiment="simulate", n=min(n, 3),
+                               samples=min(config.samples, 30)))
     for chk in sub.checks:
         chk.name = "simulate: " + chk.name
         report.checks.append(chk)

@@ -300,46 +300,39 @@ def tier_draws(tier_seed_fn):
     return lambda i: make_rng(tier_seed_fn(i), "sim-tier-measure").random()
 
 
-def few_tier_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree,
-                     tiers: int | None = None, seed: int = 0,
-                     instrument: bool = True,
+def few_tier_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree, seed: int = 0,
                      tier_seed_fn=None) -> SimResult:
-    """Compose per-tier simulations for the first ``tiers`` tiers.
+    """Compose per-tier simulations of every tier.
 
-    tiers=0 returns the initialization alone: x = all-zeros input and the
-    entrance's answer row.  ``tier_seed_fn(i)`` overrides the per-tier
-    measurement seed (the bottleneck equivalence tests share a seed tape).
+    ``tier_seed_fn(i)`` overrides the per-tier measurement seed (the
+    bottleneck equivalence checks share a seed tape).
     """
     C.require_valid(circuit)
     tier_seed_fn = tier_seed_fn or (lambda i: derive_seed(seed, "tier", i))
-    ctx = SimContext.fresh(bbt, instrument=instrument)
-    acc, V = SV.drive_hybrid(circuit, ctx, tier_draws(tier_seed_fn), entrance_known(ctx),
-                             tiers)
+    ctx = SimContext.fresh(bbt)
+    acc, V = SV.drive_hybrid(circuit, ctx, tier_draws(tier_seed_fn), entrance_known(ctx))
     if ctx.transcript.queries > wrapper_query_ceiling(circuit):
         raise AssertionError("wrapper query ceiling exceeded")
     ctx.transcript.output = next(iter(acc))
     return SimResult(output=ctx.transcript.output, known=V, transcript=ctx.transcript)
 
 
-def few_tier_exact_distribution(circuit: C.HybridCircuit, bbt: BlackBoxTree,
-                                tiers: int | None = None) -> SV.OutputDistribution:
+def few_tier_exact_distribution(circuit: C.HybridCircuit,
+                                bbt: BlackBoxTree) -> SV.OutputDistribution:
     """Exact output distribution of the simulator (measurement branches enumerated)."""
     C.require_valid(circuit)
-    tiers = circuit.eta if tiers is None else tiers
     ctx = SimContext.fresh(bbt, instrument=False)
-    acc, _ = SV.drive_hybrid(circuit, ctx, None, entrance_known(ctx), tiers)
-    return SV.OutputDistribution(circuit.tiers[tiers - 1].width_out if tiers else circuit.n,
-                                 acc)
+    acc, _ = SV.drive_hybrid(circuit, ctx, None, entrance_known(ctx))
+    return SV.OutputDistribution(circuit.tiers[-1].width_out, acc)
 
 
 # ---------------------------------------------------------------------------
 # Jozsa path
 # ---------------------------------------------------------------------------
 
-def jozsa_wrapper(circuit: C.JozsaCircuit, bbt: BlackBoxTree, seed: int = 0,
-                  instrument: bool = True) -> SimResult:
+def jozsa_wrapper(circuit: C.JozsaCircuit, bbt: BlackBoxTree, seed: int = 0) -> SimResult:
     C.require_valid(circuit)
-    ctx = SimContext.fresh(bbt, instrument=instrument)
+    ctx = SimContext.fresh(bbt)
     acc, V = SV.drive_jozsa(
         circuit, ctx,
         lambda i: (make_rng(seed, "sim-r1", i) if i else make_rng(seed, "sim-final")).random(),

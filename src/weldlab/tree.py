@@ -15,8 +15,8 @@ single valued.
 
 Label-space note: 2n-bit labels require 2^(2n) - 2 >= vertex_count - 1,
 which fails only at n=1 (6 vertices, 4 strings).  ``generate_labels`` rejects
-that case.  Tests that need a shrunken label space (exhaustive enumeration
-oracles) may pass an explicit ``label_bits``; that mode is test-only.
+that case.  A ``BlackBoxTree`` itself takes labels of any width; the
+consistent-tree sampler reads the width from its entries' INVALID label.
 """
 from __future__ import annotations
 
@@ -419,10 +419,9 @@ def _sample_distinct(rng, low: int, high: int, k: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _checked_label_bits(structure: TreeStructure, label_bits: int | None) -> int:
-    """``label_bits`` (default 2n), if its space can label every vertex."""
-    if label_bits is None:
-        label_bits = 2 * structure.n
+def _checked_label_bits(structure: TreeStructure) -> int:
+    """2n, if a space of 2n-bit labels can label every vertex."""
+    label_bits = 2 * structure.n
     V = structure.vertex_count
     if (1 << label_bits) - 2 < V - 1:
         raise ValueError(
@@ -475,22 +474,21 @@ def _distinct_rows(rng, rows: int, k: int, span: int) -> np.ndarray:
 def generate_label_batch(structure: TreeStructure, coloring: EdgeColoring, rows: int,
                          rng: np.random.Generator) -> LabelingBatch:
     """``rows`` independent labelings distributed as ``generate_labels``'s, drawn at once."""
-    label_bits = _checked_label_bits(structure, None)
+    label_bits = _checked_label_bits(structure)
     V = structure.vertex_count
     drawn = _distinct_rows(rng, rows, V - 1, (1 << label_bits) - 2) + 1
     labels = np.insert(drawn, structure.entrance, 0, axis=1)
     return LabelingBatch(structure, coloring, labels, label_bits)
 
 
-def generate_labels(structure: TreeStructure, coloring: EdgeColoring, seed: int,
-                    label_bits: int | None = None) -> BlackBoxTree:
+def generate_labels(structure: TreeStructure, coloring: EdgeColoring,
+                    seed: int) -> BlackBoxTree:
     """Uniform injective labeling, entrance pinned to all-zeros.
 
-    Labels are drawn from {0,1}^label_bits minus the all-ones INVALID string.
-    Raises when the space cannot hold vertex_count distinct labels (n=1 with
-    the default 2n bits).
+    Labels are drawn from {0,1}^(2n) minus the all-ones INVALID string.
+    Raises when the space cannot hold vertex_count distinct labels (n=1).
     """
-    label_bits = _checked_label_bits(structure, label_bits)
+    label_bits = _checked_label_bits(structure)
     drawn = _sample_distinct(make_rng(seed, "labels"), 1, (1 << label_bits) - 1,
                              structure.vertex_count - 1)
     labels = np.insert(drawn, structure.entrance, 0)
@@ -498,23 +496,24 @@ def generate_labels(structure: TreeStructure, coloring: EdgeColoring, seed: int,
                         label_bits=label_bits)
 
 
-def make_blackbox(n: int, seed: int, label_bits: int | None = None) -> BlackBoxTree:
+def make_blackbox(n: int, seed: int) -> BlackBoxTree:
     """Full pipeline with derived subseeds: structure, coloring, labels."""
     structure = generate_structure(n, seed)
     coloring = generate_coloring(structure, seed)
-    return generate_labels(structure, coloring, seed, label_bits=label_bits)
+    return generate_labels(structure, coloring, seed)
 
 
 # ---------------------------------------------------------------------------
 # Sampling consistent black-box trees
 # ---------------------------------------------------------------------------
 
-def _check_entries(entries: KnownVertices, n: int, label_bits: int | None) -> int:
-    """``label_bits`` (default 2n), once ``entries`` can come from such a tree."""
-    label_bits = 2 * n if label_bits is None else label_bits
+def _check_entries(entries: KnownVertices) -> int:
+    """The label width that ``entries``' INVALID label names, once ``entries``
+    can come from a tree with labels that wide."""
+    label_bits = entries.invalid.bit_length()
     inv = invalid_label(label_bits)
     if entries.invalid != inv:
-        raise ValueError("entries INVALID label does not match label_bits")
+        raise ValueError("entries INVALID label is not an all-ones string")
     for (x, c) in entries.entries:
         if x == inv:
             raise ValueError("INVALID cannot be a queried vertex")
@@ -558,7 +557,7 @@ def _invalid_pairs(entries: KnownVertices) -> set[tuple[int, int]]:
 
 
 def embed_entries(entries: KnownVertices, bbt_structure: TreeStructure,
-                  coloring: EdgeColoring, label_bits: int) -> dict[int, int]:
+                  coloring: EdgeColoring) -> dict[int, int]:
     """Place entry labels onto a fixed (structure, coloring); forced and unique.
 
     Starting at the entrance, every recorded edge follows the structure's
@@ -567,7 +566,7 @@ def embed_entries(entries: KnownVertices, bbt_structure: TreeStructure,
     existing edge, the placement collides, or a key is unreachable from the
     entrance.
     """
-    inv = invalid_label(label_bits)
+    inv = entries.invalid
     edges = _entry_edges(entries)
     nbc = neighbor_table(bbt_structure, coloring)
 
@@ -627,8 +626,7 @@ def _fill_labels(structure: TreeStructure, pinned: dict[int, int], rng,
 def sample_consistent(entries: KnownVertices, n: int, seed: int, *,
                       mode: str = "structures",
                       structure: TreeStructure | None = None,
-                      coloring: EdgeColoring | None = None,
-                      label_bits: int | None = None) -> BlackBoxTree:
+                      coloring: EdgeColoring | None = None) -> BlackBoxTree:
     """A black-box tree agreeing with ``entries`` on labels, colors, adjacency.
 
     mode="labelings": the welding and coloring are fixed (pass them in) and
@@ -643,12 +641,12 @@ def sample_consistent(entries: KnownVertices, n: int, seed: int, *,
     uniform over consistent trees; the approximation is documented rather
     than hidden.
     """
-    label_bits = _check_entries(entries, n, label_bits)
+    label_bits = _check_entries(entries)
     rng = make_rng(seed, "sample_consistent")
     if mode == "labelings":
         if structure is None or coloring is None:
             raise ValueError("labelings mode requires the fixed structure and coloring")
-        pos = embed_entries(entries, structure, coloring, label_bits)
+        pos = embed_entries(entries, structure, coloring)
         labels = _fill_labels(structure, {lab: v for lab, v in pos.items() if lab != 0},
                               rng, label_bits)
         bbt = BlackBoxTree(structure=structure, coloring=coloring, labels=labels,

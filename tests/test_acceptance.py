@@ -304,7 +304,7 @@ def test_criterion_9_bottleneck():
                          max_q=2, p_query=0.7, all_quantum=True)
     stats = C.accounting(circ)
     tape = BN.SeedTape.generate(77, 2, circ.eta, max(stats.max_quantum_depth, 1), 12)
-    env = BN.EstimatorEnv(circuit=circ, tape=tape, n=2, label_bits=4, seed=123,
+    env = BN.EstimatorEnv(circuit=circ, tape=tape, seed=123,
                           structure=bbt.structure, coloring=bbt.coloring)
     h = bbt.handle()
     V = KnownVertices(bbt.invalid)
@@ -313,9 +313,8 @@ def test_criterion_9_bottleneck():
         V.set_vertex(lab, vertex_row(bbt, lab))
     for lab in sorted(V.known_labels() - V.key_labels())[:3]:
         V.set_vertex(lab, vertex_row(bbt, lab))
-    x = HS.few_tier_wrapper(circ, bbt, tiers=1, instrument=False,
-                            tier_seed_fn=tape.tier_seed).output
-    pos = tree.embed_entries(V, bbt.structure, bbt.coloring, 4)
+    x = BN.replay_prefix(circ, bbt, tape, 1)
+    pos = tree.embed_entries(V, bbt.structure, bbt.coloring)
     free_vs = [v for v in range(14) if v not in pos.values()]
     avail = sorted(set(range(1, 15)) - V.known_labels())
     accepted, valid_counts = 0, {}
@@ -327,8 +326,7 @@ def test_criterion_9_bottleneck():
             labels[v] = lab
         P = tree.BlackBoxTree(structure=bbt.structure, coloring=bbt.coloring,
                               labels=labels, label_bits=4)
-        if HS.few_tier_wrapper(circ, P, tiers=1, instrument=False,
-                               tier_seed_fn=tape.tier_seed).output == x:
+        if BN.replay_prefix(circ, P, tape, 1) == x:
             accepted += 1
             for lab in combo:
                 valid_counts[lab] = valid_counts.get(lab, 0) + 1

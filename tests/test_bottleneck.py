@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -65,8 +66,9 @@ def test_tape_prefix_determinism():
                           scrambled.bits[:2 * tape.segment_len])
     assert not np.array_equal(tape.bits, scrambled.bits)
     cfg = BN.BottleneckConfig(tau=0.0)
-    a = BN.bottleneck_wrapper(circ, bbt, tiers=2, seed=9, cfg=cfg, tape=tape)
-    b = BN.bottleneck_wrapper(circ, bbt, tiers=2, seed=9, cfg=cfg, tape=scrambled)
+    first_two = dataclasses.replace(circ, tiers=circ.tiers[:2])
+    a = BN.bottleneck_wrapper(first_two, bbt, seed=9, cfg=cfg, tape=tape)
+    b = BN.bottleneck_wrapper(first_two, bbt, seed=9, cfg=cfg, tape=scrambled)
     assert a.output == b.output
     assert a.known.entries == b.known.entries
     assert a.transcript.to_json() == b.transcript.to_json()
@@ -153,14 +155,13 @@ def test_abort_ratio_path_tight_rho():
     circ = _superposed_query_circuit()
     bbt = tree.make_blackbox(2, 9)
     tape = _tape_for(circ, 0)
-    env = BN.EstimatorEnv(circuit=circ, tape=tape, n=2, label_bits=bbt.label_bits,
-                          seed=6, structure=bbt.structure, coloring=bbt.coloring)
+    env = BN.EstimatorEnv(circuit=circ, tape=tape, seed=6, structure=bbt.structure,
+                          coloring=bbt.coloring)
     empty = KnownVertices(bbt.invalid)
     # find a transcript that only a minority of consistent trees reproduce
-    outcomes = [HS.few_tier_wrapper(circ, tree.sample_consistent(
+    outcomes = [BN.replay_prefix(circ, tree.sample_consistent(
         empty, 2, s, mode="labelings", structure=bbt.structure,
-        coloring=bbt.coloring), tiers=1, instrument=False,
-        tier_seed_fn=tape.tier_seed).output for s in range(60)]
+        coloring=bbt.coloring), tape, 1) for s in range(60)]
     counts = {x: outcomes.count(x) for x in set(outcomes)}
     x_minor = min(counts, key=lambda x: counts[x])
     assert counts[x_minor] / 60 < 0.5
@@ -205,8 +206,7 @@ def test_complete_subtree_minimal_on_paths(bbt2):
 # ---------------------------------------------------------------------------
 
 def _env_for(circ, bbt, seed):
-    return BN.EstimatorEnv(circuit=circ, tape=_tape_for(circ, seed), n=circ.n,
-                           label_bits=bbt.label_bits, seed=seed,
+    return BN.EstimatorEnv(circuit=circ, tape=_tape_for(circ, seed), seed=seed,
                            structure=bbt.structure, coloring=bbt.coloring)
 
 
@@ -239,10 +239,9 @@ def test_estimators_match_enumeration(bbt2):
         V.set_vertex(lab, vertex_row(bbt2, lab))
     for lab in sorted(V.known_labels() - V.key_labels())[:3]:
         V.set_vertex(lab, vertex_row(bbt2, lab))
-    x = HS.few_tier_wrapper(circ, bbt2, tiers=1, instrument=False,
-                            tier_seed_fn=env.tape.tier_seed).output
+    x = BN.replay_prefix(circ, bbt2, env.tape, 1)
 
-    pos = tree.embed_entries(V, bbt2.structure, bbt2.coloring, bbt2.label_bits)
+    pos = tree.embed_entries(V, bbt2.structure, bbt2.coloring)
     free_vs = [v for v in range(bbt2.structure.vertex_count) if v not in pos.values()]
     avail = sorted(set(range(1, 15)) - V.known_labels())
     count = math.perm(len(avail), len(free_vs))
@@ -257,8 +256,7 @@ def test_estimators_match_enumeration(bbt2):
             labels[v] = lab
         P = tree.BlackBoxTree(structure=bbt2.structure, coloring=bbt2.coloring,
                               labels=labels, label_bits=bbt2.label_bits)
-        if HS.few_tier_wrapper(circ, P, tiers=1, instrument=False,
-                               tier_seed_fn=env.tape.tier_seed).output == x:
+        if BN.replay_prefix(circ, P, env.tape, 1) == x:
             accepted += 1
             for lab in combo:
                 valid_counts[lab] = valid_counts.get(lab, 0) + 1
@@ -284,8 +282,7 @@ def test_estimator_inconclusive_on_impossible_transcript(bbt2):
     V = HS.entrance_known(ctx)
     # a query-free deterministic circuit reproduces exactly one transcript;
     # its ratio is 1, and conditioning on any other accepts no samples
-    good = HS.few_tier_wrapper(circ, bbt2, tiers=1, instrument=False,
-                               tier_seed_fn=env.tape.tier_seed).output
+    good = BN.replay_prefix(circ, bbt2, env.tape, 1)
     cfg = BN.BottleneckConfig(sample_budget=8)
     est = BN.estimate_consistency_ratio(V, good, 1, env, cfg)
     assert est.value == 1.0
@@ -304,24 +301,16 @@ def test_bottleneck_keeps_entrance_dictionary_on_query_free_circuit(bbt2):
     assert out.entries == V.entries
 
 
-def test_wrapper_base_case_tiers_zero(bbt2):
-    rng = np.random.default_rng(16)
-    circ = _allq(rng, eta=2)
-    res = BN.bottleneck_wrapper(circ, bbt2, tiers=0, seed=1,
-                                tape=_tape_for(circ, 1))
-    assert res.output == 0 and not res.aborted
-    assert res.known.key_labels() == {0}
-    assert res.known.entries == res.hist.entries
+def test_replay_prefix_of_no_tiers_is_the_all_zeros_input(bbt2):
+    circ = _allq(np.random.default_rng(16), eta=2)
+    assert BN.replay_prefix(circ, bbt2, _tape_for(circ, 1), 0) == 0
 
 
 @pytest.mark.parametrize("tiers", [-1, 3])
-def test_wrappers_reject_tier_count_out_of_range(bbt2, tiers):
+def test_replay_prefix_rejects_tier_count_out_of_range(bbt2, tiers):
     circ = _allq(np.random.default_rng(16), eta=2)
-    message = f"tier count {tiers} out of range 0..2"
-    with pytest.raises(ValueError, match=message):
-        BN.bottleneck_wrapper(circ, bbt2, tiers=tiers, seed=1, tape=_tape_for(circ, 1))
-    with pytest.raises(ValueError, match=message):
-        HS.few_tier_wrapper(circ, bbt2, tiers=tiers, seed=1)
+    with pytest.raises(ValueError, match=f"tier count {tiers} out of range 0..2"):
+        BN.replay_prefix(circ, bbt2, _tape_for(circ, 1), tiers)
 
 
 def fidelity_gap_check(result: BN.BottleneckResult) -> list[dict]:

@@ -96,6 +96,23 @@ def test_simulate_report_runs():
     assert "fidelity identity gap <= 1e-10" in names
 
 
+def test_e2e_simulates_with_its_own_bottleneck_fields(tmp_path):
+    # an all-quantum circuit reaches the Bottleneck, which aborts at a tiny tau
+    (tmp_path / "allq.txt").write_text(
+        "hybrid-allq n=3 g=16\ntier quantum\n"
+        f"  {' '.join(f'ANC({w})' for w in range(3, 16))}\n"
+        "  H(6) H(7)\n"
+        f"  QRY({','.join(str(w) for w in range(16))})\n")
+
+    def aborted(experiment: str) -> float:
+        rep = run_command(ExperimentConfig(experiment=experiment, n=3, trials=100, steps=20,
+                                           samples=2, tau=1e-12,
+                                           circuit_file=str(tmp_path / "allq.txt")))
+        return next(c.measured for c in rep.checks if c.name.endswith("bottleneck aborted"))
+
+    assert aborted("simulate") == aborted("e2e") == 1.0
+
+
 def test_discovery_report_statistical_fields():
     cfg = ExperimentConfig(experiment="discovery", n=3, trials=2000,
                            h_values=(1,))
@@ -241,10 +258,13 @@ def test_discovery_rate_rejects_bad_counts(trials, budget, message):
     (["simulate"], '{"tau": NaN}', "config field 'tau' must be in [0, 1], got nan"),
     (["e2e"], '{"sample_budget": 0}', "config field 'sample_budget' must be >= 1, got 0"),
     (["e2e"], '{"tau": -1}', "config field 'tau' must be in [0, 1], got -1"),
+    (["walk"], '{"t_max": NaN}', "config field 't_max' must be finite, got nan"),
+    (["walk"], '{"t_max": Infinity}', "config field 't_max' must be finite, got inf"),
+    (["e2e"], '{"t_max": NaN}', "config field 't_max' must be finite, got nan"),
 ], ids=["discovery-trials", "walk-trials", "simulate-samples", "e2e-samples",
         "walk-steps", "walk-t_max", "simulate-sample_budget-0", "simulate-sample_budget-neg",
         "simulate-tau-neg", "simulate-tau-above-1", "simulate-tau-nan", "e2e-sample_budget",
-        "e2e-tau"])
+        "e2e-tau", "walk-t_max-nan", "walk-t_max-inf", "e2e-t_max-nan"])
 def test_cli_bad_trials_exit_2(tmp_path, capsys, argv, config, message):
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)

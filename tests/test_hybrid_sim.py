@@ -133,12 +133,11 @@ def test_determinism_transcript_bytes(bbt2):
     assert isinstance(c, str)
 
 
-def test_wrapper_tiers_zero_initialization(bbt2):
-    circ = entrance_query_circuit(2)
-    res = HS.few_tier_wrapper(circ, bbt2, tiers=0, seed=0)
-    assert res.output == 0
-    assert res.known.key_labels() == {0}
-    assert res.transcript.queries == 1
+def test_initialization_learns_the_entrance_for_one_query(bbt2):
+    ctx = HS.SimContext.fresh(bbt2)
+    V = HS.entrance_known(ctx)
+    assert V.key_labels() == {0}
+    assert ctx.transcript.queries == 1
 
 
 def test_identity_tier_echoes(bbt2):

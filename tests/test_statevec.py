@@ -186,8 +186,8 @@ class Estimate:
     trials: int
 
 
-def success_probability(circuit: C.Circuit, structure, labelings: int, seed: int,
-                        label_bits: int | None = None) -> Estimate:
+def success_probability(circuit: C.Circuit, structure, labelings: int,
+                        seed: int) -> Estimate:
     """Monte Carlo over fresh labelings of the fixed structure.
 
     Success means the circuit's output (first 2n output bits, zero padded)
@@ -196,11 +196,10 @@ def success_probability(circuit: C.Circuit, structure, labelings: int, seed: int
     """
     C.require_valid(circuit)
     coloring = tree.generate_coloring(structure, derive_seed(seed, "coloring-pick"))
-    mask = (1 << (2 * structure.n if label_bits is None else label_bits)) - 1
+    mask = (1 << (2 * structure.n)) - 1
     hits = 0
     for t_idx in range(labelings):
-        bbt = tree.generate_labels(structure, coloring, derive_seed(seed, "labeling", t_idx),
-                                   label_bits=label_bits)
+        bbt = tree.generate_labels(structure, coloring, derive_seed(seed, "labeling", t_idx))
         run_seed = derive_seed(seed, "run", t_idx)
         if isinstance(circuit, C.HybridCircuit):
             out = SV.run_hybrid(circuit, bbt, run_seed, handle=bbt.handle())
@@ -299,8 +298,7 @@ def test_success_probability_one_for_walk_replay():
     # property of (structure, coloring), so rebuild per labeling with them
     hits = 0
     for t_idx in range(25):
-        b = tree.generate_labels(bbt.structure, bbt.coloring, t_idx,
-                                label_bits=bbt.label_bits)
+        b = tree.generate_labels(bbt.structure, bbt.coloring, t_idx)
         out = SV.run_hybrid(circ, b, seed=t_idx)
         hits += (out & 0xF) == b.exit_label()
     assert hits == 25

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from weldlab import tree
 from weldlab.known import KnownVertices
 
-from tree_tools import edge_color, vertex_row
+from tree_tools import edge_color, labeled_blackbox, vertex_row
 
 
 def test_structure_counts_forced_at_n1():
@@ -86,7 +86,7 @@ def test_labels_impossible_at_n1():
     with pytest.raises(ValueError):
         tree.generate_labels(ts, col, 0)
     # a widened space makes n=1 usable for tests
-    bbt = tree.generate_labels(ts, col, 0, label_bits=3)
+    bbt = labeled_blackbox(1, 0, 3)
     assert len(set(int(x) for x in bbt.labels)) == 6
 
 
@@ -114,7 +114,7 @@ def test_query_involution(bbt3):
 # 60-bit labels: a lookup key must hold the label and the row, not the vertex
 @pytest.mark.parametrize("n,label_bits", [(1, 3), (2, None), (3, None), (5, None), (3, 60)])
 def test_answer_many_matches_answer(n, label_bits):
-    bbt = tree.make_blackbox(n, 4, label_bits=label_bits)
+    bbt = tree.make_blackbox(n, 4) if label_bits is None else labeled_blackbox(n, 4, label_bits)
     space = 1 << bbt.label_bits
     rng = np.random.default_rng(n)
     xs = np.concatenate([rng.integers(-2, space + 2, size=2000), bbt.labels,
@@ -182,7 +182,7 @@ def test_query_counter_counts_every_invocation(bbt2):
 
 def test_exit_label_n1_toy():
     # the degree-2 vertex in the last column (widened label space at n=1)
-    b1 = tree.make_blackbox(1, 2, label_bits=3)
+    b1 = labeled_blackbox(1, 2, 3)
     ex = b1.exit_label()
     assert ex != 0 and ex != b1.invalid
     v = b1.inverse[ex]
@@ -244,7 +244,7 @@ def test_sample_labelings_mode_uniform_over_free_labels(bbt2):
         if int(s.column[v]) <= s.n:
             lab = int(bbt2.labels[v])
             V.set_vertex(lab, vertex_row(bbt2, lab))
-    pos = tree.embed_entries(V, s, bbt2.coloring, bbt2.label_bits)
+    pos = tree.embed_entries(V, s, bbt2.coloring)
     free_count = s.vertex_count - len(pos)
     avail = (1 << 4) - 1 - len(V.known_labels() | {0})
     assert free_count == 3 and avail == free_count + 1

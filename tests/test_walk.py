@@ -5,6 +5,8 @@ import pytest
 
 from weldlab import tree, walk
 
+from tree_tools import labeled_blackbox
+
 
 def test_reduced_matrix_shape_and_symmetry():
     ts = tree.generate_structure(1, 0)
@@ -103,8 +105,8 @@ def test_walker_budget_zero_false():
 
 
 def test_walker_small_tree_generous_budget():
-    # n=1 needs the widened test-only label space
-    b1 = tree.make_blackbox(1, 3, label_bits=3)
+    # n=1 needs a label space wider than 2n bits
+    b1 = labeled_blackbox(1, 3, 3)
     rate = walk.walker_success_rate(b1, query_budget=400, trials=100, seed=0)
     assert rate >= 0.95
     b2 = tree.make_blackbox(2, 3)
