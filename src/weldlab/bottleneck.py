@@ -8,14 +8,14 @@ rooted subtree closure.  A label guessable but never actually encountered
 forces ABORT, as does a transcript whose consistency ratio falls below the
 floor rho.
 
-Computing the consistent-tree sets exactly is doubly exponential, so
-they are replaced by seeded Monte Carlo: a batch of trees consistent
-with the current dictionary is drawn, the first i tiers are replayed
-against each tree with the same seed-tape prefix (``replay_prefix``), and
-the trees reproducing the transcript form the acceptance sample.  Replays
-run the tier pipeline in the tau=0 degeneration (no pruning, no aborts),
-which is also the mode in which the whole bottleneck pipeline is
-transcript-identical to the few-tier simulator.
+Estimators replay the first i tiers with the seed-tape prefix
+(``replay_prefix``) in the tau=0 degeneration, where the pipeline is
+transcript-identical to the few-tier simulator.  If the dictionary holds
+every answer a replay reads, all consistent trees replay alike: the ratio is
+exactly 1 or 0, and no tree is replayed.  Only where it leaves the replay
+open does seeded Monte Carlo stand in for the doubly exponential exact sets:
+consistent trees are drawn, and those reproducing the transcript form the
+acceptance sample.
 
 All estimator randomness is purpose-keyed off the master seed; measurement
 randomness comes only from the seed tape, one segment per tier, so
@@ -225,16 +225,54 @@ def replay_prefix(circuit: C.HybridCircuit, P: BlackBoxTree, tape: SeedTape, i: 
     return next(iter(reached))
 
 
+class _Undecided(Exception):
+    """A replay read an answer that the known dictionary does not hold."""
+
+
+class _KnownOracle:
+    """V as the tree of a ``replay_prefix`` (which reads only ``n``, ``invalid``
+    and ``handle().query``); a key V lacks raises ``_Undecided``."""
+
+    def __init__(self, V: KnownVertices, n: int):
+        self.entries, self.invalid, self.n, self.count = V.entries, V.invalid, n, 0
+
+    def handle(self) -> "_KnownOracle":
+        return self
+
+    def query(self, x: int, c: int) -> int:
+        self.count += 1
+        if (x, c) not in self.entries:
+            raise _Undecided
+        return self.entries[(x, c)]
+
+
+def _known_replay(V: KnownVertices, i: int, env: EstimatorEnv) -> int | None:
+    """The replay of tiers 1..i on every tree consistent with V (each answers
+    V's keys as V does), or None if the replay reads a key V lacks."""
+    try:
+        return replay_prefix(env.circuit, _KnownOracle(V, env.circuit.n), env.tape, i)
+    except _Undecided:
+        return None
+
+
 def _sample_accepted_trees(V: KnownVertices, x: int, i: int, env: EstimatorEnv,
-                           cfg: BottleneckConfig) -> tuple[list[BlackBoxTree], int]:
-    """Sampled consistent trees whose replay reproduces x."""
+                           cfg: BottleneckConfig,
+                           need_trees: bool = True) -> tuple[list[BlackBoxTree] | None, int]:
+    """Sampled consistent trees whose replay reproduces x, and how many were tried.
+    Where V decides the replay no tree is replayed, and none is drawn unless it
+    is x and ``need_trees`` is set (the accepted list is then [] or None)."""
     call_id = env.next_call_id()
+    decided = _known_replay(V, i, env)
+    if decided is not None and decided != x:
+        return [], cfg.sample_budget
+    if decided == x and not need_trees:
+        return None, cfg.sample_budget
     accepted: list[BlackBoxTree] = []
     for s in range(cfg.sample_budget):
         seed_s = derive_seed(env.seed, "estimator", call_id, i, s)
         P = sample_consistent(V, env.circuit.n, seed_s, mode=cfg.mode,
                               structure=env.structure, coloring=env.coloring)
-        if replay_prefix(env.circuit, P, env.tape, i) == x:
+        if decided == x or replay_prefix(env.circuit, P, env.tape, i) == x:
             accepted.append(P)
     return accepted, cfg.sample_budget
 
@@ -264,11 +302,12 @@ def estimate_consistency_ratio(V: KnownVertices, x: int, i: int,
     """Fraction of consistent trees whose replay reproduces x; 0 hits -> inconclusive."""
     if i == 0:
         return EstimateResult(1.0, 0.0, 0, 0)
-    accepted, attempted = _sample_accepted_trees(V, x, i, env, cfg)
-    if not accepted:
+    accepted, attempted = _sample_accepted_trees(V, x, i, env, cfg, need_trees=False)
+    hits = attempted if accepted is None else len(accepted)
+    if not hits:
         return EstimateResult(None, None, 0, attempted)
-    p = len(accepted) / attempted
-    return EstimateResult(p, math.sqrt(p * (1 - p) / attempted), len(accepted), attempted)
+    p = hits / attempted
+    return EstimateResult(p, math.sqrt(p * (1 - p) / attempted), hits, attempted)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +347,8 @@ def complete_subtree(V: KnownVertices, V_hist: KnownVertices) -> KnownVertices:
             target = parent[target]
     out = KnownVertices(V_hist.invalid)
     for v in sorted(chosen):
-        row = V_hist.row(v)
-        if row:
-            for c, y in row.items():
-                out.entries[(v, c)] = y
+        for c, y in V_hist.row(v).items():
+            out.entries[(v, c)] = y
     # keep any extra entries the caller already held (subset of V_hist)
     return out.merge(V)
 

@@ -130,10 +130,12 @@ class ExperimentConfig:
             if value < least:
                 raise ValueError(f"config field {name!r} must be >= {least}, got {value}")
 
-    def require_unit_tau(self) -> None:
-        """A ValueError naming ``tau`` when it is set outside [0, 1] (or NaN)."""
+    def require_bottleneck_thresholds(self) -> None:
+        """A ValueError naming a set ``tau`` outside [0, 1] or a non-finite ``rho_log2``."""
         if self.tau is not None and not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"config field 'tau' must be in [0, 1], got {self.tau}")
+        if self.rho_log2 is not None and not -math.inf < self.rho_log2 < math.inf:
+            raise ValueError(f"config field 'rho_log2' must be finite, got {self.rho_log2}")
 
 
 @dataclass
@@ -353,7 +355,7 @@ def load_circuit(config: ExperimentConfig) -> C.Circuit:
 
 def cmd_simulate(config: ExperimentConfig) -> Report:
     config.require_at_least(samples=1, sample_budget=1)
-    config.require_unit_tau()
+    config.require_bottleneck_thresholds()
     report = Report(experiment="simulate", config=config.result_fields())
     circuit = load_circuit(config)
     problems = C.validate(circuit)
@@ -406,7 +408,7 @@ def cmd_simulate(config: ExperimentConfig) -> Report:
 
 def cmd_e2e(config: ExperimentConfig) -> Report:
     config.require_at_least(samples=1, steps=1, t_max=0, sample_budget=1)
-    config.require_unit_tau()
+    config.require_bottleneck_thresholds()
     report = Report(experiment="e2e", config=config.result_fields())
     n = config.n
     budget = config.walker_budget()

@@ -274,20 +274,55 @@ def test_estimators_match_enumeration(bbt2):
     assert abs(est.value - exact_ratio) <= 3 * max(est.stderr, 0.01)
 
 
-def test_estimator_inconclusive_on_impossible_transcript(bbt2):
+def _spy(monkeypatch, name: str) -> list:
+    """The argument tuples of every call to ``BN.<name>`` from now on."""
+    calls, real = [], getattr(BN, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(BN, name, spy)
+    return calls
+
+
+def test_estimator_inconclusive_on_impossible_transcript(bbt2, monkeypatch):
     rng = np.random.default_rng(8)
     circ = _allq(rng, p_query=0.0)
     env = _env_for(circ, bbt2, 13)
     ctx = HS.SimContext.fresh(bbt2)
     V = HS.entrance_known(ctx)
     # a query-free deterministic circuit reproduces exactly one transcript;
-    # its ratio is 1, and conditioning on any other accepts no samples
+    # its ratio is 1, and conditioning on any other accepts no samples.  V
+    # holds the entrance row, the only answer the replay reads, so both
+    # ratios are decided without drawing a tree
     good = BN.replay_prefix(circ, bbt2, env.tape, 1)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a tree was drawn")
+
+    monkeypatch.setattr(BN, "sample_consistent", no_draws)
     cfg = BN.BottleneckConfig(sample_budget=8)
     est = BN.estimate_consistency_ratio(V, good, 1, env, cfg)
-    assert est.value == 1.0
+    assert (est.value, est.stderr, est.accepted, est.attempted) == (1.0, 0.0, 8, 8)
     est = BN.estimate_consistency_ratio(V, good ^ 1, 1, env, cfg)
-    assert not est.conclusive and est.accepted == 0
+    assert not est.conclusive and (est.accepted, est.attempted) == (0, 8)
+    assert env.call_counter == 2
+
+
+@pytest.mark.parametrize("rows", ["none", "entrance"])
+def test_undecided_replay_draws_and_replays_every_tree(bbt2, monkeypatch, rows):
+    # with no rows V decides no replay; with the entrance row alone the
+    # superposed query still reads rows V lacks
+    circ = _superposed_query_circuit()
+    env = _env_for(circ, bbt2, 3)
+    V = (HS.entrance_known(HS.SimContext.fresh(bbt2)) if rows == "entrance"
+         else KnownVertices(bbt2.invalid))
+    x = BN.replay_prefix(circ, bbt2, env.tape, 1)
+    drawn, replays = _spy(monkeypatch, "sample_consistent"), _spy(monkeypatch, "replay_prefix")
+    est = BN.estimate_consistency_ratio(V, x, 1, env, BN.BottleneckConfig(sample_budget=10))
+    assert est.attempted == len(drawn) == 10
+    assert len(replays) == 1 + 10       # the one against V, then one per tree
 
 
 def test_bottleneck_keeps_entrance_dictionary_on_query_free_circuit(bbt2):
@@ -416,6 +451,52 @@ PINNED_RUNS = {
 def test_bottleneck_run_pinned(case):
     res = _pinned_run(case)
     assert (_sha(res.report_json()), _sha(res.transcript.to_json())) == PINNED_RUNS[case]
+
+
+def _decidable_run(mode: str, seed: int) -> BN.BottleneckResult:
+    """A run whose V holds every answer many of its replays read (basis-state
+    queries of a random n=3 circuit).  At tau = 3/4 a round of 4 trees
+    certifies a label all 4 hold, (4+1)/(4+2) > 3/4, so certify rounds draw
+    trees, and at seeds 2 and 4 what they certify moves the report."""
+    circ = _allq(np.random.default_rng(seed), n=3, g=16, eta=3, p_query=0.5)
+    cfg = BN.BottleneckConfig(tau=0.75, sample_budget=4, mode=mode)
+    return BN.bottleneck_wrapper(circ, tree.make_blackbox(3, seed), seed=seed, cfg=cfg,
+                                 tape=_tape_for(circ, seed))
+
+
+# case -> whether V decides any of its replays.  The pinned n=3 runs replay a
+# superposed query whose rows the Bottleneck drops, and the tiny-tau run
+# aborts in its first round, whose V is empty; tight-rho's certify rounds in
+# tier 1 replay no tier and read only the entrance row.
+SHORTCUT_CASES = {**{case: case == "tight-rho" for case in PINNED_RUNS},
+                  **{f"{mode}-{seed}": True
+                     for mode in ("labelings", "structures") for seed in (2, 4)}}
+
+
+@pytest.mark.parametrize("case", SHORTCUT_CASES)
+def test_known_replay_shortcut_changes_no_result(case, monkeypatch):
+    # the same run with every replay against V forced undecided, i.e. all
+    # Monte Carlo, gives the same report and transcript
+    decided, known_replay = [], BN._known_replay
+
+    def spy(V, i, env):
+        y = known_replay(V, i, env)
+        decided.append(y is not None)
+        return y
+
+    def run():
+        if case in PINNED_RUNS:
+            return _pinned_run(case)
+        mode, seed = case.split("-")
+        return _decidable_run(mode, int(seed))
+
+    monkeypatch.setattr(BN, "_known_replay", spy)
+    shipped = run()
+    assert any(decided) == SHORTCUT_CASES[case]
+    monkeypatch.setattr(BN, "_known_replay", lambda V, i, env: None)
+    forced = run()
+    assert shipped.report_json() == forced.report_json()
+    assert shipped.transcript.to_json() == forced.transcript.to_json()
 
 
 @pytest.mark.parametrize("tau, budget, draws", [

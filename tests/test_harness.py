@@ -261,10 +261,15 @@ def test_discovery_rate_rejects_bad_counts(trials, budget, message):
     (["walk"], '{"t_max": NaN}', "config field 't_max' must be finite, got nan"),
     (["walk"], '{"t_max": Infinity}', "config field 't_max' must be finite, got inf"),
     (["e2e"], '{"t_max": NaN}', "config field 't_max' must be finite, got nan"),
+    (["simulate"], '{"rho_log2": NaN}', "config field 'rho_log2' must be finite, got nan"),
+    (["simulate"], '{"rho_log2": Infinity}',
+     "config field 'rho_log2' must be finite, got inf"),
+    (["e2e"], '{"rho_log2": NaN}', "config field 'rho_log2' must be finite, got nan"),
 ], ids=["discovery-trials", "walk-trials", "simulate-samples", "e2e-samples",
         "walk-steps", "walk-t_max", "simulate-sample_budget-0", "simulate-sample_budget-neg",
         "simulate-tau-neg", "simulate-tau-above-1", "simulate-tau-nan", "e2e-sample_budget",
-        "e2e-tau", "walk-t_max-nan", "walk-t_max-inf", "e2e-t_max-nan"])
+        "e2e-tau", "walk-t_max-nan", "walk-t_max-inf", "e2e-t_max-nan",
+        "simulate-rho_log2-nan", "simulate-rho_log2-inf", "e2e-rho_log2-nan"])
 def test_cli_bad_trials_exit_2(tmp_path, capsys, argv, config, message):
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)
