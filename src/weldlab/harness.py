@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import bottleneck as BN
@@ -30,6 +29,9 @@ from .rng import derive_seed, make_rng
 
 SCHEMA_VERSION = 1
 JOBS_ENV_VAR = "WELDLAB_JOBS"
+MAX_N = 15
+"""Largest tree height: every command colors a height-n tree, and the coloring
+search stops at 200,000 steps, one per edge unconstrained (3 * 2^(n+1) - 4)."""
 
 
 _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
@@ -184,8 +186,7 @@ class Report:
         return {"weldlab": __version__,
                 "python": platform.python_version(),
                 "platform": sys.platform,
-                "numpy": np.__version__,
-                "scipy": scipy.__version__}
+                "numpy": np.__version__}
 
     def to_json(self) -> str:
         doc = {"schema_version": self.schema_version,
@@ -255,6 +256,10 @@ def discovery_bound(n: int, h: int) -> float:
 
 
 def cmd_discovery(config: ExperimentConfig) -> Report:
+    config.require_at_least(trials=1)
+    if any(h < 0 for h in config.h_values):
+        raise ValueError(f"config field 'h_values' must hold budgets >= 0, "
+                         f"got {list(config.h_values)}")
     report = Report(experiment="discovery", config=config.result_fields())
     n = config.n
     for h in config.h_values:
@@ -292,14 +297,10 @@ def cmd_walk(config: ExperimentConfig) -> Report:
         structure = tree.generate_structure(n, config.seed)
         rw = walk.build_reduced(structure)
         rng = make_rng(config.seed, "cross-check")
-        worst = 0.0
-        worst_norm = 0.0
-        for _ in range(20):
-            t = float(rng.uniform(0, config.t_max))
-            vec = walk.full_graph_state(structure, t)
-            worst = max(worst, abs(walk.evolve_exit_probability(rw, t)
-                                   - float(np.abs(vec[structure.exit]) ** 2)))
-            worst_norm = max(worst_norm, abs(float(np.sum(np.abs(vec) ** 2)) - 1.0))
+        ts = np.array([rng.uniform(0, config.t_max) for _ in range(20)])
+        probs = np.abs(walk.full_graph_state(structure, ts)) ** 2
+        worst = np.max(np.abs(walk.evolve_exit_probabilities(rw, ts) - probs[:, structure.exit]))
+        worst_norm = np.max(np.abs(probs.sum(axis=1) - 1.0))
         report.checks.append(hard_check("reduced vs full agreement", worst, 1e-9,
                                         worst <= 1e-9))
         report.checks.append(hard_check("probability conservation", worst_norm,
@@ -440,5 +441,7 @@ def run_command(config: ExperimentConfig) -> Report:
         fn = COMMANDS[config.experiment]
     except KeyError:
         raise ValueError(f"unknown experiment {config.experiment!r}") from None
-    config.effective_jobs()         # a bad job count fails before any work
+    config.effective_jobs()         # a bad job count or n fails before any work
+    if not 1 <= config.n <= MAX_N:  # the tree is built first: 8 TiB at n=40
+        raise ValueError(f"config field 'n' must be in [1, {MAX_N}], got {config.n}")
     return fn(config)

@@ -5,6 +5,9 @@ own gate logic (nothing shared with weldlab.statevec beyond the oracle's
 answer function), and evolves dense vectors (``dense_tier_state``); for
 wide registers it carries the one input vector through the same gate logic
 instead (``dense_tier_vector``).  Width-stable layers only.
+
+For the full-graph walk, ``dense_walk_states`` diagonalizes the dense
+adjacency matrix with ``np.linalg.eigh`` (small n only).
 """
 from __future__ import annotations
 
@@ -88,3 +91,18 @@ def dense_tier_vector(x: int, t: C.Tier, n: int, bbt) -> np.ndarray:
     for k, a in vec.items():
         v[k] += a
     return v
+
+
+def adjacency_matrix(structure) -> np.ndarray:
+    """The welded tree's dense 0/1 adjacency matrix."""
+    A = np.zeros((structure.vertex_count,) * 2)
+    for v, nbrs in enumerate(structure.adjacency):
+        A[v, list(nbrs)] = 1.0
+    return A
+
+
+def dense_walk_states(structure, times) -> np.ndarray:
+    """exp(-iAt)|entrance> for each t, one row per t, by eigendecomposition."""
+    evals, evecs = np.linalg.eigh(adjacency_matrix(structure))
+    phases = np.exp(-1j * np.outer(times, evals)) * evecs[structure.entrance]
+    return phases @ evecs.T

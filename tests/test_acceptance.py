@@ -128,9 +128,9 @@ def test_criterion_4_walk_cross_check():
             s = tree.generate_structure(n, seed)
             rw = walk.build_reduced(s)
             t = float(rng.uniform(0.0, 40.0))
-            vec = walk.full_graph_state(s, t)
-            worst = max(worst, abs(walk.evolve_exit_probability(rw, t)
-                                   - float(np.abs(vec[s.exit]) ** 2)))
+            [vec] = walk.full_graph_state(s, [t])
+            [p] = walk.evolve_exit_probabilities(rw, [t])
+            worst = max(worst, abs(p - float(np.abs(vec[s.exit]) ** 2)))
             worst_norm = max(worst_norm, abs(float(np.sum(np.abs(vec) ** 2)) - 1))
             pairs += 1
     t0 = time.time()

@@ -244,7 +244,7 @@ def test_discovery_rate_rejects_bad_counts(trials, budget, message):
 
 
 @pytest.mark.parametrize("argv, config, message", [
-    (["discovery", "--trials", "0"], None, "discovery_rate: trials must be >= 1, got 0"),
+    (["discovery", "--trials", "0"], None, "config field 'trials' must be >= 1, got 0"),
     (["walk", "--trials", "0"], None, "walker_success_rate: trials must be >= 1, got 0"),
     (["simulate", "--samples", "0"], None, "config field 'samples' must be >= 1, got 0"),
     (["e2e"], '{"samples": 0}', "config field 'samples' must be >= 1, got 0"),
@@ -265,16 +265,24 @@ def test_discovery_rate_rejects_bad_counts(trials, budget, message):
     (["simulate"], '{"rho_log2": Infinity}',
      "config field 'rho_log2' must be finite, got inf"),
     (["e2e"], '{"rho_log2": NaN}', "config field 'rho_log2' must be finite, got nan"),
+    (["discovery"], '{"h_values": [-1]}',
+     "config field 'h_values' must hold budgets >= 0, got [-1]"),
+    (["walk", "-n", "40"], None, "config field 'n' must be in [1, 15], got 40"),
+    (["discovery", "-n", "0"], None, "config field 'n' must be in [1, 15], got 0"),
+    (["e2e", "-n", "16"], None, "config field 'n' must be in [1, 15], got 16"),
 ], ids=["discovery-trials", "walk-trials", "simulate-samples", "e2e-samples",
         "walk-steps", "walk-t_max", "simulate-sample_budget-0", "simulate-sample_budget-neg",
         "simulate-tau-neg", "simulate-tau-above-1", "simulate-tau-nan", "e2e-sample_budget",
         "e2e-tau", "walk-t_max-nan", "walk-t_max-inf", "e2e-t_max-nan",
-        "simulate-rho_log2-nan", "simulate-rho_log2-inf", "e2e-rho_log2-nan"])
+        "simulate-rho_log2-nan", "simulate-rho_log2-inf", "e2e-rho_log2-nan",
+        "discovery-h_values", "walk-n-40", "discovery-n-0",
+        "e2e-n-16"])
 def test_cli_bad_trials_exit_2(tmp_path, capsys, argv, config, message):
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
-    assert cli.main(argv + ["-n", "3"]) == 2
+    # n=3 unless the row gives its own -n, which comes later and wins
+    assert cli.main(argv[:1] + ["-n", "3"] + argv[1:]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"weldlab {argv[0]}: error: {message}\n"
@@ -316,14 +324,27 @@ def test_unknown_experiment_rejected():
         run_command(ExperimentConfig(experiment="nope"))
 
 
-def test_console_entry_point():
-    # the subprocess imports the package from where this process found it
+def _package_env() -> dict:
+    """A subprocess environment that imports the package from where this
+    process found it."""
     src = str(Path(weldlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_cli_imports_no_scipy():
+    code = ("import sys, weldlab.cli; print([m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "weldlab.cli", "discovery",
                            "-n", "3", "--trials", "200"],
-                          capture_output=True, text=True, timeout=120, env=env)
+                          capture_output=True, text=True, timeout=120, env=_package_env())
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["experiment"] == "discovery"

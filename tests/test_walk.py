@@ -5,6 +5,7 @@ import pytest
 
 from weldlab import tree, walk
 
+from dense_reference import adjacency_matrix, dense_walk_states
 from tree_tools import labeled_blackbox
 
 
@@ -29,7 +30,7 @@ def test_reduced_entries_from_structure():
 def test_column_space_invariant_residual():
     for n in (1, 2, 3):
         s = tree.generate_structure(n, 5)
-        A = walk._full_adjacency(s).toarray()
+        A = adjacency_matrix(s)
         dim = 2 * n + 2
         counts = np.bincount(np.asarray(s.column), minlength=dim)
         P = np.zeros((s.vertex_count, dim))
@@ -49,44 +50,42 @@ def test_entries_stable_across_welding_seeds():
 
 def test_evolution_basics():
     rw = walk.build_reduced(tree.generate_structure(3, 1))
-    assert walk.evolve_exit_probability(rw, 0.0) == 0.0
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        p = walk.evolve_exit_probability(rw, float(rng.uniform(0, 50)))
-        assert -1e-12 <= p <= 1 + 1e-12
-    with pytest.raises(ValueError):
-        walk.evolve_exit_probability(rw, -1.0)
-
-
-def full_graph_walk(structure, t: float) -> float:
-    """Exit-vertex probability under the full 2^(n+2)-2 dimensional evolution."""
-    vec = walk.full_graph_state(structure, t)
-    return float(np.abs(vec[structure.exit]) ** 2)
+    # entrance and exit are distinct basis columns
+    assert walk.evolve_exit_probabilities(rw, [0.0])[0] <= 1e-24
+    ps = walk.evolve_exit_probabilities(rw, np.random.default_rng(0).uniform(0, 50, 1000))
+    assert ((-1e-12 <= ps) & (ps <= 1 + 1e-12)).all()
 
 
 def test_reduced_matches_full_graph():
     for n in (2, 3, 5):
         s = tree.generate_structure(n, 3)
         rw = walk.build_reduced(s)
-        rng = np.random.default_rng(n)
-        for _ in range(5):
-            t = float(rng.uniform(0, 30))
-            assert abs(walk.evolve_exit_probability(rw, t)
-                       - full_graph_walk(s, t)) <= 1e-9
+        ts = np.random.default_rng(n).uniform(0, 30, size=5)
+        full = np.abs(walk.full_graph_state(s, ts)[:, s.exit]) ** 2
+        assert np.abs(walk.evolve_exit_probabilities(rw, ts) - full).max() <= 1e-9
 
 
 def test_full_graph_unitarity_and_t0():
     s = tree.generate_structure(3, 4)
-    v0 = walk.full_graph_state(s, 0.0)
-    assert v0[s.entrance] == 1.0
-    v = walk.full_graph_state(s, 7.3)
+    v0, v = walk.full_graph_state(s, [0.0, 7.3])
+    assert v0[s.entrance] == 1.0 and np.count_nonzero(v0) == 1
     assert abs(float(np.sum(np.abs(v) ** 2)) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_full_graph_matches_dense_eigh(n):
+    # unsorted and repeated times, 0 and 40 among them: one sweep serves all
+    s = tree.generate_structure(n, 7)
+    ts = [12.5, 0.0, 40.0, 3.3, 12.5, 0.7, 40.0, 0.0, 25.1]
+    got = walk.full_graph_state(s, ts)
+    assert got.shape == (len(ts), s.vertex_count)
+    assert np.abs(got - dense_walk_states(s, ts)).max() <= 1e-12
 
 
 def test_full_graph_size_cap():
     s = tree.generate_structure(8, 0)
-    with pytest.raises(ValueError):
-        full_graph_walk(s, 1.0)
+    with pytest.raises(ValueError, match="capped at n <= 7"):
+        walk.full_graph_state(s, [1.0])
 
 
 def test_sweep_curve():
