@@ -125,8 +125,16 @@ def tier(kind: str, layers_: list[Layer]) -> Tier:
     return Tier(kind, tuple(layers_), layers_[0].width_in, layers_[-1].width_out)
 
 
+class _Validated:
+    """A frozen circuit's ``validate`` diagnostics, computed on first use."""
+
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        return tuple(validate(self))
+
+
 @dataclass(frozen=True)
-class HybridCircuit:
+class HybridCircuit(_Validated):
     """Alternating classical/quantum tiers (classical first), or all-quantum.
 
     ``all_quantum`` selects the polynomial-tier variant in which every tier,
@@ -144,7 +152,7 @@ class HybridCircuit:
 
 
 @dataclass(frozen=True)
-class JozsaCircuit:
+class JozsaCircuit(_Validated):
     """Quantum tiers interleaved with measure-then-classical blocks on R1.
 
     After each quantum tier Q_i, register R1 (the first g/2 wires) is
@@ -297,7 +305,9 @@ def validate(circuit: Circuit) -> list[str]:
 
 
 def require_valid(circuit: Circuit) -> None:
-    problems = validate(circuit)
+    """A ValueError with the located diagnostics of an invalid circuit,
+    raised on every call; each circuit object is validated once."""
+    problems = circuit.problems
     if problems:
         raise ValueError("invalid circuit: " + "; ".join(problems[:5]))
 

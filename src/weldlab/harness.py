@@ -123,10 +123,12 @@ class ExperimentConfig:
         return self.budget if self.budget is not None else round(2 ** (self.n / 3))
 
     def require_at_least(self, **minimum) -> None:
-        """A ValueError naming the first of the given fields that is not
-        finite or is below its minimum."""
+        """A ValueError naming the first of the given fields that is set
+        (not None) but not finite or below its minimum."""
         for name, least in minimum.items():
             value = getattr(self, name)
+            if value is None:
+                continue
             if not value < math.inf:        # NaN and inf; a large int is finite
                 raise ValueError(f"config field {name!r} must be finite, got {value}")
             if value < least:
@@ -281,7 +283,7 @@ def cmd_discovery(config: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def cmd_walk(config: ExperimentConfig) -> Report:
-    config.require_at_least(steps=1, t_max=0)
+    config.require_at_least(steps=1, t_max=0, trials=1, budget=0)
     report = Report(experiment="walk", config=config.result_fields())
     n = config.n
     res = walk.sweep(n, config.t_max, config.steps, config.seed)
@@ -408,7 +410,7 @@ def cmd_simulate(config: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def cmd_e2e(config: ExperimentConfig) -> Report:
-    config.require_at_least(samples=1, steps=1, t_max=0, sample_budget=1)
+    config.require_at_least(samples=1, steps=1, t_max=0, sample_budget=1, trials=1, budget=0)
     config.require_bottleneck_thresholds()
     report = Report(experiment="e2e", config=config.result_fields())
     n = config.n

@@ -126,11 +126,12 @@ def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
                     ctx: SimContext) -> tuple[Mapping[int, int], KnownVertices]:
     """Alg-style query substitution over ``support``; returns (S, updated V).
 
-    Keys are visited in sorted order.  An int64 array ``support`` takes the
-    array kernel, which asks each distinct (x, c) pair once in that order,
-    and gives ``S`` as an ``SV.ArrayMap`` over the sorted keys.  Branch (b)
-    consults the set of labels known at layer start (frozen), so the updated
-    dictionary gains at most 3|V| new key vertices.
+    ``support`` must be sorted ascending (the caller sorts it once, for its
+    own use too); keys are visited in that order.  An int64 array
+    ``support`` takes the array kernel, which asks each distinct (x, c) pair
+    once in that order, and gives ``S`` as an ``SV.ArrayMap`` over
+    ``support``.  Branch (b) consults the set of labels known at layer start
+    (frozen), so the updated dictionary gains at most 3|V| new key vertices.
     """
     for g in lt.gates:
         if g.kind != C.GateKind.QUERY:
@@ -150,9 +151,9 @@ def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
 
     regs = _query_regs(lt, n, live)
     if isinstance(support, np.ndarray):
-        keys = np.sort(support)
-        return SV.ArrayMap(keys, SV.query_keys(keys, regs, SV.distinct_answers(answer))), work
-    return SV.query_map(sorted(support), regs, answer), work
+        moved = SV.query_keys(support, regs, SV.distinct_answers(answer))
+        return SV.ArrayMap(support, moved), work
+    return SV.query_map(support, regs, answer), work
 
 
 def _l1_sorted(k1: np.ndarray, k2: np.ndarray, vals: np.ndarray) -> float:

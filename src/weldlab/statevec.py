@@ -1,10 +1,15 @@
 """Ground-truth executor: exact sparse state-vector simulation.
 
 States are sparse maps from basis keys (ints, wire i = bit i of the key) to
-complex amplitudes.  Norm is asserted after every layer (drift <= 1e-9) and
-never renormalized; amplitudes below 1e-14 are pruned.  Discarded wires stay
-in the key (deferred discard) but leave the ``live`` list, so outputs and
-measurements marginalize over them.
+complex amplitudes.  A state's norm is summed once, when first asked for,
+and kept; every layer asserts its output's norm against its input's (drift
+<= 1e-9) and never renormalizes.  Amplitudes below 1e-14 are pruned after
+layers with H gates, whose sums are the only way to make one: P, TOF and
+query gates move or rotate amplitudes and keep every magnitude.  Discarded
+wires stay in the key (deferred discard) but leave the ``live`` list, so
+outputs and measurements marginalize over them.  A layer of ANC and DIS
+gates only (or none) moves no amplitude: its output shares the input's
+amplitude mapping and norm.
 
 Representation.  ``PureState.amps`` is a dict, or for a wide state an
 ``ArrayMap``: an int64 key array and a complex128 amplitude array that read
@@ -55,7 +60,7 @@ import functools
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -196,6 +201,7 @@ class PureState:
     width: int
     amps: Mapping[int, complex]
     live: tuple[int, ...]
+    _norm_sq: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def basis(cls, width: int, key: int) -> "PureState":
@@ -219,9 +225,13 @@ class PureState:
                 np.fromiter(self.amps.values(), np.complex128, count))
 
     def norm_sq(self) -> float:
-        if self.wide:
-            return seq_sum(abs_sq(self.arrays()[1]))
-        return seq_sum((a * a.conjugate()).real for a in self.amps.values())
+        """Squared norm, summed once: a state's amplitudes never change."""
+        if self._norm_sq is None:
+            if self.wide:
+                self._norm_sq = seq_sum(abs_sq(self.arrays()[1]))
+            else:
+                self._norm_sq = seq_sum((a * a.conjugate()).real for a in self.amps.values())
+        return self._norm_sq
 
     def marginal(self, wires: int | None = None) -> dict[int, float]:
         """Probability of each outcome on the first ``wires`` logical wires
@@ -391,12 +401,12 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
 
     ``n`` (label length parameter) is required when the layer has query
     gates, as is ``bbt``.  The gates of a layer are wire-disjoint, so the
-    query gates act last, all in one pass over the support.
+    query gates act last, all in one pass over the support.  The input is
+    taken to be pruned already (every state this module makes is).
     """
     if state.logical_width != lay.width_in:
         raise ValueError(f"layer expects {lay.width_in} wires, state has "
                          f"{state.logical_width}")
-    prev_norm = state.norm_sq()
     width = state.width
     live = list(state.live)
     anc_phys: dict[int, int] = {}
@@ -427,6 +437,18 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
             raise ValueError(f"unknown gate kind {gate.kind}")
     live_out = tuple(phys(w) for w in range(lay.width_out))
 
+    if not steps and not regs:
+        # ANC and DIS only move wires in and out of ``live``: the amplitudes
+        # and their norm carry over as they are
+        amps = state.amps
+        if isinstance(amps, ArrayMap) and width > KEY_BITS:
+            amps = amps.as_dict()
+        out = PureState(width=width, amps=amps, live=live_out)
+        out._norm_sq = state._norm_sq
+        return out
+    prev_norm = state.norm_sq()
+    # P, TOF and queries move or rotate amplitudes, never shrink one, so only
+    # an H gate's sums can leave one below PRUNE_TOL
     n_h = sum(kind == C.GateKind.H for kind, _b, _t in steps)
     if use_arrays(len(state.amps) << n_h, width):
         keys, vals = state.arrays()
@@ -435,13 +457,16 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
             # the query permutes the support; move_amps adds each to 0j
             keys = query_keys(keys, regs, bbt.answer_many)
             re, im = re + 0.0, im + 0.0
-        keep = np.hypot(re, im) >= PRUNE_TOL
-        amps = ArrayMap(keys[keep], _complex(re[keep], im[keep]))
+        if n_h:
+            keep = np.hypot(re, im) >= PRUNE_TOL
+            keys, re, im = keys[keep], re[keep], im[keep]
+        amps = ArrayMap(keys, _complex(re, im))
     else:
-        amps = _steps_dict(dict(state.amps), steps)
+        amps = _steps_dict(state.amps, steps)
         if regs:
             amps = move_amps(amps, query_map(amps, regs, bbt.answer))
-        amps = _prune(amps)
+        if n_h:
+            amps = _prune(amps)
     out = PureState(width=width, amps=amps, live=live_out)
     nrm = out.norm_sq()
     if abs(nrm - prev_norm) > NORM_TOL:

@@ -245,7 +245,7 @@ def test_discovery_rate_rejects_bad_counts(trials, budget, message):
 
 @pytest.mark.parametrize("argv, config, message", [
     (["discovery", "--trials", "0"], None, "config field 'trials' must be >= 1, got 0"),
-    (["walk", "--trials", "0"], None, "walker_success_rate: trials must be >= 1, got 0"),
+    (["walk", "--trials", "0"], None, "config field 'trials' must be >= 1, got 0"),
     (["simulate", "--samples", "0"], None, "config field 'samples' must be >= 1, got 0"),
     (["e2e"], '{"samples": 0}', "config field 'samples' must be >= 1, got 0"),
     (["walk"], '{"steps": 0}', "config field 'steps' must be >= 1, got 0"),
@@ -270,13 +270,16 @@ def test_discovery_rate_rejects_bad_counts(trials, budget, message):
     (["walk", "-n", "40"], None, "config field 'n' must be in [1, 15], got 40"),
     (["discovery", "-n", "0"], None, "config field 'n' must be in [1, 15], got 0"),
     (["e2e", "-n", "16"], None, "config field 'n' must be in [1, 15], got 16"),
+    (["e2e", "--trials", "0"], None, "config field 'trials' must be >= 1, got 0"),
+    (["walk"], '{"budget": -1}', "config field 'budget' must be >= 0, got -1"),
+    (["e2e"], '{"budget": -1}', "config field 'budget' must be >= 0, got -1"),
 ], ids=["discovery-trials", "walk-trials", "simulate-samples", "e2e-samples",
         "walk-steps", "walk-t_max", "simulate-sample_budget-0", "simulate-sample_budget-neg",
         "simulate-tau-neg", "simulate-tau-above-1", "simulate-tau-nan", "e2e-sample_budget",
         "e2e-tau", "walk-t_max-nan", "walk-t_max-inf", "e2e-t_max-nan",
         "simulate-rho_log2-nan", "simulate-rho_log2-inf", "e2e-rho_log2-nan",
         "discovery-h_values", "walk-n-40", "discovery-n-0",
-        "e2e-n-16"])
+        "e2e-n-16", "e2e-trials", "walk-budget-neg", "e2e-budget-neg"])
 def test_cli_bad_trials_exit_2(tmp_path, capsys, argv, config, message):
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -256,3 +259,28 @@ def test_jozsa_wrapper_initialization(bbt2):
     assert res.transcript.queries == 1  # entrance row only
     for (x, c), y in res.known.entries.items():
         assert bbt2.answer(x, c) == y
+
+
+def test_each_circuit_object_validated_once(monkeypatch, bbt2):
+    rng = np.random.default_rng(31)
+    # random_hybrid validates the object it builds; replace makes a fresh one
+    circ = dataclasses.replace(random_hybrid(rng, n=2, g=12, eta=3, max_c=2, max_q=2))
+    validated = []
+    validate = C.validate
+
+    def spy(circuit):
+        validated.append(circuit)
+        return validate(circuit)
+
+    monkeypatch.setattr(C, "validate", spy)
+    runs = (SV.run_hybrid_exact, HS.few_tier_exact_distribution, HS.few_tier_wrapper)
+    for run in runs:
+        run(circ, bbt2)
+    assert len(validated) == 1 and validated[0] is circ
+    bad = C.HybridCircuit(n=2, g=2, tiers=(
+        C.Tier("classical", (C.layer(2, [C.Gate(C.GateKind.H, (0,))]),), 2, 2),))
+    for run in runs + runs:
+        with pytest.raises(ValueError, match=r"^invalid circuit: tier 1 layer 0 gate 0 "
+                                             r"\(H\): H not allowed in a classical layer$"):
+            run(bad, bbt2)
+    assert len(validated) == 2 and validated[1] is bad

@@ -238,3 +238,71 @@ def test_executor_matches_dense_reference_at_wide_support(bbt2):
     sparse = np.zeros(1 << W, dtype=complex)
     sparse[keys] = vals
     assert np.max(np.abs(sparse - dense)) <= 1e-10
+
+
+def test_cancelled_amplitudes_pruned_after_h_layers(monkeypatch):
+    # H on five wires twice is the identity: the second layer's sums leave
+    # 31 keys at exactly 0.0, which only the prune after an H layer drops
+    h_layer = C.layer(6, [C.Gate(C.GateKind.H, (w,)) for w in range(5)])
+    for name, threshold in THRESHOLDS.items():
+        monkeypatch.setattr(SV, "ARRAY_MIN_SUPPORT", threshold)
+        state = SV.apply_layer(SV.PureState.basis(6, 0), h_layer)
+        assert len(state.amps) == 32, name
+        state = SV.apply_layer(state, h_layer)
+        assert list(state.amps) == [0], name
+        assert abs(state.amps[0] - 1) < 1e-12, name
+        assert isinstance(state.amps, SV.ArrayMap) == (name == "arrays")
+
+
+def _count_calls(monkeypatch, owner, name: str, calls: dict) -> None:
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_wire_only_layers_reuse_amplitudes_and_norm(monkeypatch):
+    # ANC, DIS and empty layers only move wires in and out of ``live``:
+    # the output holds the input's mapping and norm, and no |a|^2 or prune
+    # pass runs over the amplitudes
+    h_layer = C.layer(12, [C.Gate(C.GateKind.H, (w,)) for w in range(7)])
+    wire_only = [_grow_layer(12, 14),
+                 C.layer(14, [C.Gate(C.GateKind.DISCARD, (w,)) for w in (12, 13)]),
+                 C.identity_layer(12)]
+    for name, threshold in THRESHOLDS.items():
+        monkeypatch.setattr(SV, "ARRAY_MIN_SUPPORT", threshold)
+        state = SV.apply_layer(SV.PureState.basis(12, 0), h_layer)
+        norm = state.norm_sq()
+        calls = {"abs_sq": 0, "hypot": 0}
+        _count_calls(monkeypatch, SV, "abs_sq", calls)
+        _count_calls(monkeypatch, SV.np, "hypot", calls)
+        for lay in wire_only:
+            out = SV.apply_layer(state, lay)
+            assert out.amps is state.amps and out.norm_sq() == norm, name
+            assert out.live == tuple(range(lay.width_out)), name
+            state = out
+        assert calls == {"abs_sq": 0, "hypot": 0}, name
+        assert state.width == 14 and isinstance(state.amps, SV.ArrayMap) == (name == "arrays")
+        monkeypatch.undo()
+
+
+def test_each_state_norm_summed_once_and_no_prune_without_h(monkeypatch):
+    # P and TOF layers on the array kernel: one |a|^2 pass per state made
+    # (the input's norm is the previous output's), and no hypot prune
+    h_layer = C.layer(12, [C.Gate(C.GateKind.H, (w,)) for w in range(8)])
+    layers = [C.layer(12, [C.Gate(C.GateKind.PHASE, (w,)) for w in range(4)]),
+              C.layer(12, [C.Gate(C.GateKind.TOFFOLI, (0, 1, 9))]),
+              C.layer(12, [C.Gate(C.GateKind.PHASE, (9,)),
+                           C.Gate(C.GateKind.TOFFOLI, (2, 3, 10))])]
+    state = SV.apply_layer(SV.PureState.basis(12, 0), h_layer)
+    assert state.wide
+    calls = {"abs_sq": 0, "hypot": 0}
+    _count_calls(monkeypatch, SV, "abs_sq", calls)
+    _count_calls(monkeypatch, SV.np, "hypot", calls)
+    for lay in layers:
+        state = SV.apply_layer(state, lay)
+        assert len(state.amps) == 256 and isinstance(state.amps, SV.ArrayMap)
+    assert calls == {"abs_sq": len(layers), "hypot": 0}
