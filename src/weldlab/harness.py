@@ -216,10 +216,16 @@ def write_report(report: Report, out: str | None) -> str:
 # ---------------------------------------------------------------------------
 
 def _discovery_chunk(args) -> int:
-    """Hits in one chunk of guessing trials; module-level for process pools."""
+    """Hits in one chunk of guessing trials; module-level for process pools.
+
+    Each trial's labeling is decided lazily (``tree.LazyLabelingBatch``): the
+    walk labels only the vertices it reaches, and grading decides whether
+    the guess labels an unreached vertex.  A chunk draws every decision from
+    its one seeded stream.
+    """
     structure, coloring, h, chunk_seed, trials = args
     rng = make_rng(chunk_seed, "trials")
-    batch = tree.generate_label_batch(structure, coloring, trials, rng)
+    batch = tree.LazyLabelingBatch(structure, coloring, trials, rng)
     seen = walk.blind_walks(batch.handle(), h, trials, rng)
     guess = rng.integers(0, 1 << batch.label_bits, size=trials)
     # grading: a hit names a vertex label the walk never stood on

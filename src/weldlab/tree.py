@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -279,7 +278,7 @@ class OracleHandle:
 
     __slots__ = ("bbt", "count")
 
-    def __init__(self, bbt: "BlackBoxTree | LabelingBatch"):
+    def __init__(self, bbt: "BlackBoxTree | LazyLabelingBatch"):
         self.bbt = bbt
         self.count = 0
 
@@ -344,6 +343,157 @@ class LabelingBatch:
         w = np.where(asked, self._neighbors[np.maximum(v, 0), np.clip(cs, 0, 9)], -1)
         found = self.labels.ravel()[self._label_base + np.maximum(w, 0)]
         return np.where(w >= 0, found, self.invalid)
+
+
+class LazyLabelingBatch:
+    """``rows`` independent labelings of one colored welded tree, each
+    distributed as ``generate_labels``'s, decided only where they are asked.
+
+    Row b is an oracle of its own: ``answer_many(xs, cs)`` asks labeling b
+    for ``xs[b]``.  Labels are deferred decisions, as in the classical lower
+    bound of Childs et al.: a row keeps the strings it has decided, each
+    bound to a vertex or decided absent, and given those the undecided
+    vertices are a uniform injective labeling by the undecided strings.  So
+
+    * the first answer that names a vertex labels it uniformly over the
+      row's undecided strings;
+    * ``vertex_of`` on an undecided string (INVALID and strings outside the
+      space are never labels) makes it a label with probability (undecided
+      vertices) / (undecided strings), bound to a uniformly random
+      undecided vertex, and absent otherwise;
+
+    and the joint law of every answer is that of eager uniform labelings.
+    No label is drawn for a vertex that no query reaches.  A row keeps a
+    cell per vertex for its vertex -> label map, and its decided strings,
+    a line per call, which fresh draws and ``vertex_of`` scan; a lockstep
+    walk asks where it stands, which needs no scan.  Draws take ``rng``'s
+    bits.
+    """
+
+    _UNSET = -3         # a cell that holds no label
+    _NO_DRAW = -4       # a row's draw where it needs none
+
+    def __init__(self, structure: TreeStructure, coloring: EdgeColoring, rows: int,
+                 rng: np.random.Generator):
+        self.label_bits = _checked_label_bits(structure)
+        self._bits = rng.bit_generator
+        V = self._vertex_count = structure.vertex_count
+        self._rows = np.arange(rows)
+        # padded so that vertex -1, and colors 0 and 10, answer -1
+        self._neighbors = np.full((V + 1, 11), -1, dtype=np.int64)
+        self._neighbors[:V, :10] = neighbor_table(structure, coloring)
+        # row b's vertex -> label map; column V takes writes meant for no
+        # vertex, and the last column is vertex -1's INVALID
+        self._label_of = np.full((rows, V + 2), self._UNSET, dtype=np.int64)
+        self._label_of[:, structure.entrance] = 0
+        self._label_of[:, -1] = self.invalid
+        self._revealed = np.ones(rows, dtype=np.int64)
+        # the strings row b has decided, labels and absent ones alike, in
+        # column b: a line per call (repeats and _UNSET fill the rest)
+        self._decided = np.full((8, rows), self._UNSET, dtype=np.int64)
+        self._decided[0] = 0
+        self._used = 1
+        self._absent = np.zeros(rows, dtype=np.int64)
+        # where each row's walk stands: the last answer if it named a vertex,
+        # else the last string asked; a lockstep walk asks there next
+        self._at_label = np.zeros(rows, dtype=np.int64)
+        self._at_vertex = np.full(rows, structure.entrance, dtype=np.int64)
+        self._pool = np.empty((8, rows), dtype=np.int64)     # label draws, a line each
+        self._pooled = len(self._pool)
+
+    @property
+    def invalid(self) -> int:
+        return invalid_label(self.label_bits)
+
+    def _uniform(self, span, size) -> np.ndarray:
+        """``size`` ints uniform over 0 .. span - 1 (an int, or one per draw):
+        64 random bits modulo the span, drawn again below 2^64 mod span,
+        where the modulo would favour the low values."""
+        span = np.asarray(span, dtype=np.uint64)
+        cut = -span % span
+        raw = self._bits.random_raw(size)
+        while (low := raw < cut).any():
+            raw = np.where(low, self._bits.random_raw(size), raw)
+        return (raw % span).astype(np.int64)
+
+    def _label_draws(self) -> np.ndarray:
+        """A line of strings uniform over 1 .. invalid - 1, from a pool drawn at once."""
+        if self._pooled == len(self._pool):
+            self._pool = self._uniform(self.invalid - 1, self._pool.shape) + 1
+            self._pooled = 0
+        self._pooled += 1
+        return self._pool[self._pooled - 1]
+
+    def _keep(self, strings: np.ndarray) -> None:
+        """Add a line of decided strings."""
+        if self._used == len(self._decided):
+            more = np.full(self._decided.shape, self._UNSET, dtype=np.int64)
+            self._decided = np.concatenate([self._decided, more])
+        self._decided[self._used] = strings
+        self._used += 1
+
+    def _vertices(self, xs: np.ndarray) -> np.ndarray:
+        """``vertex_of``: a scan of the decided strings, then the decisions."""
+        V = self._vertex_count
+        in_space = (xs >= 0) & (xs < self.invalid)
+        decided = in_space & (self._decided[:self._used] == xs).any(axis=0)
+        v = np.full(xs.size, -1)
+        if decided.any():
+            # a decided string labels a vertex, or matches only the dump column
+            rows = np.flatnonzero(decided)
+            row, col = np.divmod(np.flatnonzero(self._label_of[rows] == xs[rows, None]), V + 2)
+            v[rows[row[col < V]]] = col[col < V]
+        ask = in_space & ~decided
+        if ask.any():
+            rows = np.flatnonzero(ask)
+            revealed = self._revealed[rows]
+            # xs is one of the undecided strings among 0 .. invalid - 1
+            is_label = np.zeros(xs.size, dtype=bool)
+            is_label[rows] = (self._uniform(self.invalid - revealed - self._absent[rows],
+                                            rows.size) < V - revealed)
+            if is_label.any():
+                # a uniform unlabeled vertex, drawing again where one is labeled
+                v = np.where(is_label, self._uniform(V, xs.size), v)
+                while (again := is_label & (self._label_of[self._rows, v] != self._UNSET)).any():
+                    v = np.where(again, self._uniform(V, xs.size), v)
+                self._label_of[self._rows, np.where(is_label, v, V)] = xs
+                self._revealed += is_label
+            self._absent += ask & ~is_label
+            self._keep(np.where(ask, xs, self._UNSET))
+        return v
+
+    def vertex_of(self, xs) -> np.ndarray:
+        """The vertex each row's labeling gives label ``xs[row]``, else -1.
+
+        Uncounted: the oracle's own lookup, and grading.  An undecided
+        string is decided here, and stays decided.
+        """
+        return self._vertices(np.asarray(xs, dtype=np.int64))
+
+    def answer_many(self, xs, cs) -> np.ndarray:
+        """``BlackBoxTree.answer`` elementwise, row-aligned; uncounted."""
+        xs = np.asarray(xs, dtype=np.int64)
+        if np.logical_and.reduce(xs == self._at_label):
+            v = self._at_vertex
+        else:
+            v = self._vertices(xs)
+        # as unsigned, a negative color clamps to 10 with the too-large ones
+        w = self._neighbors[v, np.minimum(np.asarray(cs, dtype=np.int64).view(np.uint64), 10)]
+        out = self._label_of[self._rows, w]
+        new = out == self._UNSET
+        # a fresh label for each newly reached vertex, drawing again where
+        # the row has decided the string already (_NO_DRAW it never has)
+        drawn = np.where(new, self._label_draws(), self._NO_DRAW)
+        while np.logical_or.reduce(taken := self._decided[:self._used] == drawn, axis=None):
+            drawn = np.where(taken.any(axis=0), self._label_draws(), drawn)
+        out = np.maximum(out, drawn)            # _NO_DRAW < _UNSET < every label
+        self._label_of[self._rows, w] = out
+        self._keep(out)
+        self._revealed += new
+        moved = w >= 0
+        self._at_label = np.where(moved, out, xs)
+        self._at_vertex = np.where(moved, w, v)
+        return out
 
     def handle(self) -> OracleHandle:
         return OracleHandle(self)
@@ -428,57 +578,6 @@ def _checked_label_bits(structure: TreeStructure) -> int:
             f"label space 2^{label_bits} cannot injectively label {V} vertices "
             f"(entrance pinned to 0, all-ones reserved)")
     return label_bits
-
-
-def _distinct_rows(rng, rows: int, k: int, span: int) -> np.ndarray:
-    """(rows, k) ints; each row a uniform random sequence of k distinct values in [0, span).
-
-    Every row draws m values with replacement and keeps the first k distinct
-    ones.  Each new value is uniform over those not yet kept, so the kept
-    sequence is a uniform injective one; whether a row meets k distinct
-    values within m draws does not depend on which values they are, so short
-    rows are simply drawn again.  m sits 4 sd above the mean number of draws
-    that k distinct values take, so redraws are rare.
-    """
-    p_new = (span - np.arange(k)) / span
-    m = math.ceil(np.sum(1 / p_new) + 4 * math.sqrt(np.sum((1 - p_new) / p_new ** 2)))
-    shift = m.bit_length()
-    out = np.empty((rows, k), dtype=np.int64)
-    todo = np.arange(rows)
-    while todo.size:
-        draws = rng.integers(0, span, size=(todo.size, m))
-        # sorting (value, position) keys puts equal values in draw order, so a
-        # value equal to its sorted predecessor repeats an earlier draw
-        keyed = draws << shift
-        keyed |= np.arange(m)
-        keyed.sort(axis=1)
-        same = keyed[:, 1:] ^ keyed[:, :-1]
-        same >>= shift
-        again = same == 0
-        del same
-        at = keyed[:, 1:]                   # in place: flat index of each sorted draw
-        at &= (1 << shift) - 1
-        at += np.arange(0, draws.size, m)[:, None]
-        repeat = np.zeros(draws.shape, dtype=bool)
-        repeat.ravel()[at] = again
-        del keyed, at, again
-        rank = np.cumsum(~repeat, axis=1, dtype=np.int32)
-        full = rank[:, -1] >= k
-        if not full.all():
-            draws, repeat, rank = draws[full], repeat[full], rank[full]
-        out[todo[full]] = draws[~repeat & (rank <= k)].reshape(-1, k)
-        todo = todo[~full]
-    return out
-
-
-def generate_label_batch(structure: TreeStructure, coloring: EdgeColoring, rows: int,
-                         rng: np.random.Generator) -> LabelingBatch:
-    """``rows`` independent labelings distributed as ``generate_labels``'s, drawn at once."""
-    label_bits = _checked_label_bits(structure)
-    V = structure.vertex_count
-    drawn = _distinct_rows(rng, rows, V - 1, (1 << label_bits) - 2) + 1
-    labels = np.insert(drawn, structure.entrance, 0, axis=1)
-    return LabelingBatch(structure, coloring, labels, label_bits)
 
 
 def generate_labels(structure: TreeStructure, coloring: EdgeColoring,

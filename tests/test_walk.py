@@ -128,8 +128,7 @@ def test_blind_walks_query_accounting():
     handle = bbt.handle()
     path = walk.blind_walks(handle, 7, 50, np.random.default_rng(0))
     assert handle.count == 50 * 7 and path.shape == (50, 8)
-    batch = tree.generate_label_batch(bbt.structure, bbt.coloring, 40,
-                                      np.random.default_rng(1))
+    batch = tree.LazyLabelingBatch(bbt.structure, bbt.coloring, 40, np.random.default_rng(1))
     handle = batch.handle()
     walk.blind_walks(handle, 5, 40, np.random.default_rng(2))
     assert handle.count == 40 * 5

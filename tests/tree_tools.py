@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from weldlab import tree
-from weldlab.rng import make_rng
+from weldlab import tree, walk
+from weldlab.rng import derive_seed, make_rng
 
 
 def vertex_row(bbt, x: int) -> dict[int, int]:
@@ -27,3 +27,26 @@ def labeled_blackbox(n: int, seed: int, label_bits: int) -> tree.BlackBoxTree:
     return tree.BlackBoxTree(structure=structure, coloring=coloring,
                              labels=np.insert(drawn, structure.entrance, 0),
                              label_bits=label_bits)
+
+
+def eager_discovery_rate(n: int, h: int, trials: int, seed: int) -> tuple[float, float]:
+    """(rate, stderr) of the guessing experiment on eagerly labeled trees.
+
+    An independent reference for ``harness.discovery_rate``: every trial
+    gets its own ``tree.generate_labels`` tree on one colored structure,
+    all of them walked in lockstep by ``walk.blind_walks`` through one
+    row-aligned ``tree.LabelingBatch``, and a hit is a uniform guess that
+    labels a vertex its walk never stood on.
+    """
+    structure = tree.generate_structure(n, derive_seed(seed, "structure"))
+    coloring = tree.generate_coloring(structure, derive_seed(seed, "coloring"))
+    labels = np.stack([tree.generate_labels(structure, coloring,
+                                            derive_seed(seed, "labels", t)).labels
+                       for t in range(trials)])
+    batch = tree.LabelingBatch(structure, coloring, labels, 2 * n)
+    rng = make_rng(seed, "eager trials")
+    seen = walk.blind_walks(tree.OracleHandle(batch), h, trials, rng)
+    guess = rng.integers(0, 1 << (2 * n), size=trials)
+    hits = np.count_nonzero((batch.vertex_of(guess) >= 0) & (seen != guess[:, None]).all(axis=1))
+    p = hits / trials
+    return p, float(np.sqrt(p * (1 - p) / trials))
