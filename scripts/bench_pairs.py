@@ -9,7 +9,10 @@ checkout against.  Pair i runs both checkouts on each workload with seed
 with the same ``perfbench/run.py --seconds`` setting.  For each
 end-to-end metric the document holds every run's value, each side's median
 and quartiles, the ratio of the medians (change over parent) and how many
-pairs the change won.
+pairs the change won.  Under ``commands`` it holds the same summary of the
+wall time and peak RSS of the five ``weldlab`` commands that
+``tests/test_reports.py`` pins, each run once per pair and side as a fresh
+``python -m weldlab.cli`` process on that checkout's ``src``.
 
 ``--compare`` reads two such documents and prints, for each workload and
 end-to-end metric, the median of NEW's change side over that of OLD's (the
@@ -21,13 +24,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("blind-walks", "exact-wide", "bottleneck")
+COMMANDS = (("simulate", "-n", "2"),
+            ("simulate", "--circuit", "scripts/circuits/entrance_query_n2.txt"),
+            ("walk", "-n", "4"),
+            ("discovery", "-n", "3"),
+            ("e2e", "--config", "scripts/configs/e2e_n9.json"))
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -37,6 +47,35 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict,
                           cwd=checkout, capture_output=True, text=True, check=True)
     info, result = proc.stdout.strip().splitlines()[-2:]
     return json.loads(info)["info"], json.loads(result)
+
+
+def run_command(checkout: Path, argv: tuple[str, ...]) -> dict:
+    """Wall time and peak RSS (``os.wait4``'s rusage) of one ``weldlab``
+    command, run as a fresh process in ``checkout`` on its ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "weldlab.cli", *argv], cwd=checkout,
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    return {"wall_s": {"value": wall}, "peak_rss_mb": {"value": usage.ru_maxrss / 1024}}
+
+
+def time_commands(checkouts: dict[str, Path], pairs: int) -> dict:
+    """Per command in COMMANDS, the pair summary of its wall time and peak RSS,
+    the sides alternating first as the workloads' pairs do."""
+    out = {}
+    for argv in COMMANDS:
+        runs = []
+        for i in range(1, pairs + 1):
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            runs.append({side: {"metrics": run_command(checkouts[side], argv)} for side in order})
+        out[" ".join(argv)] = compare(runs, {"wall_s": "lower", "peak_rss_mb": "lower"})
+        print(f"{' '.join(argv)} done", file=sys.stderr)
+    return out
 
 
 def summary(values: list[float]) -> dict:
@@ -113,6 +152,7 @@ def main(argv=None) -> int:
             "attempted": {side: sum(r[side]["attempted"] for r in runs) for side in checkouts},
             "metrics": compare(runs, better), "seeds": [r["seed"] for r in runs],
             "first": [r["first"] for r in runs]}
+    doc["commands"] = time_commands(checkouts, args.pairs)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,7 +70,11 @@ class SimTranscript:
     output: int | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        """The fields as JSON, as ``json.dumps(asdict(self))`` gives them but
+        without its deep copy: every field value is a number, a string,
+        None or a list of them."""
+        doc = dict(vars(self), per_layer=[vars(r) for r in self.per_layer])
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -136,6 +140,11 @@ def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
     for g in lt.gates:
         if g.kind != C.GateKind.QUERY:
             raise ValueError("simulate_oracle expects a query-only layer")
+    if not lt.gates:
+        # no query gate: the identity, which asks and learns nothing
+        if isinstance(support, np.ndarray):
+            return SV.ArrayMap(support, support), V.copy()
+        return {z: z for z in support}, V.copy()
     invalid = bbt.invalid
     frozen = V.known_labels()
     work = V.copy()
@@ -209,7 +218,13 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
         # global inner product gains cross terms where S sends one string to
         # the true image of another, so it is not the asserted quantity)
         regs = _query_regs(lt, n, phi.live)
-        if phi.wide:
+        if not regs:
+            # the identity substitution is the truth: no outlier and no gap,
+            # and the fidelity is the norm summed in sorted key order
+            p = SV.abs_sq(vals) if phi.wide else (
+                (phi.amps[z] * phi.amps[z].conjugate()).real for z in support)
+            outlier_mass, fidelity, l1_gap = 0, SV.seq_sum(p), 0.0
+        elif phi.wide:
             truth = SV.query_keys(support, regs, bbt.answer_many)
             p = SV.abs_sq(vals)
             out = S.value_array != truth

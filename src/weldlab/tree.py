@@ -366,8 +366,7 @@ class LazyLabelingBatch:
     No label is drawn for a vertex that no query reaches.  A row keeps a
     cell per vertex for its vertex -> label map, and its decided strings,
     a line per call, which fresh draws and ``vertex_of`` scan; a lockstep
-    walk asks where it stands, which needs no scan.  Draws take ``rng``'s
-    bits.
+    walk asks where it stands, which needs no scan.  Draws come from ``rng``.
     """
 
     _UNSET = -3         # a cell that holds no label
@@ -376,7 +375,7 @@ class LazyLabelingBatch:
     def __init__(self, structure: TreeStructure, coloring: EdgeColoring, rows: int,
                  rng: np.random.Generator):
         self.label_bits = _checked_label_bits(structure)
-        self._bits = rng.bit_generator
+        self._rng = rng
         V = self._vertex_count = structure.vertex_count
         self._rows = np.arange(rows)
         # padded so that vertex -1, and colors 0 and 10, answer -1
@@ -405,21 +404,10 @@ class LazyLabelingBatch:
     def invalid(self) -> int:
         return invalid_label(self.label_bits)
 
-    def _uniform(self, span, size) -> np.ndarray:
-        """``size`` ints uniform over 0 .. span - 1 (an int, or one per draw):
-        64 random bits modulo the span, drawn again below 2^64 mod span,
-        where the modulo would favour the low values."""
-        span = np.asarray(span, dtype=np.uint64)
-        cut = -span % span
-        raw = self._bits.random_raw(size)
-        while (low := raw < cut).any():
-            raw = np.where(low, self._bits.random_raw(size), raw)
-        return (raw % span).astype(np.int64)
-
     def _label_draws(self) -> np.ndarray:
         """A line of strings uniform over 1 .. invalid - 1, from a pool drawn at once."""
         if self._pooled == len(self._pool):
-            self._pool = self._uniform(self.invalid - 1, self._pool.shape) + 1
+            self._pool = self._rng.integers(1, self.invalid, size=self._pool.shape)
             self._pooled = 0
         self._pooled += 1
         return self._pool[self._pooled - 1]
@@ -432,8 +420,13 @@ class LazyLabelingBatch:
         self._decided[self._used] = strings
         self._used += 1
 
-    def _vertices(self, xs: np.ndarray) -> np.ndarray:
-        """``vertex_of``: a scan of the decided strings, then the decisions."""
+    def vertex_of(self, xs) -> np.ndarray:
+        """The vertex each row's labeling gives label ``xs[row]``, else -1.
+
+        Uncounted: the oracle's own lookup, and grading.  An undecided
+        string is decided here, and stays decided.
+        """
+        xs = np.asarray(xs, dtype=np.int64)
         V = self._vertex_count
         in_space = (xs >= 0) & (xs < self.invalid)
         decided = in_space & (self._decided[:self._used] == xs).any(axis=0)
@@ -449,26 +442,18 @@ class LazyLabelingBatch:
             revealed = self._revealed[rows]
             # xs is one of the undecided strings among 0 .. invalid - 1
             is_label = np.zeros(xs.size, dtype=bool)
-            is_label[rows] = (self._uniform(self.invalid - revealed - self._absent[rows],
-                                            rows.size) < V - revealed)
+            is_label[rows] = (self._rng.integers(0, self.invalid - revealed - self._absent[rows])
+                              < V - revealed)
             if is_label.any():
                 # a uniform unlabeled vertex, drawing again where one is labeled
-                v = np.where(is_label, self._uniform(V, xs.size), v)
+                v = np.where(is_label, self._rng.integers(0, V, size=xs.size), v)
                 while (again := is_label & (self._label_of[self._rows, v] != self._UNSET)).any():
-                    v = np.where(again, self._uniform(V, xs.size), v)
+                    v = np.where(again, self._rng.integers(0, V, size=xs.size), v)
                 self._label_of[self._rows, np.where(is_label, v, V)] = xs
                 self._revealed += is_label
             self._absent += ask & ~is_label
             self._keep(np.where(ask, xs, self._UNSET))
         return v
-
-    def vertex_of(self, xs) -> np.ndarray:
-        """The vertex each row's labeling gives label ``xs[row]``, else -1.
-
-        Uncounted: the oracle's own lookup, and grading.  An undecided
-        string is decided here, and stays decided.
-        """
-        return self._vertices(np.asarray(xs, dtype=np.int64))
 
     def answer_many(self, xs, cs) -> np.ndarray:
         """``BlackBoxTree.answer`` elementwise, row-aligned; uncounted."""
@@ -476,7 +461,7 @@ class LazyLabelingBatch:
         if np.logical_and.reduce(xs == self._at_label):
             v = self._at_vertex
         else:
-            v = self._vertices(xs)
+            v = self.vertex_of(xs)
         # as unsigned, a negative color clamps to 10 with the too-large ones
         w = self._neighbors[v, np.minimum(np.asarray(cs, dtype=np.int64).view(np.uint64), 10)]
         out = self._label_of[self._rows, w]

@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
@@ -40,3 +43,25 @@ def test_compare_passes_within_bounds(tmp_path, capsys):
     assert bench_pairs.main(argv) == 0
     out = capsys.readouterr().out
     assert "WORSE" not in out and " 2.000" in out and " 0.500" in out
+
+
+def test_commands_time_each_side_in_a_fresh_process(monkeypatch):
+    # one cheap command instead of the five pinned ones; both sides are this
+    # checkout, so each run is a real child of ``python -m weldlab.cli``
+    monkeypatch.setattr(bench_pairs, "COMMANDS", (("discovery", "-n", "2", "--trials", "20"),))
+    doc = bench_pairs.time_commands({"parent": ROOT, "change": ROOT}, pairs=2)
+    assert list(doc) == ["discovery -n 2 --trials 20"]
+    metrics = doc["discovery -n 2 --trials 20"]
+    assert set(metrics) == {"wall_s", "peak_rss_mb"}
+    for metric in metrics.values():
+        for side in ("parent", "change"):
+            assert len(metric[side]["runs"]) == 2 and min(metric[side]["runs"]) > 0
+            assert metric[side]["q1"] <= metric[side]["median"] <= metric[side]["q3"]
+        assert metric["better"] == "lower" and 0 <= metric["change_wins"] <= 2
+    # a child is a whole interpreter with numpy loaded
+    assert metrics["peak_rss_mb"]["change"]["median"] > 10
+
+
+def test_run_command_raises_on_a_failing_command():
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_pairs.run_command(ROOT, ("discovery", "--trials", "0"))

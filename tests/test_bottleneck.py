@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -135,6 +136,22 @@ def test_tau_zero_degeneration_transcript_identical():
         assert b.output == f.output
         assert b.transcript.to_json() == f.transcript.to_json()
         assert b.known.entries == f.known.entries
+
+
+def test_transcript_json_is_asdict_json():
+    rng = np.random.default_rng(3)
+    circ = _allq(rng, eta=2, p_query=0.7)
+    bbt = tree.make_blackbox(2, 7)
+    tape = _tape_for(circ, 4)
+    aborted = BN.bottleneck_wrapper(circ, bbt, seed=4, tape=tape, cfg=BN.BottleneckConfig(
+        tau=1e-12, sample_budget=10, fresh_candidates=8)).transcript
+    kept = BN.bottleneck_wrapper(circ, bbt, seed=4, tape=tape,
+                                 cfg=BN.BottleneckConfig(tau=0.0)).transcript
+    few = HS.few_tier_wrapper(circ, bbt, seed=4, tier_seed_fn=tape.tier_seed).transcript
+    assert aborted.aborted and not kept.aborted and few.per_layer
+    for t in (aborted, kept, few):
+        assert t.to_json() == json.dumps(dataclasses.asdict(t), sort_keys=True,
+                                         separators=(",", ":"))
 
 
 def test_abort_guess_path_tiny_tau():
