@@ -17,6 +17,10 @@ Label-space note: 2n-bit labels require 2^(2n) - 2 >= vertex_count - 1,
 which fails only at n=1 (6 vertices, 4 strings).  ``generate_labels`` rejects
 that case.  A ``BlackBoxTree`` itself takes labels of any width; the
 consistent-tree sampler reads the width from its entries' INVALID label.
+
+The guessing trials use ``LazyLabelingBatch`` instead: rows of labelings with
+``generate_labels``'s law whose labels are deferred decisions, drawn only
+where a query or a guess reaches.
 """
 from __future__ import annotations
 

@@ -13,7 +13,8 @@ uniformly random color, moving whenever the answer is a valid label.  It is
 graded afterwards against the hidden exit label; the walker itself never
 reads hidden structure.  ``blind_walks`` runs a batch of such walks in
 lockstep, one batched oracle call per step; it serves the walker baseline
-here and the guessing experiment in ``harness``.
+here and the guessing experiment in ``harness``, whose oracle is a
+``tree.LazyLabelingBatch`` that labels a vertex when a walk first reaches it.
 """
 from __future__ import annotations
 
@@ -121,7 +122,8 @@ def curve_to_csv(curve: list[tuple[float, float]]) -> str:
 
 
 BATCH_CELLS = 1 << 14
-"""Int64 cells (labelings plus walk paths) one batch of trials may hold."""
+"""Int64 cells (a vertex -> label map plus a walk path per trial) one batch
+of trials may hold."""
 
 
 def batch_trials(cells_per_trial: int) -> int:
