@@ -17,8 +17,10 @@ wall time and peak RSS of the five ``weldlab`` commands that
 ``--compare`` reads two such documents and prints, for each workload and
 end-to-end metric, the median of NEW's change side over that of OLD's (the
 revision each document was made for), marking ``WORSE`` every ratio worse
-than the metric's ``BENCHMARK.json`` bound; it exits 1 if any is.  Both
-documents should come from the same host and ``--seconds``.
+than the metric's ``BENCHMARK.json`` bound; it exits 1 if any is.  Where
+both documents hold ``commands`` it then prints each command's wall time
+and peak RSS the same way; these rows carry no bound and never set the exit
+code.  Both documents should come from the same host and ``--seconds``.
 """
 from __future__ import annotations
 
@@ -112,6 +114,21 @@ def compare_docs(old: dict, new: dict, end_to_end: list[dict]) -> list[tuple]:
     return rows
 
 
+def compare_commands(old: dict, new: dict) -> list[tuple]:
+    """(command, metric, OLD median, NEW median, NEW/OLD) for every command
+    both documents time, from each document's change side; none if either
+    document has no ``commands``."""
+    if "commands" not in old or "commands" not in new:
+        return []
+    rows = []
+    for command in sorted(set(old["commands"]) & set(new["commands"])):
+        for metric in ("wall_s", "peak_rss_mb"):
+            before, after = (doc["commands"][command][metric]["change"]["median"]
+                             for doc in (old, new))
+            rows.append((command, metric, before, after, after / before))
+    return rows
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path)
@@ -128,6 +145,12 @@ def main(argv=None) -> int:
         for workload, name, before, after, ratio, worse in rows:
             print(f"{workload:<12} {name:<12} {before:>10.4g} {after:>10.4g} {ratio:>8.3f}"
                   + ("  WORSE" if worse else ""))
+        commands = compare_commands(old, new)
+        width = max((len(row[0]) for row in commands), default=0)
+        if commands:
+            print(f"\n{'command':<{width}} {'metric':<12} {'old':>10} {'new':>10} {'new/old':>8}")
+        for command, name, before, after, ratio in commands:
+            print(f"{command:<{width}} {name:<12} {before:>10.4g} {after:>10.4g} {ratio:>8.3f}")
         return int(any(row[-1] for row in rows))
     if args.parent is None or args.out is None:
         p.error("--parent and --out are required unless --compare is given")

@@ -244,7 +244,8 @@ def discovery_rate(n: int, h: int, trials: int, seed: int, jobs: int = 1
     walk.check_trials("discovery_rate", trials, h)
     structure = tree.generate_structure(n, derive_seed(seed, "structure"))
     coloring = tree.generate_coloring(structure, derive_seed(seed, "coloring"))
-    per = walk.batch_trials(structure.vertex_count + h + 1)
+    # a trial's cells: its row of the lazy batch's label map and its path
+    per = walk.batch_trials(structure.vertex_count + 2 + h + 1)
     args = [(structure, coloring, h, derive_seed(seed, "chunk", i), min(per, trials - start))
             for i, start in enumerate(range(0, trials, per))]
     if jobs > 1 and len(args) > 1:

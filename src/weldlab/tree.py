@@ -100,14 +100,10 @@ class TreeStructure:
         return problems
 
 
-def _welded(n: int, cycle: list[int]) -> TreeStructure:
-    """The two height-``n`` trees in the canonical layout, joined by ``cycle``.
-
-    Each tree is numbered in heap order (local vertex u has children 2u+1
-    and 2u+2): the left tree from the entrance, then the right tree from the
-    exit.  Adjacency lists keep insertion order: tree edges top down, left
-    tree first, then the weld edges in cycle order.
-    """
+@functools.lru_cache(maxsize=None)
+def _tree_pair(n: int):
+    """``_welded``'s two trees without weld edges, built once per ``n``: the
+    adjacency tuples and read-only column and side arrays."""
     half = (1 << (n + 1)) - 1                   # vertices per tree
     depth = np.array([(u + 1).bit_length() - 1 for u in range(half)], dtype=np.int64)
     adj: list[list[int]] = [[] for _ in range(2 * half)]
@@ -116,15 +112,29 @@ def _welded(n: int, cycle: list[int]) -> TreeStructure:
             for child in (2 * u + 1, 2 * u + 2):
                 adj[base + u].append(base + child)
                 adj[base + child].append(base + u)
+    column = np.concatenate([depth, 2 * n + 1 - depth])
+    side = np.repeat(np.array([0, 1], dtype=np.int64), half)
+    column.flags.writeable = side.flags.writeable = False
+    return tuple(map(tuple, adj)), column, side
+
+
+def _welded(n: int, cycle: list[int]) -> TreeStructure:
+    """The two height-``n`` trees in the canonical layout, joined by ``cycle``.
+
+    Each tree is numbered in heap order (local vertex u has children 2u+1
+    and 2u+2): the left tree from the entrance, then the right tree from the
+    exit.  Adjacency lists keep insertion order: tree edges top down, left
+    tree first, then the weld edges in cycle order.
+    """
+    tree_adj, column, side = _tree_pair(n)
+    adjacency = list(tree_adj)
     for i, u in enumerate(cycle):
         w = cycle[(i + 1) % len(cycle)]
-        adj[u].append(w)
-        adj[w].append(u)
-    return TreeStructure(n=n, vertex_count=2 * half,
-                         column=np.concatenate([depth, 2 * n + 1 - depth]),
-                         adjacency=[tuple(nbrs) for nbrs in adj],
-                         side=np.repeat(np.array([0, 1], dtype=np.int64), half),
-                         weld_cycle=list(cycle), entrance=0, exit=half)
+        adjacency[u] += (w,)
+        adjacency[w] += (u,)
+    return TreeStructure(n=n, vertex_count=len(tree_adj), column=column,
+                         adjacency=adjacency, side=side, weld_cycle=list(cycle),
+                         entrance=0, exit=len(tree_adj) // 2)
 
 
 def generate_structure(n: int, seed: int) -> TreeStructure:

@@ -121,9 +121,19 @@ def curve_to_csv(curve: list[tuple[float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-BATCH_CELLS = 1 << 14
-"""Int64 cells (a vertex -> label map plus a walk path per trial) one batch
-of trials may hold."""
+BATCH_CELLS = 1 << 16
+"""Int64 cells one batch of trials may hold: a walker's path of budget + 1
+cells, and for a guessing trial also its ``tree.LazyLabelingBatch`` row's
+vertex -> label map of V + 2 cells.
+
+A lockstep step costs about 15 numpy calls whatever the batch size, so
+fewer, larger batches pay that overhead less often.  At 2^16 each
+perfbench discovery item (n <= 5, h <= 16, at most 1000 trials) runs as
+one batch.  Over those 102 items (2 cores, median of 5 interleaved
+passes) a pass took 0.76 (2^15), 0.55 (2^16) and 0.56 (2^17) of its time
+at 2^14, so 2^16 takes the gain for the least memory.  A full batch holds
+0.5 MB of cells; the blind-walks benchmark's peak RSS rose from 45.27 to
+46.07 MB (medians of ten 30 s runs, ``BENCH_15.json``)."""
 
 
 def batch_trials(cells_per_trial: int) -> int:

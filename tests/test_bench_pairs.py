@@ -17,10 +17,16 @@ OLD = {"work_per_s": 20.0, "item_p50_ms": 40.0, "item_p90_ms": 100.0,
        "peak_rss_mb": 70.0, "setup_s": 0.7}
 
 
-def _write(path: Path, medians: dict) -> Path:
-    metrics = {name: {"change": {"median": value}, "parent": {"median": 1.0}}
-               for name, value in medians.items()}
-    path.write_text(json.dumps({"workloads": {"bottleneck": {"metrics": metrics}}}))
+def _write(path: Path, medians: dict, commands: dict | None = None) -> Path:
+    def side(value):
+        return {"change": {"median": value}, "parent": {"median": 1.0}}
+
+    doc = {"workloads": {"bottleneck": {"metrics": {
+        name: side(value) for name, value in medians.items()}}}}
+    if commands is not None:
+        doc["commands"] = {command: {"wall_s": side(wall), "peak_rss_mb": side(rss)}
+                           for command, (wall, rss) in commands.items()}
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -43,6 +49,27 @@ def test_compare_passes_within_bounds(tmp_path, capsys):
     assert bench_pairs.main(argv) == 0
     out = capsys.readouterr().out
     assert "WORSE" not in out and " 2.000" in out and " 0.500" in out
+
+
+def test_compare_prints_command_ratios_without_a_verdict(tmp_path, capsys):
+    # a command twice as slow is reported, but commands carry no bound
+    old = _write(tmp_path / "old.json", OLD, {"walk -n 4": (0.4, 40.0), "gone": (1.0, 1.0)})
+    new = _write(tmp_path / "new.json", OLD, {"walk -n 4": (0.8, 30.0)})
+    assert bench_pairs.main(["--compare", str(old), str(new)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines if line.startswith("walk -n 4")]
+    assert rows == [["walk", "-n", "4", "wall_s", "0.4", "0.8", "2.000"],
+                    ["walk", "-n", "4", "peak_rss_mb", "40", "30", "0.750"]]
+    assert not any("gone" in line or "WORSE" in line for line in lines)
+
+
+def test_compare_skips_commands_missing_from_either_document(tmp_path, capsys):
+    with_commands = _write(tmp_path / "new.json", OLD, {"walk -n 4": (0.8, 30.0)})
+    argv = ["--compare", str(_write(tmp_path / "old.json", OLD)), str(with_commands)]
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "command" not in out and "wall_s" not in out
+    assert len(out.splitlines()) == 1 + len(OLD)
 
 
 def test_commands_time_each_side_in_a_fresh_process(monkeypatch):

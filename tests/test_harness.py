@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import weldlab
-from weldlab import cli, tree
+from weldlab import cli, harness, tree, walk
 from weldlab.harness import (ExperimentConfig, cmd_discovery, cmd_simulate,
                              cmd_walk, discovery_bound, discovery_rate,
                              run_command, write_report)
@@ -30,15 +30,49 @@ def test_discovery_bound_value():
     assert discovery_bound(4, 0) == 0.0
 
 
-def test_discovery_rate_deterministic_and_job_invariant():
+def _spy_chunks(monkeypatch) -> list[int]:
+    """One entry per ``_discovery_chunk`` call: the cells that its lazy
+    batch's vertex -> label map and its walk paths hold."""
+    cells: list[int] = []
+    chunk, walks = harness._discovery_chunk, walk.blind_walks
+
+    def spy_chunk(args):
+        cells.append(0)
+        return chunk(args)
+
+    def spy_walks(handle, budget, trials, rng):
+        path = walks(handle, budget, trials, rng)
+        cells[-1] = handle.bbt._label_of.size + path.size
+        return path
+
+    monkeypatch.setattr(harness, "_discovery_chunk", spy_chunk)
+    monkeypatch.setattr(walk, "blind_walks", spy_walks)
+    return cells
+
+
+def test_discovery_rate_deterministic_and_job_invariant(monkeypatch):
     a = discovery_rate(3, 4, trials=2000, seed=7, jobs=1)
     b = discovery_rate(3, 4, trials=2000, seed=7, jobs=1)
     assert a == b
     c = discovery_rate(3, 4, trials=2000, seed=7, jobs=3)
     assert a == c
-    # enough trials for several chunks, so jobs=3 really maps them over workers
-    assert discovery_rate(3, 4, trials=20_000, seed=7, jobs=1) \
-        == discovery_rate(3, 4, trials=20_000, seed=7, jobs=3)
+    cells = _spy_chunks(monkeypatch)
+    serial = discovery_rate(3, 4, trials=20_000, seed=7, jobs=1)
+    # 12 chunks of at most 1771 trials, so jobs=3 really maps them over workers
+    assert len(cells) == 12
+    monkeypatch.undo()      # process pools pickle the real chunk function
+    assert serial == discovery_rate(3, 4, trials=20_000, seed=7, jobs=3)
+
+
+@pytest.mark.parametrize("n, h, trials, chunks", [
+    (3, 16, 1000, 1), (5, 16, 400, 1), (3, 4, 20_000, 12)])
+def test_discovery_chunks_hold_at_most_batch_cells(monkeypatch, n, h, trials, chunks):
+    # the benchmark's largest discovery cells run as one lockstep chunk; a
+    # full chunk (1771 trials at n=3, h=4) still fits its label maps and paths
+    cells = _spy_chunks(monkeypatch)
+    discovery_rate(n, h, trials=trials, seed=3)
+    assert len(cells) == chunks
+    assert 0 < max(cells) <= walk.BATCH_CELLS
 
 
 def _exact_discovery_rate(n: int, h: int) -> Fraction:
