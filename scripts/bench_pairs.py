@@ -18,9 +18,11 @@ wall time and peak RSS of the five ``weldlab`` commands that
 end-to-end metric, the median of NEW's change side over that of OLD's (the
 revision each document was made for), marking ``WORSE`` every ratio worse
 than the metric's ``BENCHMARK.json`` bound; it exits 1 if any is.  Where
-both documents hold ``commands`` it then prints each command's wall time
-and peak RSS the same way; these rows carry no bound and never set the exit
-code.  Both documents should come from the same host and ``--seconds``.
+both documents hold ``commands`` it then prints, for each command's wall
+time and peak RSS, each document's own change/parent ratio of medians: a
+command's medians drift with the host between documents far more than
+its sides differ within one.  These rows carry no bound and never set the
+exit code.  Both documents should come from the same host and ``--seconds``.
 """
 from __future__ import annotations
 
@@ -115,17 +117,17 @@ def compare_docs(old: dict, new: dict, end_to_end: list[dict]) -> list[tuple]:
 
 
 def compare_commands(old: dict, new: dict) -> list[tuple]:
-    """(command, metric, OLD median, NEW median, NEW/OLD) for every command
-    both documents time, from each document's change side; none if either
-    document has no ``commands``."""
+    """(command, metric, OLD's change/parent, NEW's change/parent) for every
+    command both documents time, each ratio of that document's own medians;
+    none if either document has no ``commands``."""
     if "commands" not in old or "commands" not in new:
         return []
     rows = []
     for command in sorted(set(old["commands"]) & set(new["commands"])):
         for metric in ("wall_s", "peak_rss_mb"):
-            before, after = (doc["commands"][command][metric]["change"]["median"]
-                             for doc in (old, new))
-            rows.append((command, metric, before, after, after / before))
+            rows.append((command, metric, *(
+                doc["commands"][command][metric]["change"]["median"]
+                / doc["commands"][command][metric]["parent"]["median"] for doc in (old, new))))
     return rows
 
 
@@ -148,9 +150,9 @@ def main(argv=None) -> int:
         commands = compare_commands(old, new)
         width = max((len(row[0]) for row in commands), default=0)
         if commands:
-            print(f"\n{'command':<{width}} {'metric':<12} {'old':>10} {'new':>10} {'new/old':>8}")
-        for command, name, before, after, ratio in commands:
-            print(f"{command:<{width}} {name:<12} {before:>10.4g} {after:>10.4g} {ratio:>8.3f}")
+            print(f"\n{'command':<{width}} {'metric':<12} {'old c/p':>8} {'new c/p':>8}")
+        for command, name, before, after in commands:
+            print(f"{command:<{width}} {name:<12} {before:>8.3f} {after:>8.3f}")
         return int(any(row[-1] for row in rows))
     if args.parent is None or args.out is None:
         p.error("--parent and --out are required unless --compare is given")

@@ -12,10 +12,12 @@ Estimators replay the first i tiers with the seed-tape prefix
 (``replay_prefix``) in the tau=0 degeneration, where the pipeline is
 transcript-identical to the few-tier simulator.  If the dictionary holds
 every answer a replay reads, all consistent trees replay alike: the ratio is
-exactly 1 or 0, and no tree is replayed.  Only where it leaves the replay
-open does seeded Monte Carlo stand in for the doubly exponential exact sets:
-consistent trees are drawn, and those reproducing the transcript form the
-acceptance sample.
+exactly 1 or 0, and no tree is replayed.  So do they if the replay consults
+no answer (no query asks a color 1..9), even where the dictionary lacks the
+entrance row that every replay reads first: no answer then reaches the
+state.  Only where the dictionary leaves the replay open does seeded Monte
+Carlo stand in for the doubly exponential exact sets: consistent trees are
+drawn, and those reproducing the transcript form the acceptance sample.
 
 All estimator randomness is purpose-keyed off the master seed; measurement
 randomness comes only from the seed tape, one segment per tier, so
@@ -213,14 +215,16 @@ class EstimatorEnv:
         return self.call_counter
 
 
-def replay_prefix(circuit: C.HybridCircuit, P: BlackBoxTree, tape: SeedTape, i: int) -> int:
+def replay_prefix(circuit: C.HybridCircuit, P: BlackBoxTree, tape: SeedTape, i: int,
+                  ctx: SimContext | None = None) -> int:
     """The transcript of tiers 1..i on tree ``P`` in the tau=0 degeneration.
 
     Tier j is measured with ``tape.tier_uniform(j)``, so the transcript is a
-    function of the tape prefix r_<=i.  ``circuit`` is not validated here
-    (``bottleneck_wrapper`` validates it once).
+    function of the tape prefix r_<=i.  The run uses ``ctx`` if given (a
+    fresh uninstrumented context on ``P`` otherwise).  ``circuit`` is not
+    validated here (``bottleneck_wrapper`` validates it once).
     """
-    ctx = SimContext.fresh(P, instrument=False)
+    ctx = ctx or SimContext.fresh(P, instrument=False)
     reached, _ = SV.drive_hybrid(circuit, ctx, tape.tier_uniform, entrance_known(ctx), i)
     return next(iter(reached))
 
@@ -231,36 +235,58 @@ class _Undecided(Exception):
 
 class _KnownOracle:
     """V as the tree of a ``replay_prefix`` (which reads only ``n``, ``invalid``
-    and ``handle().query``); a key V lacks raises ``_Undecided``."""
+    and ``handle().query``), run in ``ctx``.
+
+    Until ``ctx`` has consulted its dictionary, an entrance-row key V lacks
+    reads as an INVALID placeholder (and sets ``placeholders``); any other
+    key V lacks raises ``_Undecided``.
+    """
 
     def __init__(self, V: KnownVertices, n: int):
         self.entries, self.invalid, self.n, self.count = V.entries, V.invalid, n, 0
+        self.placeholders = False
+        self.ctx = SimContext.fresh(self, instrument=False)
 
     def handle(self) -> "_KnownOracle":
         return self
 
     def query(self, x: int, c: int) -> int:
         self.count += 1
-        if (x, c) not in self.entries:
+        if (x, c) in self.entries:
+            return self.entries[(x, c)]
+        if x != 0 or self.ctx.consulted:
             raise _Undecided
-        return self.entries[(x, c)]
+        self.placeholders = True
+        return self.invalid
 
 
 def _known_replay(V: KnownVertices, i: int, env: EstimatorEnv) -> int | None:
-    """The replay of tiers 1..i on every tree consistent with V (each answers
-    V's keys as V does), or None if the replay reads a key V lacks."""
+    """The replay of tiers 1..i on every tree consistent with V, or None.
+
+    It is decided if every answer it read is V's (each consistent tree
+    answers V's keys as V does), or if it consulted no answer at all: then
+    only the entrance row was read, no answer reached a state, and every
+    tree replays alike whatever its entrance row.
+    """
+    oracle = _KnownOracle(V, env.circuit.n)
     try:
-        return replay_prefix(env.circuit, _KnownOracle(V, env.circuit.n), env.tape, i)
+        y = replay_prefix(env.circuit, oracle, env.tape, i, oracle.ctx)
     except _Undecided:
         return None
+    return None if oracle.placeholders and oracle.ctx.consulted else y
 
 
 def _sample_accepted_trees(V: KnownVertices, x: int, i: int, env: EstimatorEnv,
                            cfg: BottleneckConfig,
                            need_trees: bool = True) -> tuple[list[BlackBoxTree] | None, int]:
     """Sampled consistent trees whose replay reproduces x, and how many were tried.
-    Where V decides the replay no tree is replayed, and none is drawn unless it
-    is x and ``need_trees`` is set (the accepted list is then [] or None)."""
+
+    Where the replay is decided (V holds every answer it reads, or it
+    consults no answer) no tree is replayed, and none is drawn unless it
+    gives x and ``need_trees`` is set (the accepted list is then [] or None).
+    Each tree's seed is keyed by (call id, i, s), so this returns what
+    drawing and replaying all ``sample_budget`` trees would.
+    """
     call_id = env.next_call_id()
     decided = _known_replay(V, i, env)
     if decided is not None and decided != x:

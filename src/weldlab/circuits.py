@@ -90,6 +90,12 @@ class Layer:
         return (Layer(self.width_in, self.width_out, non_query),
                 Layer(self.width_out, self.width_out, queries))
 
+    @cached_property
+    def plans(self) -> dict:
+        """``statevec.layer_plan``'s plans of this layer, by (state width,
+        live wires, n)."""
+        return {}
+
 
 def layer(width_in: int, gates: list[Gate] | tuple[Gate, ...] = ()) -> Layer:
     """Layer with the output width inferred from ANC/DIS gates.

@@ -58,6 +58,8 @@ def main(argv: list[str] | None = None) -> int:
         status = "PASS" if chk.passed else ("FAIL" if chk.fatal else "WARN")
         sys.stderr.write(f"[{status}] {chk.name}: measured={chk.measured!r} "
                          f"bound={chk.bound!r}\n")
+    for problem in report.artifacts.get("circuit_problems", "").splitlines():
+        sys.stderr.write(f"weldlab {args.experiment}: invalid circuit: {problem}\n")
     return 0 if report.ok() else 1
 
 

@@ -372,6 +372,8 @@ def cmd_simulate(config: ExperimentConfig) -> Report:
     report.checks.append(hard_check("circuit validates", len(problems), 0,
                                     not problems))
     if problems:
+        # the located diagnostics, one a line
+        report.artifacts["circuit_problems"] = "\n".join(problems)
         return report
     n = circuit.n
     structure = tree.generate_structure(n, derive_seed(config.seed, "structure"))

@@ -79,13 +79,19 @@ class SimTranscript:
 
 @dataclass
 class SimContext:
-    """One simulation run, and the substitution oracle policy of the drivers."""
+    """One simulation run, and the substitution oracle policy of the drivers.
+
+    ``consulted`` counts the substitution's reads of the dictionary: every
+    ``answer(x, c)`` with a color c in 1..9, on either kernel.  A run that
+    consulted nothing put no oracle answer into its states.
+    """
 
     bbt: BlackBoxTree
     handle: OracleHandle
     transcript: SimTranscript
     instrument: bool = True
     tier_index: int = 0
+    consulted: int = 0
 
     @classmethod
     def fresh(cls, bbt: BlackBoxTree, instrument: bool = True) -> "SimContext":
@@ -120,9 +126,9 @@ def entrance_known(ctx: SimContext) -> KnownVertices:
 
 def _query_regs(lt: C.Layer, n: int, live: tuple[int, ...]):
     """Physical (x, c, y) wires of each query gate, in the layer's order
-    (first-wire order in the query part of ``C.Layer.split``)."""
-    return [tuple(tuple(live[w] for w in reg) for reg in C.query_registers(g, n))
-            for g in lt.gates]
+    (first-wire order in the query part of ``C.Layer.split``).  A query-only
+    layer adds no wire, so its plan for any state width serves."""
+    return SV.layer_plan(lt, 0, live, n).regs
 
 
 def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
@@ -152,6 +158,7 @@ def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
     def answer(x: int, c: int) -> int:
         if not 1 <= c <= 9:
             return invalid          # no such color; truthful without a query
+        ctx.consulted += 1
         if not work.has_key(x, c):
             if x not in frozen or x == invalid:
                 return invalid

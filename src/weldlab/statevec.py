@@ -61,6 +61,7 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -395,6 +396,60 @@ def _steps_arrays(keys: np.ndarray, re: np.ndarray, im: np.ndarray, steps):
     return keys, re, im
 
 
+class LayerPlan(NamedTuple):
+    """A layer's gates in physical wires, for one state width and ``live``."""
+
+    width: int              # physical wires after the layer's ancillas
+    steps: tuple            # (kind, control or target bit, Toffoli target bit)
+    regs: tuple             # (x, c, y) physical wires of each query gate
+    live_out: tuple[int, ...]
+    n_h: int                # H gates
+
+
+def layer_plan(lay: C.Layer, width: int, live: tuple[int, ...], n: int | None) -> LayerPlan:
+    """The plan of ``lay`` on a ``width``-wire state with logical wires
+    ``live``, built once per (width, live, n) and kept in ``lay.plans``.
+
+    A layer that cannot be planned raises ``ValueError`` on every call, as
+    nothing is kept for it.
+    """
+    key = (width, live, n)
+    plan = lay.plans.get(key)
+    if plan is not None:
+        return plan
+    anc_phys: dict[int, int] = {}
+    for gate in lay.gates:
+        if gate.kind == C.GateKind.ANCILLA:
+            anc_phys[gate.wires[0]] = width
+            width += 1
+
+    def phys(w: int) -> int:
+        return anc_phys[w] if w in anc_phys else live[w]
+
+    steps = []
+    regs = []
+    for gate in lay.gates:
+        if gate.kind == C.GateKind.ANCILLA or gate.kind == C.GateKind.DISCARD:
+            continue
+        if gate.kind in (C.GateKind.H, C.GateKind.PHASE):
+            steps.append((gate.kind, 1 << phys(gate.wires[0]), 0))
+        elif gate.kind == C.GateKind.TOFFOLI:
+            a, b, t = (phys(w) for w in gate.wires)
+            steps.append((gate.kind, (1 << a) | (1 << b), 1 << t))
+        elif gate.kind == C.GateKind.QUERY:
+            if n is None:
+                raise ValueError("query gate needs the black-box tree and n")
+            regs.append(tuple(tuple(phys(w) for w in reg)
+                              for reg in C.query_registers(gate, n)))
+        else:
+            raise ValueError(f"unknown gate kind {gate.kind}")
+    plan = LayerPlan(width=width, steps=tuple(steps), regs=tuple(regs),
+                     live_out=tuple(phys(w) for w in range(lay.width_out)),
+                     n_h=sum(kind == C.GateKind.H for kind, _b, _t in steps))
+    lay.plans[key] = plan
+    return plan
+
+
 def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
                 n: int | None = None) -> PureState:
     """Apply one layer exactly; pure (returns a new state).
@@ -407,35 +462,9 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
     if state.logical_width != lay.width_in:
         raise ValueError(f"layer expects {lay.width_in} wires, state has "
                          f"{state.logical_width}")
-    width = state.width
-    live = list(state.live)
-    anc_phys: dict[int, int] = {}
-    for gate in lay.gates:
-        if gate.kind == C.GateKind.ANCILLA:
-            anc_phys[gate.wires[0]] = width
-            width += 1
-
-    def phys(w: int) -> int:
-        return anc_phys[w] if w in anc_phys else live[w]
-
-    steps = []              # (kind, control or target bit, Toffoli target bit)
-    regs = []
-    for gate in lay.gates:
-        if gate.kind == C.GateKind.ANCILLA or gate.kind == C.GateKind.DISCARD:
-            continue
-        if gate.kind in (C.GateKind.H, C.GateKind.PHASE):
-            steps.append((gate.kind, 1 << phys(gate.wires[0]), 0))
-        elif gate.kind == C.GateKind.TOFFOLI:
-            a, b, t = (phys(w) for w in gate.wires)
-            steps.append((gate.kind, (1 << a) | (1 << b), 1 << t))
-        elif gate.kind == C.GateKind.QUERY:
-            if bbt is None or n is None:
-                raise ValueError("query gate needs the black-box tree and n")
-            regs.append(tuple(tuple(phys(w) for w in reg)
-                              for reg in C.query_registers(gate, n)))
-        else:
-            raise ValueError(f"unknown gate kind {gate.kind}")
-    live_out = tuple(phys(w) for w in range(lay.width_out))
+    width, steps, regs, live_out, n_h = layer_plan(lay, state.width, state.live, n)
+    if regs and bbt is None:
+        raise ValueError("query gate needs the black-box tree and n")
 
     if not steps and not regs:
         # ANC and DIS only move wires in and out of ``live``: the amplitudes
@@ -449,7 +478,6 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
     prev_norm = state.norm_sq()
     # P, TOF and queries move or rotate amplitudes, never shrink one, so only
     # an H gate's sums can leave one below PRUNE_TOL
-    n_h = sum(kind == C.GateKind.H for kind, _b, _t in steps)
     if use_arrays(len(state.amps) << n_h, width):
         keys, vals = state.arrays()
         keys, re, im = _steps_arrays(keys, vals.real, vals.imag, steps)

@@ -18,13 +18,15 @@ OLD = {"work_per_s": 20.0, "item_p50_ms": 40.0, "item_p90_ms": 100.0,
 
 
 def _write(path: Path, medians: dict, commands: dict | None = None) -> Path:
-    def side(value):
-        return {"change": {"median": value}, "parent": {"median": 1.0}}
+    """A document whose change medians are ``medians``; ``commands`` maps a
+    command to ((change, parent) wall_s, (change, parent) peak_rss_mb)."""
+    def side(value, parent=1.0):
+        return {"change": {"median": value}, "parent": {"median": parent}}
 
     doc = {"workloads": {"bottleneck": {"metrics": {
         name: side(value) for name, value in medians.items()}}}}
     if commands is not None:
-        doc["commands"] = {command: {"wall_s": side(wall), "peak_rss_mb": side(rss)}
+        doc["commands"] = {command: {"wall_s": side(*wall), "peak_rss_mb": side(*rss)}
                            for command, (wall, rss) in commands.items()}
     path.write_text(json.dumps(doc))
     return path
@@ -51,20 +53,23 @@ def test_compare_passes_within_bounds(tmp_path, capsys):
     assert "WORSE" not in out and " 2.000" in out and " 0.500" in out
 
 
-def test_compare_prints_command_ratios_without_a_verdict(tmp_path, capsys):
-    # a command twice as slow is reported, but commands carry no bound
-    old = _write(tmp_path / "old.json", OLD, {"walk -n 4": (0.4, 40.0), "gone": (1.0, 1.0)})
-    new = _write(tmp_path / "new.json", OLD, {"walk -n 4": (0.8, 30.0)})
+def test_compare_prints_each_documents_command_ratio_without_a_verdict(tmp_path, capsys):
+    # each document's own change/parent ratio: OLD's sides 0.4 s / 0.5 s, NEW's
+    # 0.8 s / 0.4 s on a slower host; a command twice as slow as its parent
+    # is reported, but commands carry no bound
+    old = _write(tmp_path / "old.json", OLD, {"walk -n 4": ((0.4, 0.5), (40.0, 40.0)),
+                                              "gone": ((1.0, 1.0), (1.0, 1.0))})
+    new = _write(tmp_path / "new.json", OLD, {"walk -n 4": ((0.8, 0.4), (30.0, 40.0))})
     assert bench_pairs.main(["--compare", str(old), str(new)]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [line.split() for line in lines if line.startswith("walk -n 4")]
-    assert rows == [["walk", "-n", "4", "wall_s", "0.4", "0.8", "2.000"],
-                    ["walk", "-n", "4", "peak_rss_mb", "40", "30", "0.750"]]
+    assert rows == [["walk", "-n", "4", "wall_s", "0.800", "2.000"],
+                    ["walk", "-n", "4", "peak_rss_mb", "1.000", "0.750"]]
     assert not any("gone" in line or "WORSE" in line for line in lines)
 
 
 def test_compare_skips_commands_missing_from_either_document(tmp_path, capsys):
-    with_commands = _write(tmp_path / "new.json", OLD, {"walk -n 4": (0.8, 30.0)})
+    with_commands = _write(tmp_path / "new.json", OLD, {"walk -n 4": ((0.8, 1.0), (30.0, 1.0))})
     argv = ["--compare", str(_write(tmp_path / "old.json", OLD)), str(with_commands)]
     assert bench_pairs.main(argv) == 0
     out = capsys.readouterr().out

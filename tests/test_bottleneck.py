@@ -12,6 +12,7 @@ import pytest
 from weldlab import bottleneck as BN
 from weldlab import circuits as C
 from weldlab import hybrid_sim as HS
+from weldlab import statevec as SV
 from weldlab import tree
 from weldlab.known import KnownVertices
 
@@ -303,16 +304,18 @@ def _spy(monkeypatch, name: str) -> list:
     return calls
 
 
-def test_estimator_inconclusive_on_impossible_transcript(bbt2, monkeypatch):
+@pytest.mark.parametrize("rows", ["entrance", "none"])
+def test_estimator_inconclusive_on_impossible_transcript(bbt2, monkeypatch, rows):
     rng = np.random.default_rng(8)
     circ = _allq(rng, p_query=0.0)
     env = _env_for(circ, bbt2, 13)
-    ctx = HS.SimContext.fresh(bbt2)
-    V = HS.entrance_known(ctx)
+    V = (HS.entrance_known(HS.SimContext.fresh(bbt2)) if rows == "entrance"
+         else KnownVertices(bbt2.invalid))
     # a query-free deterministic circuit reproduces exactly one transcript;
-    # its ratio is 1, and conditioning on any other accepts no samples.  V
-    # holds the entrance row, the only answer the replay reads, so both
-    # ratios are decided without drawing a tree
+    # its ratio is 1, and conditioning on any other accepts no samples.  The
+    # replay reads only the entrance row and consults no answer, so both
+    # ratios are decided without drawing a tree, whether V holds that row
+    # or not
     good = BN.replay_prefix(circ, bbt2, env.tape, 1)
 
     def no_draws(*args, **kwargs):
@@ -340,6 +343,59 @@ def test_undecided_replay_draws_and_replays_every_tree(bbt2, monkeypatch, rows):
     est = BN.estimate_consistency_ratio(V, x, 1, env, BN.BottleneckConfig(sample_budget=10))
     assert est.attempted == len(drawn) == 10
     assert len(replays) == 1 + 10       # the one against V, then one per tree
+
+
+@pytest.mark.parametrize("mode", ["labelings", "structures"])
+def test_replay_decided_from_empty_V_is_every_trees_replay(mode):
+    # random all-quantum circuits x trees, tiers 1 and 2: where the replay
+    # against V = {} is decided, every sampled consistent tree replays to it
+    decided = undecided = 0
+    for k in range(24):
+        p_query = (0.3, 0.6, 0.9)[k % 3]
+        circ = _allq(np.random.default_rng(300 + k), p_query=p_query)
+        bbt = tree.make_blackbox(2, 400 + k)
+        env = _env_for(circ, bbt, k)
+        V = KnownVertices(bbt.invalid)
+        for i in (1, 2):
+            y = BN._known_replay(V, i, env)
+            if y is None:
+                undecided += 1
+                continue
+            decided += 1
+            for s in range(6):
+                P = tree.sample_consistent(V, 2, 1000 * k + s, mode=mode,
+                                           structure=bbt.structure, coloring=bbt.coloring)
+                assert BN.replay_prefix(circ, P, env.tape, i) == y, (k, i, s)
+    assert decided and undecided
+
+
+def _array_consult_circuit(n=2, g=12):
+    """One quantum tier: H on three x-wires and the four color wires, then a
+    query.  Its 2^7 amplitudes take the array kernel, and the query is the
+    only step that consults: it asks the entrance's colors among others."""
+    grow = C.Layer(n, g, tuple(C.Gate(C.GateKind.ANCILLA, (w,)) for w in range(n, g)))
+    h = C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in (1, 2, 3, *range(2 * n, 2 * n + 4))])
+    circ = C.HybridCircuit(n=n, g=g, all_quantum=True, tiers=(
+        C.tier("quantum", [grow, h, C.layer(g, [query_gate(n)])]),))
+    C.require_valid(circ)
+    return circ
+
+
+@pytest.mark.parametrize("mode", ["labelings", "structures"])
+def test_consult_on_array_kernel_leaves_empty_V_undecided(bbt2, mode):
+    assert 2 ** 7 >= SV.ARRAY_MIN_SUPPORT
+    circ = _array_consult_circuit()
+    env = _env_for(circ, bbt2, 5)
+    V = KnownVertices(bbt2.invalid)
+    ctx = HS.SimContext.fresh(bbt2, instrument=False)
+    BN.replay_prefix(circ, bbt2, env.tape, 1, ctx)
+    assert ctx.consulted == 8 * 9           # one per distinct (x, c in 1..9)
+    assert BN._known_replay(V, 1, env) is None
+    # the entrance's answers reach the transcript: the trees do not agree
+    replays = {BN.replay_prefix(circ, tree.sample_consistent(
+        V, 2, s, mode=mode, structure=bbt2.structure, coloring=bbt2.coloring), env.tape, 1)
+        for s in range(8)}
+    assert len(replays) > 1
 
 
 def test_bottleneck_keeps_entrance_dictionary_on_query_free_circuit(bbt2):
@@ -482,10 +538,11 @@ def _decidable_run(mode: str, seed: int) -> BN.BottleneckResult:
 
 
 # case -> whether V decides any of its replays.  The pinned n=3 runs replay a
-# superposed query whose rows the Bottleneck drops, and the tiny-tau run
-# aborts in its first round, whose V is empty; tight-rho's certify rounds in
-# tier 1 replay no tier and read only the entrance row.
-SHORTCUT_CASES = {**{case: case == "tight-rho" for case in PINNED_RUNS},
+# superposed query whose rows the Bottleneck drops.  The tiny-tau run aborts
+# in its first round, whose V is empty but whose replay of no tier consults
+# no answer; tight-rho's certify rounds in tier 1 replay no tier and read
+# only the entrance row.
+SHORTCUT_CASES = {**{case: case in ("tight-rho", "tiny-tau") for case in PINNED_RUNS},
                   **{f"{mode}-{seed}": True
                      for mode in ("labelings", "structures") for seed in (2, 4)}}
 

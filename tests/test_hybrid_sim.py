@@ -62,6 +62,22 @@ def test_branch_c_junk_substitutes_invalid_without_querying(bbt2):
     assert V2.entries == V.entries
 
 
+@pytest.mark.parametrize("kernel", ["dicts", "arrays"])
+def test_consults_counted_on_both_kernels(bbt2, kernel):
+    # every answer(x, c) with c in 1..9 reads the dictionary, answered or
+    # not; colors 0 and 10..15 are INVALID without a read.  An int64 array
+    # support takes the array kernel
+    lt = C.Layer(12, 12, (query_gate(2),))
+    for colors, consulted in (((0, 10, 15), 0), ((0, 1, 9, 12), 2)):
+        ctx = _ctx(bbt2)
+        V = HS.entrance_known(ctx)
+        support = [c << 4 for c in colors]
+        if kernel == "arrays":
+            support = np.array(support, dtype=np.int64)
+        HS.simulate_oracle(V, bbt2, lt, support, tuple(range(12)), 2, ctx)
+        assert ctx.consulted == consulted
+
+
 # ---------------------------------------------------------------------------
 # split
 # ---------------------------------------------------------------------------

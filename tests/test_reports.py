@@ -65,6 +65,33 @@ def test_simulate_report_pinned(argv, config, checks, monkeypatch, capsys):
     assert doc["checks"] == checks
 
 
+INVALID_CIRCUIT = """hybrid n=2 g=14
+tier classical
+  ANC(2) ANC(3) ANC(4) ANC(5) ANC(6) ANC(7) ANC(8) ANC(9) ANC(10) ANC(11) ANC(12) ANC(13)
+  H(0) QRY(1,2,3,4,5,6,7,8,9,10,11,12)
+tier quantum
+  H(4) H(5) H(12) H(14)
+"""
+INVALID_PROBLEMS = ["tier 1 layer 1 gate 0 (H): H not allowed in a classical layer",
+                    "tier 2 layer 0 gate 3 (H): wire 14 beyond layer input width 14"]
+
+
+def test_simulate_report_of_invalid_circuit_pinned(tmp_path, monkeypatch, capsys):
+    # a circuit that parses but does not validate: one fatal check, and each
+    # located message in the report and on stderr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text(INVALID_CIRCUIT)
+    assert cli.main(["simulate", "--circuit", "bad.txt"]) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["config"] == _config(4, "bad.txt")
+    assert doc["checks"] == [{**check("circuit validates", "hard", 2.0, 0.0),
+                              "passed": False, "fatal": True}]
+    assert doc["artifacts"] == {"circuit_problems": "\n".join(INVALID_PROBLEMS)}
+    assert captured.err.splitlines()[1:] == [
+        f"weldlab simulate: invalid circuit: {p}" for p in INVALID_PROBLEMS]
+
+
 WALK_BEST_P = 0.7199606810160964
 E2E_BEST_P = 0.5631946280696672
 WALK_N4 = [

@@ -45,6 +45,24 @@ def test_query_layer_twice_is_identity(bbt2):
         assert abs(st_.amps[start] - 1) < 1e-12
 
 
+def test_layer_plan_is_kept_only_once_built(bbt2):
+    # without n a query layer cannot be planned: it raises on every call and
+    # keeps nothing; with n its plan is built once per (width, live, n), and
+    # without the tree it still raises
+    q = C.layer(12, [query_gate(2)])
+    state = SV.PureState.basis(12, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="black-box tree and n"):
+            SV.apply_layer(state, q)
+    assert q.plans == {}
+    first = SV.apply_layer(state, q, bbt2, 2)
+    plan = q.plans[(12, state.live, 2)]
+    assert SV.apply_layer(state, q, bbt2, 2) == first
+    assert list(q.plans) == [(12, state.live, 2)] and q.plans[(12, state.live, 2)] is plan
+    with pytest.raises(ValueError, match="black-box tree and n"):
+        SV.apply_layer(state, q, None, 2)
+
+
 def test_query_branches_match_classical_per_basis(bbt2):
     # superpose junk labels, one query gate: every branch gets the classically
     # computed answer
