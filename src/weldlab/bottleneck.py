@@ -55,7 +55,8 @@ class SeedTape:
     The tape is laid out in segments of n*q*g bits, one per tier; the
     measurement generator for tier i is keyed by the bytes of segment i, so
     it is a function of the prefix alone.  A tape is not changed once made,
-    so the uniform that measures each tier is drawn once and kept.
+    so each tier's seed, and the uniform that measures the tier, is made
+    once and kept.
     """
 
     n: int
@@ -63,6 +64,8 @@ class SeedTape:
     q: int
     g: int
     bits: np.ndarray
+    _tier_seeds: dict[int, int] = field(default_factory=dict, init=False, repr=False,
+                                        compare=False)
     _tier_uniforms: dict[int, float] = field(default_factory=dict, init=False, repr=False,
                                              compare=False)
 
@@ -82,11 +85,13 @@ class SeedTape:
 
     def tier_seed(self, i: int) -> int:
         """64-bit seed folded from tier i's segment (1-based)."""
-        seg = self.bits[(i - 1) * self.segment_len: i * self.segment_len]
-        acc = 0
-        for byte in np.packbits(seg).tobytes():
-            acc = derive_seed(acc, byte)
-        return derive_seed(acc, "tape-tier", i)
+        if i not in self._tier_seeds:
+            seg = self.bits[(i - 1) * self.segment_len: i * self.segment_len]
+            acc = 0
+            for byte in np.packbits(seg).tobytes():
+                acc = derive_seed(acc, byte)
+            self._tier_seeds[i] = derive_seed(acc, "tape-tier", i)
+        return self._tier_seeds[i]
 
     def tier_uniform(self, i: int) -> float:
         """The uniform that measures tier i: ``tier_draws(self.tier_seed)(i)``."""

@@ -154,16 +154,19 @@ def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
     invalid = bbt.invalid
     frozen = V.known_labels()
     work = V.copy()
+    entries = work.entries
 
     def answer(x: int, c: int) -> int:
         if not 1 <= c <= 9:
             return invalid          # no such color; truthful without a query
         ctx.consulted += 1
-        if not work.has_key(x, c):
+        y = entries.get((x, c))
+        if y is None:
             if x not in frozen or x == invalid:
                 return invalid
             vertex_query(ctx, work, x)
-        return work.get(x, c)
+            y = entries[(x, c)]
+        return y
 
     regs = _query_regs(lt, n, live)
     if isinstance(support, np.ndarray):
@@ -177,8 +180,7 @@ def _l1_sorted(k1: np.ndarray, k2: np.ndarray, vals: np.ndarray) -> float:
     keys ``k1`` and phi puts them on ``k2`` (each one-to-one)."""
     if not vals.size:
         return 0.0
-    keys = np.sort(np.concatenate([k1, k2]))
-    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    keys = np.unique(np.concatenate([k1, k2]))
 
     def at(k: np.ndarray) -> np.ndarray:
         order = np.argsort(k)
@@ -202,7 +204,8 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
     q_before = ctx.transcript.queries
     if phi.wide:
         keys, vals = phi.arrays()
-        order = np.argsort(keys)
+        # keys are distinct, so timsort gives quicksort's order, faster here
+        order = np.argsort(keys, kind="stable")
         support, vals = keys[order], vals[order]
         S, V2 = simulate_oracle(V, bbt, lt, support, phi.live, n, ctx)
         # the substitution permutes the support; move_amps adds each to 0j

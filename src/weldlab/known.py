@@ -6,6 +6,10 @@ received (or is entitled to assume) from a black-box tree.  Keys are
 all-ones INVALID label.  ``size()`` counts distinct vertex labels appearing
 as keys, which is the quantity the simulator growth and query ceilings are
 stated in.
+
+Entries are only ever added or overwritten, never removed, so the set of
+key labels is kept while the entry count stands: a direct write to
+``entries`` needs no hook.  Callers must not change that set.
 """
 from __future__ import annotations
 
@@ -16,15 +20,12 @@ from dataclasses import dataclass, field
 class KnownVertices:
     invalid: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def get(self, x: int, c: int) -> int:
-        return self.entries.get((x, c), self.invalid)
-
-    def has_key(self, x: int, c: int) -> bool:
-        return (x, c) in self.entries
+    _keys: tuple = field(default=(-1, None), init=False, repr=False, compare=False)
 
     def key_labels(self) -> set[int]:
-        return {x for (x, _c) in self.entries}
+        if self._keys[0] != len(self.entries):
+            self._keys = (len(self.entries), {x for (x, _c) in self.entries})
+        return self._keys[1]
 
     def value_labels(self) -> set[int]:
         return {y for y in self.entries.values() if y != self.invalid}
@@ -38,14 +39,22 @@ class KnownVertices:
 
     def set_vertex(self, x: int, answers: dict[int, int]) -> None:
         """Record a full row for vertex ``x``: one entry per color 1..9."""
+        labels = self.key_labels()
         for c in range(1, 10):
             self.entries[(x, c)] = answers[c]
+        labels.add(x)
+        self._keys = (len(self.entries), labels)
 
     def row(self, x: int) -> dict[int, int]:
         return {c: self.entries[(x, c)] for c in range(1, 10) if (x, c) in self.entries}
 
+    def _with_keys(self, entries: dict, labels: set[int]) -> "KnownVertices":
+        out = KnownVertices(self.invalid, entries)
+        out._keys = (len(entries), labels)
+        return out
+
     def copy(self) -> "KnownVertices":
-        return KnownVertices(self.invalid, dict(self.entries))
+        return self._with_keys(dict(self.entries), set(self.key_labels()))
 
     def merge(self, other: "KnownVertices") -> "KnownVertices":
         """Concatenate two answer dictionaries; conflicting answers are a bug."""
@@ -56,7 +65,7 @@ class KnownVertices:
             if k in merged and merged[k] != v:
                 raise ValueError(f"inconsistent merge at key {k}: {merged[k]} != {v}")
             merged[k] = v
-        return KnownVertices(self.invalid, merged)
+        return self._with_keys(merged, self.key_labels() | other.key_labels())
 
     def is_key_subset_of(self, other: "KnownVertices") -> bool:
         return self.key_labels() <= other.key_labels()

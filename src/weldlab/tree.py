@@ -18,9 +18,12 @@ which fails only at n=1 (6 vertices, 4 strings).  ``generate_labels`` rejects
 that case.  A ``BlackBoxTree`` itself takes labels of any width; the
 consistent-tree sampler reads the width from its entries' INVALID label.
 
-The guessing trials use ``LazyLabelingBatch`` instead: rows of labelings with
-``generate_labels``'s law whose labels are deferred decisions, drawn only
-where a query or a guess reaches.
+``BlackBoxTree.answer_many`` answers arrays from one lookup kept per tree:
+its labels in ascending order, found by ``searchsorted``, and a table of
+each labeled vertex's answer by color.  The guessing trials use
+``LazyLabelingBatch`` instead: rows of labelings with ``generate_labels``'s
+law whose labels are deferred decisions, drawn only where a query or a
+guess reaches.
 """
 from __future__ import annotations
 
@@ -306,59 +309,6 @@ class OracleHandle:
         return answers
 
 
-class LabelingBatch:
-    """B injective labelings of one colored welded tree, asked row-aligned.
-
-    Row b is an oracle of its own: ``answer_many(xs, cs)`` asks labeling b
-    for ``xs[..., b]`` (a single row answers every element).  A lookup is a
-    ``searchsorted`` over the sorted labels, each row offset into its own
-    2^label_bits range, followed by a read of the vertex-by-color neighbour
-    table; no dict and no 2^label_bits-sized array is built.
-    """
-
-    def __init__(self, structure: TreeStructure, coloring: "EdgeColoring",
-                 labels: np.ndarray, label_bits: int):
-        rows, V = labels.shape
-        if label_bits + rows.bit_length() > 62:
-            raise ValueError(f"{rows} rows of {label_bits}-bit labels overflow "
-                             f"the int64 lookup keys")
-        self.labels = np.ascontiguousarray(labels, dtype=np.int64)
-        self.label_bits = label_bits
-        self._neighbors = neighbor_table(structure, coloring)
-        row = np.arange(rows, dtype=np.int64)
-        self._label_base = row * V
-        self._key_base = row << label_bits
-        order = np.argsort(self.labels, axis=1)
-        self._vertex = order.ravel()
-        keys = np.take_along_axis(self.labels, order, 1)
-        keys += self._key_base[:, None]
-        self._keys = keys.ravel()
-
-    @property
-    def invalid(self) -> int:
-        return invalid_label(self.label_bits)
-
-    def vertex_of(self, xs) -> np.ndarray:
-        """The vertex each row's labeling gives label ``xs``, else -1.
-
-        Uncounted: the oracle's own lookup, and grading.
-        """
-        xs = np.asarray(xs, dtype=np.int64)
-        keys = xs + self._key_base
-        i = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
-        found = (self._keys[i] == keys) & (xs >= 0) & (xs < (1 << self.label_bits))
-        return np.where(found, self._vertex[i], -1)
-
-    def answer_many(self, xs, cs) -> np.ndarray:
-        """``BlackBoxTree.answer`` elementwise, row-aligned; uncounted."""
-        cs = np.asarray(cs, dtype=np.int64)
-        v = self.vertex_of(xs)
-        asked = (v >= 0) & (cs >= 1) & (cs <= 9)
-        w = np.where(asked, self._neighbors[np.maximum(v, 0), np.clip(cs, 0, 9)], -1)
-        found = self.labels.ravel()[self._label_base + np.maximum(w, 0)]
-        return np.where(w >= 0, found, self.invalid)
-
-
 class LazyLabelingBatch:
     """``rows`` independent labelings of one colored welded tree, each
     distributed as ``generate_labels``'s, decided only where they are asked.
@@ -535,13 +485,24 @@ class BlackBoxTree:
         return inv if w < 0 else int(self.labels[w])
 
     @cached_property
-    def _one_row(self) -> LabelingBatch:
-        return LabelingBatch(self.structure, self.coloring, self.labels[None, :],
-                             self.label_bits)
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the labels in ascending order, each one's answers to colors 0..10
+        in its row, and a last row of INVALID for strings that label none)."""
+        order = np.argsort(self.labels)
+        w = np.full((order.size + 1, 11), -1, dtype=np.int64)
+        w[:-1, :10] = self.neighbor_by_color[order]
+        padded = np.append(self.labels, self.invalid)
+        return self.labels[order], padded[w]
 
     def answer_many(self, xs, cs) -> np.ndarray:
         """``answer`` over arrays of labels and colors; uncounted."""
-        return self._one_row.answer_many(xs, cs)
+        xs = np.asarray(xs, dtype=np.int64)
+        sorted_labels, answers = self._lookup
+        i = np.minimum(np.searchsorted(sorted_labels, xs), sorted_labels.size - 1)
+        i[sorted_labels[i] != xs] = sorted_labels.size
+        # as unsigned, a negative color clamps to 10 with the too-large ones
+        cs = np.minimum(np.asarray(cs, dtype=np.int64).view(np.uint64), 10)
+        return answers[i, cs]
 
     def handle(self) -> OracleHandle:
         return OracleHandle(self)

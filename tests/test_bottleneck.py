@@ -15,6 +15,7 @@ from weldlab import hybrid_sim as HS
 from weldlab import statevec as SV
 from weldlab import tree
 from weldlab.known import KnownVertices
+from weldlab.rng import derive_seed
 
 from circuit_gen import _x_layers, query_gate, random_hybrid
 from tree_tools import vertex_row
@@ -81,6 +82,23 @@ def test_tape_tier_seed_reads_segment_only():
     scr = _with_suffix_scrambled(tape, 1, master=7)
     assert tape.tier_seed(1) == scr.tier_seed(1)
     assert tape.tier_seed(2) != scr.tier_seed(2)
+
+
+def test_tape_tier_seeds_folded_once(monkeypatch):
+    tape = BN.SeedTape.generate(1, 2, 3, 2, 8)
+
+    def refold(i: int) -> int:
+        acc = 0
+        for byte in np.packbits(tape.bits[(i - 1) * tape.segment_len:
+                                          i * tape.segment_len]).tobytes():
+            acc = derive_seed(acc, byte)
+        return derive_seed(acc, "tape-tier", i)
+
+    seeds = [tape.tier_seed(i) for i in (1, 2, 3)]
+    assert seeds == [refold(i) for i in (1, 2, 3)]
+    assert seeds == [5739363474584514656, 10996099801579948823, 11612928617094517997]
+    monkeypatch.setattr(BN, "derive_seed", None)        # a refold would fail
+    assert [tape.tier_seed(i) for i in (1, 2, 3)] == seeds
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +218,25 @@ def test_merge_idempotent_order_insensitive():
     bad = KnownVertices(inv, {(0, 1): 9})
     with pytest.raises(ValueError):
         a.merge(bad)
+
+
+def test_key_labels_follow_every_write():
+    inv = tree.invalid_label(4)
+    V = KnownVertices(inv)
+    V.set_vertex(0, {c: 3 if c == 1 else inv for c in range(1, 10)})
+    assert V.size() == 1
+    V.entries[(3, 2)] = 0               # a direct write of a new key vertex
+    assert V.size() == 2 and V.key_labels() == {0, 3}
+    V.entries[(3, 2)] = inv             # overwriting keeps the key
+    assert V.size() == 2
+    W = V.copy()
+    W.set_vertex(5, {c: inv for c in range(1, 10)})
+    W.entries[(7, 4)] = 5
+    assert W.key_labels() == {0, 3, 5, 7} and V.key_labels() == {0, 3}
+    M = V.merge(W)
+    assert M.key_labels() == {0, 3, 5, 7}
+    M.entries[(9, 1)] = inv
+    assert M.size() == 5 and W.size() == 4 and V.is_key_subset_of(M)
 
 
 def test_complete_subtree_minimal_on_paths(bbt2):

@@ -35,6 +35,61 @@ def test_toffoli_permutation():
     assert set(st_.amps) == {0b111}
 
 
+def _dict_groups(keys: np.ndarray) -> tuple[list[int], list[int]]:
+    """What a dict filled in element order holds: distinct keys in order of
+    first appearance, and each element's index among them."""
+    first: dict[int, int] = {}
+    group = [first.setdefault(k, len(first)) for k in keys.tolist()]
+    return list(first), group
+
+
+def _group_inputs():
+    rng = np.random.default_rng(61)
+    for size in (1, 2, 7, 130, 1000, 5000):
+        yield rng.integers(0, 10, size=size)
+        yield np.full(size, 12345)
+        yield rng.permutation(size)
+        yield rng.integers(0, 1 << 40, size=size)
+        for span in (size // 2 + 1, size, SV.TABLE_SPAN * size - 1, SV.TABLE_SPAN * size,
+                     64 * size):
+            yield rng.integers(0, span, size=size)
+    yield np.array([5, -3, 5, 0, -3, 9])
+
+
+def test_first_groups_table_and_sort_agree(monkeypatch):
+    # each input through the path its key range picks, then through each
+    # path forced: the sort always, the table wherever it is small
+    default = SV.TABLE_SPAN
+    for keys in list(_group_inputs()):
+        want = _dict_groups(keys)
+        runs = {"default": default, "sort": 0}
+        if keys.size and keys.min() >= 0 and keys.max() < 1 << 20:
+            runs["table"] = 1 << 40
+        for path, span in runs.items():
+            monkeypatch.setattr(SV, "TABLE_SPAN", span)
+            distinct, group = SV._first_groups(keys)
+            assert (distinct.tolist(), group.tolist()) == want, (path, keys[:10])
+
+
+@pytest.mark.parametrize("ones", ["no key", "every key"])
+def test_partner_free_h_matches_dict_kernel(ones):
+    # H on wire 9 where no key meets its partner: every key lacks the bit,
+    # or every key has it; zeros of both signs included
+    rng = np.random.default_rng(71)
+    bit = 1 << 9
+    keys = rng.choice(bit, size=300, replace=False) | (bit if ones == "every key" else 0)
+    re, im = rng.normal(size=300), rng.normal(size=300)
+    re[:4], im[:4] = [0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]
+    steps = ((C.GateKind.H, bit, 0),)
+    want = SV._steps_dict(dict(zip(keys.tolist(), SV._complex(re, im).tolist())), steps)
+    k, got_re, got_im = SV._steps_arrays(keys, re, im, steps)
+
+    def view(pairs):
+        return [(k, a, b, math.copysign(1, a), math.copysign(1, b)) for k, a, b in pairs]
+    assert view(zip(k.tolist(), got_re.tolist(), got_im.tolist())) == \
+        view((k, a.real, a.imag) for k, a in want.items())
+
+
 def test_query_layer_twice_is_identity(bbt2):
     lay = C.layer(12, [query_gate(2)])
     for start in (0b0, 0b1010, 0b000100000011):

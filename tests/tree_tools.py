@@ -29,13 +29,66 @@ def labeled_blackbox(n: int, seed: int, label_bits: int) -> tree.BlackBoxTree:
                              label_bits=label_bits)
 
 
+class LabelingBatch:
+    """B injective labelings of one colored welded tree, asked row-aligned.
+
+    Row b is an oracle of its own: ``answer_many(xs, cs)`` asks labeling b
+    for ``xs[..., b]`` (a single row answers every element).  A lookup is a
+    ``searchsorted`` over the sorted labels, each row offset into its own
+    2^label_bits range, followed by a read of the vertex-by-color neighbour
+    table; no dict and no 2^label_bits-sized array is built.
+    """
+
+    def __init__(self, structure: tree.TreeStructure, coloring: tree.EdgeColoring,
+                 labels: np.ndarray, label_bits: int):
+        rows, V = labels.shape
+        if label_bits + rows.bit_length() > 62:
+            raise ValueError(f"{rows} rows of {label_bits}-bit labels overflow "
+                             f"the int64 lookup keys")
+        self.labels = np.ascontiguousarray(labels, dtype=np.int64)
+        self.label_bits = label_bits
+        self._neighbors = tree.neighbor_table(structure, coloring)
+        row = np.arange(rows, dtype=np.int64)
+        self._label_base = row * V
+        self._key_base = row << label_bits
+        order = np.argsort(self.labels, axis=1)
+        self._vertex = order.ravel()
+        keys = np.take_along_axis(self.labels, order, 1)
+        keys += self._key_base[:, None]
+        self._keys = keys.ravel()
+
+    @property
+    def invalid(self) -> int:
+        return tree.invalid_label(self.label_bits)
+
+    def vertex_of(self, xs) -> np.ndarray:
+        """The vertex each row's labeling gives label ``xs``, else -1.
+
+        Uncounted: the oracle's own lookup, and grading.
+        """
+        xs = np.asarray(xs, dtype=np.int64)
+        keys = xs + self._key_base
+        i = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        found = (self._keys[i] == keys) & (xs >= 0) & (xs < (1 << self.label_bits))
+        return np.where(found, self._vertex[i], -1)
+
+    def answer_many(self, xs, cs) -> np.ndarray:
+        """``tree.BlackBoxTree.answer`` elementwise, row-aligned; uncounted."""
+        cs = np.asarray(cs, dtype=np.int64)
+        v = self.vertex_of(xs)
+        asked = (v >= 0) & (cs >= 1) & (cs <= 9)
+        w = np.where(asked, self._neighbors[np.maximum(v, 0), np.clip(cs, 0, 9)], -1)
+        found = self.labels.ravel()[self._label_base + np.maximum(w, 0)]
+        return np.where(w >= 0, found, self.invalid)
+
+
 def eager_discovery_rate(n: int, h: int, trials: int, seed: int) -> tuple[float, float]:
     """(rate, stderr) of the guessing experiment on eagerly labeled trees.
 
     An independent reference for ``harness.discovery_rate``: every trial
     gets its own ``tree.generate_labels`` tree on one colored structure,
     all of them walked in lockstep by ``walk.blind_walks`` through one
-    row-aligned ``tree.LabelingBatch``, and a hit is a uniform guess that
+    row-aligned ``LabelingBatch``, and a hit is a uniform guess that
     labels a vertex its walk never stood on.
     """
     structure = tree.generate_structure(n, derive_seed(seed, "structure"))
@@ -43,7 +96,7 @@ def eager_discovery_rate(n: int, h: int, trials: int, seed: int) -> tuple[float,
     labels = np.stack([tree.generate_labels(structure, coloring,
                                             derive_seed(seed, "labels", t)).labels
                        for t in range(trials)])
-    batch = tree.LabelingBatch(structure, coloring, labels, 2 * n)
+    batch = LabelingBatch(structure, coloring, labels, 2 * n)
     rng = make_rng(seed, "eager trials")
     seen = walk.blind_walks(tree.OracleHandle(batch), h, trials, rng)
     guess = rng.integers(0, 1 << (2 * n), size=trials)
