@@ -218,19 +218,20 @@ def write_report(report: Report, out: str | None) -> str:
 def _discovery_chunk(args) -> int:
     """Hits in one chunk of guessing trials; module-level for process pools.
 
-    Each trial's labeling is decided lazily (``tree.LazyLabelingBatch``): the
-    walk labels only the vertices it reaches, and grading decides whether
-    the guess labels an unreached vertex.  A chunk draws every decision from
-    its one seeded stream.
+    A trial walks blind in vertex space (``walk.blind_walks``) and then
+    guesses a uniform 2n-bit string.  A hit is a guess that labels a vertex
+    the walk never reached: under a uniform labeling drawn apart from the
+    walk, exactly V - K of the 2^(2n) strings do, K counting the distinct
+    vertices reached, entrance included.  So a hit is ``u < V - K`` for a
+    uniform ``u``, and no label is drawn.  A chunk draws its walks and
+    guesses from its one seeded stream.
     """
-    structure, coloring, h, chunk_seed, trials = args
+    neighbors, label_bits, h, chunk_seed, trials = args
     rng = make_rng(chunk_seed, "trials")
-    batch = tree.LazyLabelingBatch(structure, coloring, trials, rng)
-    seen = walk.blind_walks(batch.handle(), h, trials, rng)
-    guess = rng.integers(0, 1 << batch.label_bits, size=trials)
-    # grading: a hit names a vertex label the walk never stood on
-    fresh = (batch.vertex_of(guess) >= 0) & (seen != guess[:, None]).all(axis=1)
-    return int(np.count_nonzero(fresh))
+    path = np.sort(walk.blind_walks(neighbors, h, trials, rng), axis=1)
+    reached = 1 + np.count_nonzero(path[:, 1:] != path[:, :-1], axis=1)
+    guess = rng.integers(0, 1 << label_bits, size=trials)
+    return int(np.count_nonzero(guess < len(neighbors) - reached))
 
 
 def discovery_rate(n: int, h: int, trials: int, seed: int, jobs: int = 1
@@ -238,15 +239,16 @@ def discovery_rate(n: int, h: int, trials: int, seed: int, jobs: int = 1
     """(empirical rate, stderr) for the h-query guessing adversary.
 
     Every trial walks the same colored tree under a fresh labeling.  Trials
-    run in chunks of a size fixed by (n, h) alone, each seeded from its
-    chunk index, so ``jobs`` only decides how many processes share them.
+    run in chunks of a size fixed by h alone, each seeded from its chunk
+    index, so ``jobs`` only decides how many processes share them.
     """
     walk.check_trials("discovery_rate", trials, h)
     structure = tree.generate_structure(n, derive_seed(seed, "structure"))
+    label_bits = tree.checked_label_bits(structure)
     coloring = tree.generate_coloring(structure, derive_seed(seed, "coloring"))
-    # a trial's cells: its row of the lazy batch's label map and its path
-    per = walk.batch_trials(structure.vertex_count + 2 + h + 1)
-    args = [(structure, coloring, h, derive_seed(seed, "chunk", i), min(per, trials - start))
+    neighbors = tree.neighbor_table(structure, coloring)
+    per = walk.batch_trials(h + 1)
+    args = [(neighbors, label_bits, h, derive_seed(seed, "chunk", i), min(per, trials - start))
             for i, start in enumerate(range(0, trials, per))]
     if jobs > 1 and len(args) > 1:
         workers = min(jobs, len(args))

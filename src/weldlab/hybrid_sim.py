@@ -132,16 +132,18 @@ def _query_regs(lt: C.Layer, n: int, live: tuple[int, ...]):
 
 
 def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
-                    support, live: tuple[int, ...], n: int,
-                    ctx: SimContext) -> tuple[Mapping[int, int], KnownVertices]:
+                    support, live: tuple[int, ...], n: int, ctx: SimContext,
+                    queries=None) -> tuple[Mapping[int, int], KnownVertices]:
     """Alg-style query substitution over ``support``; returns (S, updated V).
 
     ``support`` must be sorted ascending (the caller sorts it once, for its
     own use too); keys are visited in that order.  An int64 array
     ``support`` takes the array kernel, which asks each distinct (x, c) pair
     once in that order, and gives ``S`` as an ``SV.ArrayMap`` over
-    ``support``.  Branch (b) consults the set of labels known at layer start
-    (frozen), so the updated dictionary gains at most 3|V| new key vertices.
+    ``support``; ``queries`` are its ``SV.gather_queries`` if the caller
+    has gathered them.  Branch (b) consults the set of labels known at layer
+    start (frozen), so the updated dictionary gains at most 3|V| new key
+    vertices.
     """
     for g in lt.gates:
         if g.kind != C.GateKind.QUERY:
@@ -170,7 +172,7 @@ def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
 
     regs = _query_regs(lt, n, live)
     if isinstance(support, np.ndarray):
-        moved = SV.query_keys(support, regs, SV.distinct_answers(answer))
+        moved = SV.query_keys(support, regs, SV.distinct_answers(answer), queries)
         return SV.ArrayMap(support, moved), work
     return SV.query_map(support, regs, answer), work
 
@@ -202,12 +204,15 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
     phi = SV.apply_layer(state, lg, bbt, n)
     size_before = V.size()
     q_before = ctx.transcript.queries
+    regs = _query_regs(lt, n, phi.live)
     if phi.wide:
         keys, vals = phi.arrays()
         # keys are distinct, so timsort gives quicksort's order, faster here
         order = np.argsort(keys, kind="stable")
         support, vals = keys[order], vals[order]
-        S, V2 = simulate_oracle(V, bbt, lt, support, phi.live, n, ctx)
+        # (x, c) gathered once for the substitution and the instrumented truth map
+        queries = SV.gather_queries(support, regs) if regs else None
+        S, V2 = simulate_oracle(V, bbt, lt, support, phi.live, n, ctx, queries)
         # the substitution permutes the support; move_amps adds each to 0j
         psi = SV.PureState(width=phi.width, live=phi.live,
                            amps=SV.ArrayMap(S.value_array, vals + 0.0))
@@ -227,7 +232,6 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
         # sum_z |c_z|^2 <S(z)|L^T|z>; equal to 1 - outlier mass exactly (the
         # global inner product gains cross terms where S sends one string to
         # the true image of another, so it is not the asserted quantity)
-        regs = _query_regs(lt, n, phi.live)
         if not regs:
             # the identity substitution is the truth: no outlier and no gap,
             # and the fidelity is the norm summed in sorted key order
@@ -235,7 +239,7 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
                 (phi.amps[z] * phi.amps[z].conjugate()).real for z in support)
             outlier_mass, fidelity, l1_gap = 0, SV.seq_sum(p), 0.0
         elif phi.wide:
-            truth = SV.query_keys(support, regs, bbt.answer_many)
+            truth = SV.query_keys(support, regs, bbt.answer_many, queries)
             p = SV.abs_sq(vals)
             out = S.value_array != truth
             outlier_mass, fidelity = SV.seq_sum(p[out]), SV.seq_sum(p[~out])

@@ -320,17 +320,24 @@ def query_map(keys, regs, answer) -> dict[int, int]:
     return out
 
 
-def query_keys(keys: np.ndarray, regs, answer_many) -> np.ndarray:
+def gather_queries(keys: np.ndarray, regs) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, cs) of shape (keys, gates): each key's x and c registers under
+    each query gate of ``regs`` (at least one), as ``query_keys`` asks them."""
+    return (np.stack([_gather(keys, px) for px, _pc, _py in regs], axis=1),
+            np.stack([_gather(keys, pc) for _px, pc, _py in regs], axis=1))
+
+
+def query_keys(keys: np.ndarray, regs, answer_many, queries=None) -> np.ndarray:
     """``query_map`` over an int64 key array: each key's image, aligned.
 
     ``answer_many(xs, cs)`` answers arrays of shape (keys, gates); their
     row-major order is the order in which ``query_map`` asks its policy.
+    ``queries`` is ``gather_queries(keys, regs)`` when the caller has
+    gathered it already, to ask a second oracle of the same keys.
     """
     if not regs:
         return keys
-    xs = np.stack([_gather(keys, px) for px, _pc, _py in regs], axis=1)
-    cs = np.stack([_gather(keys, pc) for _px, pc, _py in regs], axis=1)
-    ans = answer_many(xs, cs)
+    ans = answer_many(*(queries or gather_queries(keys, regs)))
     moved = keys.copy()
     for g, (_px, _pc, py) in enumerate(regs):
         moved ^= _scatter(ans[:, g], py)

@@ -14,16 +14,16 @@ sees pairwise distinct colors on its incident edges, so "c-neighbour" is
 single valued.
 
 Label-space note: 2n-bit labels require 2^(2n) - 2 >= vertex_count - 1,
-which fails only at n=1 (6 vertices, 4 strings).  ``generate_labels`` rejects
-that case.  A ``BlackBoxTree`` itself takes labels of any width; the
-consistent-tree sampler reads the width from its entries' INVALID label.
+which fails only at n=1 (6 vertices, 4 strings).  ``checked_label_bits``
+rejects that case for ``generate_labels`` and the guessing experiment.
+A ``BlackBoxTree`` itself takes labels of any width; the consistent-tree
+sampler reads the width from its entries' INVALID label.
 
 ``BlackBoxTree.answer_many`` answers arrays from one lookup kept per tree:
 its labels in ascending order, found by ``searchsorted``, and a table of
-each labeled vertex's answer by color.  The guessing trials use
-``LazyLabelingBatch`` instead: rows of labelings with ``generate_labels``'s
-law whose labels are deferred decisions, drawn only where a query or a
-guess reaches.
+each labeled vertex's answer by color.  Blind walks and guessing trials
+draw no labels at all: they walk ``neighbor_table`` in vertex space (see
+``walk``).
 """
 from __future__ import annotations
 
@@ -286,166 +286,21 @@ def generate_coloring(structure: TreeStructure, seed: int) -> EdgeColoring:
 # ---------------------------------------------------------------------------
 
 class OracleHandle:
-    """Per-worker query counter around a black-box tree or a labeling batch.
+    """Per-worker query counter around a black-box tree.
 
     ``query`` counts every invocation exactly once, including INVALID
-    answers, and ``query_many`` counts each element of its batch once.
-    Workers use one handle each and merge counts by summation.
+    answers.  Workers use one handle each and merge counts by summation.
     """
 
     __slots__ = ("bbt", "count")
 
-    def __init__(self, bbt: "BlackBoxTree | LazyLabelingBatch"):
+    def __init__(self, bbt: "BlackBoxTree"):
         self.bbt = bbt
         self.count = 0
 
     def query(self, x: int, c: int) -> int:
         self.count += 1
         return self.bbt.answer(x, c)
-
-    def query_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        answers = self.bbt.answer_many(xs, cs)
-        self.count += answers.size
-        return answers
-
-
-class LazyLabelingBatch:
-    """``rows`` independent labelings of one colored welded tree, each
-    distributed as ``generate_labels``'s, decided only where they are asked.
-
-    Row b is an oracle of its own: ``answer_many(xs, cs)`` asks labeling b
-    for ``xs[b]``.  Labels are deferred decisions, as in the classical lower
-    bound of Childs et al.: a row keeps the strings it has decided, each
-    bound to a vertex or decided absent, and given those the undecided
-    vertices are a uniform injective labeling by the undecided strings.  So
-
-    * the first answer that names a vertex labels it uniformly over the
-      row's undecided strings;
-    * ``vertex_of`` on an undecided string (INVALID and strings outside the
-      space are never labels) makes it a label with probability (undecided
-      vertices) / (undecided strings), bound to a uniformly random
-      undecided vertex, and absent otherwise;
-
-    and the joint law of every answer is that of eager uniform labelings.
-    No label is drawn for a vertex that no query reaches.  A row keeps a
-    cell per vertex for its vertex -> label map, and its decided strings,
-    a line per call, which fresh draws and ``vertex_of`` scan; a lockstep
-    walk asks where it stands, which needs no scan.  Draws come from ``rng``.
-    """
-
-    _UNSET = -3         # a cell that holds no label
-    _NO_DRAW = -4       # a row's draw where it needs none
-
-    def __init__(self, structure: TreeStructure, coloring: EdgeColoring, rows: int,
-                 rng: np.random.Generator):
-        self.label_bits = _checked_label_bits(structure)
-        self._rng = rng
-        V = self._vertex_count = structure.vertex_count
-        self._rows = np.arange(rows)
-        # padded so that vertex -1, and colors 0 and 10, answer -1
-        self._neighbors = np.full((V + 1, 11), -1, dtype=np.int64)
-        self._neighbors[:V, :10] = neighbor_table(structure, coloring)
-        # row b's vertex -> label map; column V takes writes meant for no
-        # vertex, and the last column is vertex -1's INVALID
-        self._label_of = np.full((rows, V + 2), self._UNSET, dtype=np.int64)
-        self._label_of[:, structure.entrance] = 0
-        self._label_of[:, -1] = self.invalid
-        self._revealed = np.ones(rows, dtype=np.int64)
-        # the strings row b has decided, labels and absent ones alike, in
-        # column b: a line per call (repeats and _UNSET fill the rest)
-        self._decided = np.full((8, rows), self._UNSET, dtype=np.int64)
-        self._decided[0] = 0
-        self._used = 1
-        self._absent = np.zeros(rows, dtype=np.int64)
-        # where each row's walk stands: the last answer if it named a vertex,
-        # else the last string asked; a lockstep walk asks there next
-        self._at_label = np.zeros(rows, dtype=np.int64)
-        self._at_vertex = np.full(rows, structure.entrance, dtype=np.int64)
-        self._pool = np.empty((8, rows), dtype=np.int64)     # label draws, a line each
-        self._pooled = len(self._pool)
-
-    @property
-    def invalid(self) -> int:
-        return invalid_label(self.label_bits)
-
-    def _label_draws(self) -> np.ndarray:
-        """A line of strings uniform over 1 .. invalid - 1, from a pool drawn at once."""
-        if self._pooled == len(self._pool):
-            self._pool = self._rng.integers(1, self.invalid, size=self._pool.shape)
-            self._pooled = 0
-        self._pooled += 1
-        return self._pool[self._pooled - 1]
-
-    def _keep(self, strings: np.ndarray) -> None:
-        """Add a line of decided strings."""
-        if self._used == len(self._decided):
-            more = np.full(self._decided.shape, self._UNSET, dtype=np.int64)
-            self._decided = np.concatenate([self._decided, more])
-        self._decided[self._used] = strings
-        self._used += 1
-
-    def vertex_of(self, xs) -> np.ndarray:
-        """The vertex each row's labeling gives label ``xs[row]``, else -1.
-
-        Uncounted: the oracle's own lookup, and grading.  An undecided
-        string is decided here, and stays decided.
-        """
-        xs = np.asarray(xs, dtype=np.int64)
-        V = self._vertex_count
-        in_space = (xs >= 0) & (xs < self.invalid)
-        decided = in_space & (self._decided[:self._used] == xs).any(axis=0)
-        v = np.full(xs.size, -1)
-        if decided.any():
-            # a decided string labels a vertex, or matches only the dump column
-            rows = np.flatnonzero(decided)
-            row, col = np.divmod(np.flatnonzero(self._label_of[rows] == xs[rows, None]), V + 2)
-            v[rows[row[col < V]]] = col[col < V]
-        ask = in_space & ~decided
-        if ask.any():
-            rows = np.flatnonzero(ask)
-            revealed = self._revealed[rows]
-            # xs is one of the undecided strings among 0 .. invalid - 1
-            is_label = np.zeros(xs.size, dtype=bool)
-            is_label[rows] = (self._rng.integers(0, self.invalid - revealed - self._absent[rows])
-                              < V - revealed)
-            if is_label.any():
-                # a uniform unlabeled vertex, drawing again where one is labeled
-                v = np.where(is_label, self._rng.integers(0, V, size=xs.size), v)
-                while (again := is_label & (self._label_of[self._rows, v] != self._UNSET)).any():
-                    v = np.where(again, self._rng.integers(0, V, size=xs.size), v)
-                self._label_of[self._rows, np.where(is_label, v, V)] = xs
-                self._revealed += is_label
-            self._absent += ask & ~is_label
-            self._keep(np.where(ask, xs, self._UNSET))
-        return v
-
-    def answer_many(self, xs, cs) -> np.ndarray:
-        """``BlackBoxTree.answer`` elementwise, row-aligned; uncounted."""
-        xs = np.asarray(xs, dtype=np.int64)
-        if np.logical_and.reduce(xs == self._at_label):
-            v = self._at_vertex
-        else:
-            v = self.vertex_of(xs)
-        # as unsigned, a negative color clamps to 10 with the too-large ones
-        w = self._neighbors[v, np.minimum(np.asarray(cs, dtype=np.int64).view(np.uint64), 10)]
-        out = self._label_of[self._rows, w]
-        new = out == self._UNSET
-        # a fresh label for each newly reached vertex, drawing again where
-        # the row has decided the string already (_NO_DRAW it never has)
-        drawn = np.where(new, self._label_draws(), self._NO_DRAW)
-        while np.logical_or.reduce(taken := self._decided[:self._used] == drawn, axis=None):
-            drawn = np.where(taken.any(axis=0), self._label_draws(), drawn)
-        out = np.maximum(out, drawn)            # _NO_DRAW < _UNSET < every label
-        self._label_of[self._rows, w] = out
-        self._keep(out)
-        self._revealed += new
-        moved = w >= 0
-        self._at_label = np.where(moved, out, xs)
-        self._at_vertex = np.where(moved, w, v)
-        return out
-
-    def handle(self) -> OracleHandle:
-        return OracleHandle(self)
 
 
 @dataclass
@@ -507,10 +362,6 @@ class BlackBoxTree:
     def handle(self) -> OracleHandle:
         return OracleHandle(self)
 
-    def exit_label(self) -> int:
-        """Grading only; hidden from algorithms under test."""
-        return int(self.labels[self.structure.exit])
-
 
 def _sample_distinct(rng, low: int, high: int, k: int) -> np.ndarray:
     """k distinct ints uniform over [low, high); Floyd's algorithm when huge."""
@@ -529,7 +380,7 @@ def _sample_distinct(rng, low: int, high: int, k: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _checked_label_bits(structure: TreeStructure) -> int:
+def checked_label_bits(structure: TreeStructure) -> int:
     """2n, if a space of 2n-bit labels can label every vertex."""
     label_bits = 2 * structure.n
     V = structure.vertex_count
@@ -547,7 +398,7 @@ def generate_labels(structure: TreeStructure, coloring: EdgeColoring,
     Labels are drawn from {0,1}^(2n) minus the all-ones INVALID string.
     Raises when the space cannot hold vertex_count distinct labels (n=1).
     """
-    label_bits = _checked_label_bits(structure)
+    label_bits = checked_label_bits(structure)
     drawn = _sample_distinct(make_rng(seed, "labels"), 1, (1 << label_bits) - 1,
                              structure.vertex_count - 1)
     labels = np.insert(drawn, structure.entrance, 0)

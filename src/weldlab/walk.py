@@ -9,12 +9,15 @@ full-graph cross-check propagates exp(-iAt) with truncated Taylor steps on
 the graph's neighbour table (numpy only), independently of the columns.
 
 The classical baseline walks the oracle blindly: one query per step on a
-uniformly random color, moving whenever the answer is a valid label.  It is
-graded afterwards against the hidden exit label; the walker itself never
-reads hidden structure.  ``blind_walks`` runs a batch of such walks in
-lockstep, one batched oracle call per step; it serves the walker baseline
-here and the guessing experiment in ``harness``, whose oracle is a
-``tree.LazyLabelingBatch`` that labels a vertex when a walk first reaches it.
+uniformly random color, moving to the answer when it is a valid label and
+staying put otherwise.  Such a walker never compares label values, so its
+path in vertex space is ``v' = nbr[v, c]`` where that neighbour exists and
+``v`` otherwise, under every labeling; and the labeling is drawn
+independently of the walk.  ``blind_walks`` therefore walks vertex indices
+over the neighbour table, a batch of walks in lockstep, and callers grade
+the paths afterwards: the walker baseline here by the exit vertex, the
+guessing experiment in ``harness`` by the exact law of a guess given the
+vertices a walk reached.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import make_rng
-from .tree import BlackBoxTree, OracleHandle, TreeStructure, generate_structure
+from .tree import BlackBoxTree, TreeStructure, generate_structure
 
 FULL_WALK_MAX_N = 7
 
@@ -122,18 +125,20 @@ def curve_to_csv(curve: list[tuple[float, float]]) -> str:
 
 
 BATCH_CELLS = 1 << 16
-"""Int64 cells one batch of trials may hold: a walker's path of budget + 1
-cells, and for a guessing trial also its ``tree.LazyLabelingBatch`` row's
-vertex -> label map of V + 2 cells.
+"""Int64 path cells one batch of trials may hold: a trial, walker or
+guessing, keeps the budget + 1 vertices its walk stands on, so a batch
+holds ``batch_trials(budget + 1)`` trials.
 
-A lockstep step costs about 15 numpy calls whatever the batch size, so
-fewer, larger batches pay that overhead less often.  At 2^16 each
-perfbench discovery item (n <= 5, h <= 16, at most 1000 trials) runs as
-one batch.  Over those 102 items (2 cores, median of 5 interleaved
-passes) a pass took 0.76 (2^15), 0.55 (2^16) and 0.56 (2^17) of its time
-at 2^14, so 2^16 takes the gain for the least memory.  A full batch holds
-0.5 MB of cells; the blind-walks benchmark's peak RSS rose from 45.27 to
-46.07 MB (medians of ten 30 s runs, ``BENCH_15.json``)."""
+A lockstep step costs a few numpy calls whatever the batch size, so fewer,
+larger batches pay that overhead less often.  At 2^16 each perfbench
+discovery item (n <= 5, h <= 16, at most 1000 trials) runs as one batch,
+and a ``discovery -n 3`` cell of 20,000 trials runs in 1, 2 and 6 batches
+at h = 1, 4 and 16 (32768, 13107 and 3855 trials each).  A full batch
+holds 0.5 MB of cells and its colors, one byte per step and trial.  The
+size was chosen when a guessing trial also kept a label map of V + 2
+cells: over the 102 discovery items (2 cores, median of 5 interleaved
+passes) a pass then took 0.76 (2^15), 0.55 (2^16) and 0.56 (2^17) of its
+time at 2^14, so 2^16 took the gain for the least memory."""
 
 
 def batch_trials(cells_per_trial: int) -> int:
@@ -148,32 +153,36 @@ def check_trials(where: str, trials: int, budget: int) -> None:
         raise ValueError(f"{where}: query budget must be >= 0, got {budget}")
 
 
-def blind_walks(handle: OracleHandle, budget: int, trials: int,
+def blind_walks(neighbors: np.ndarray, budget: int, trials: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """Lockstep blind walks from the entrance label 0, one per trial.
+    """Lockstep blind walks from the entrance, vertex 0, one per trial.
 
-    Each step draws one uniform color per trial, asks every trial's query in
-    one ``handle.query_many`` call and moves the trials whose answer is
-    valid.  Returns the (trials, budget + 1) labels each walk stands on
-    before and after each step.  The walks see only labels and answers;
-    callers grade the paths against hidden labels afterwards.
+    ``neighbors`` is a (V, 10) vertex-by-color table, -1 where a vertex has
+    no edge of that color (``tree.neighbor_table``); every welded-tree
+    layout numbers the entrance 0.  One call draws every step's color, a
+    uniform 1..9 per trial, and each step moves a walk along the edge of
+    its color or leaves it in place where there is none.  Returns the
+    (trials, budget + 1) vertices each walk stands on before and after each
+    step.
     """
-    invalid = handle.bbt.invalid
-    path = np.zeros((trials, budget + 1), dtype=np.int64)
+    V, width = neighbors.shape
+    # row v, column c: where a walk at v goes on color c
+    step_to = np.where(neighbors >= 0, neighbors, np.arange(V)[:, None]).ravel()
+    colors = rng.integers(1, 10, size=(budget, trials), dtype=np.uint8)
+    path = np.zeros((budget + 1, trials), dtype=np.int64)
     for step in range(budget):
-        answers = handle.query_many(path[:, step], rng.integers(1, 10, size=trials))
-        path[:, step + 1] = np.where(answers != invalid, answers, path[:, step])
-    return path
+        path[step + 1] = step_to[path[step] * width + colors[step]]
+    return path.T
 
 
 def walker_success_rate(bbt: BlackBoxTree, query_budget: int, trials: int,
                         seed: int) -> float:
-    """Share of ``trials`` blind walkers that see the exit, in batches of lockstep walks."""
+    """Share of ``trials`` blind walkers that reach the exit, in batches of lockstep walks."""
     check_trials("walker_success_rate", trials, query_budget)
     per = batch_trials(query_budget + 1)
     hits = 0
     for start in range(0, trials, per):
-        path = blind_walks(bbt.handle(), query_budget, min(per, trials - start),
+        path = blind_walks(bbt.neighbor_by_color, query_budget, min(per, trials - start),
                            make_rng(seed, "walker", start))
-        hits += int(np.count_nonzero((path == bbt.exit_label()).any(axis=1)))
+        hits += int(np.count_nonzero((path == bbt.structure.exit).any(axis=1)))
     return hits / trials

@@ -31,8 +31,7 @@ def test_discovery_bound_value():
 
 
 def _spy_chunks(monkeypatch) -> list[int]:
-    """One entry per ``_discovery_chunk`` call: the cells that its lazy
-    batch's vertex -> label map and its walk paths hold."""
+    """One entry per ``_discovery_chunk`` call: the path cells its walks hold."""
     cells: list[int] = []
     chunk, walks = harness._discovery_chunk, walk.blind_walks
 
@@ -40,9 +39,9 @@ def _spy_chunks(monkeypatch) -> list[int]:
         cells.append(0)
         return chunk(args)
 
-    def spy_walks(handle, budget, trials, rng):
-        path = walks(handle, budget, trials, rng)
-        cells[-1] = handle.bbt._label_of.size + path.size
+    def spy_walks(neighbors, budget, trials, rng):
+        path = walks(neighbors, budget, trials, rng)
+        cells[-1] = path.size
         return path
 
     monkeypatch.setattr(harness, "_discovery_chunk", spy_chunk)
@@ -57,18 +56,18 @@ def test_discovery_rate_deterministic_and_job_invariant(monkeypatch):
     c = discovery_rate(3, 4, trials=2000, seed=7, jobs=3)
     assert a == c
     cells = _spy_chunks(monkeypatch)
-    serial = discovery_rate(3, 4, trials=20_000, seed=7, jobs=1)
-    # 12 chunks of at most 1771 trials, so jobs=3 really maps them over workers
-    assert len(cells) == 12
+    serial = discovery_rate(3, 4, trials=40_000, seed=7, jobs=1)
+    # 4 chunks of at most 13107 trials, so jobs=3 really maps them over workers
+    assert len(cells) == 4
     monkeypatch.undo()      # process pools pickle the real chunk function
-    assert serial == discovery_rate(3, 4, trials=20_000, seed=7, jobs=3)
+    assert serial == discovery_rate(3, 4, trials=40_000, seed=7, jobs=3)
 
 
 @pytest.mark.parametrize("n, h, trials, chunks", [
-    (3, 16, 1000, 1), (5, 16, 400, 1), (3, 4, 20_000, 12)])
+    (3, 16, 1000, 1), (5, 16, 400, 1), (3, 4, 40_000, 4)])
 def test_discovery_chunks_hold_at_most_batch_cells(monkeypatch, n, h, trials, chunks):
     # the benchmark's largest discovery cells run as one lockstep chunk; a
-    # full chunk (1771 trials at n=3, h=4) still fits its label maps and paths
+    # full chunk (13107 trials at h=4) still fits its paths
     cells = _spy_chunks(monkeypatch)
     discovery_rate(n, h, trials=trials, seed=3)
     assert len(cells) == chunks
@@ -303,6 +302,8 @@ def test_discovery_rate_rejects_bad_counts(trials, budget, message):
      "config field 'h_values' must hold budgets >= 0, got [-1]"),
     (["walk", "-n", "40"], None, "config field 'n' must be in [1, 15], got 40"),
     (["discovery", "-n", "0"], None, "config field 'n' must be in [1, 15], got 0"),
+    (["discovery", "-n", "1"], None, "label space 2^2 cannot injectively label 6 vertices "
+                                     "(entrance pinned to 0, all-ones reserved)"),
     (["e2e", "-n", "16"], None, "config field 'n' must be in [1, 15], got 16"),
     (["e2e", "--trials", "0"], None, "config field 'trials' must be >= 1, got 0"),
     (["walk"], '{"budget": -1}', "config field 'budget' must be >= 0, got -1"),
@@ -312,7 +313,7 @@ def test_discovery_rate_rejects_bad_counts(trials, budget, message):
         "simulate-tau-neg", "simulate-tau-above-1", "simulate-tau-nan", "e2e-sample_budget",
         "e2e-tau", "walk-t_max-nan", "walk-t_max-inf", "e2e-t_max-nan",
         "simulate-rho_log2-nan", "simulate-rho_log2-inf", "e2e-rho_log2-nan",
-        "discovery-h_values", "walk-n-40", "discovery-n-0",
+        "discovery-h_values", "walk-n-40", "discovery-n-0", "discovery-n-1",
         "e2e-n-16", "e2e-trials", "walk-budget-neg", "e2e-budget-neg"])
 def test_cli_bad_trials_exit_2(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -13,7 +13,7 @@ from weldlab.rng import derive_seed, make_rng
 
 from circuit_gen import _x_layers, query_gate, random_hybrid, random_quantum_layer
 from dense_reference import dense_tier_state
-from tree_tools import edge_color
+from tree_tools import edge_color, exit_label
 
 
 def test_hadamard_on_zero():
@@ -278,7 +278,7 @@ def success_probability(circuit: C.Circuit, structure, labelings: int,
             out = SV.run_hybrid(circuit, bbt, run_seed, handle=bbt.handle())
         else:
             out = SV.run_jozsa(circuit, bbt, run_seed, handle=bbt.handle())
-        if (out & mask) == bbt.exit_label():
+        if (out & mask) == exit_label(bbt):
             hits += 1
     p = hits / labelings
     stderr = math.sqrt(max(p * (1 - p), 1.0 / labelings)) / math.sqrt(labelings)
@@ -373,7 +373,7 @@ def test_success_probability_one_for_walk_replay():
     for t_idx in range(25):
         b = tree.generate_labels(bbt.structure, bbt.coloring, t_idx)
         out = SV.run_hybrid(circ, b, seed=t_idx)
-        hits += (out & 0xF) == b.exit_label()
+        hits += (out & 0xF) == exit_label(b)
     assert hits == 25
 
 

@@ -16,7 +16,8 @@ from weldlab import tree
 from weldlab.harness import discovery_rate
 from weldlab.known import KnownVertices
 
-from tree_tools import eager_discovery_rate, edge_color, labeled_blackbox, vertex_row
+from tree_tools import (eager_discovery_rate, edge_color, exit_label, labeled_blackbox,
+                        vertex_row)
 
 
 def test_structure_counts_forced_at_n1():
@@ -125,100 +126,6 @@ def test_answer_many_matches_answer(n, label_bits):
     assert bbt.answer_many(xs, cs).tolist() == want
 
 
-def _lazy_batch(n: int, rows: int, seed: int = 0) -> tuple:
-    ts = tree.generate_structure(n, seed)
-    col = tree.generate_coloring(ts, seed)
-    return ts, tree.LazyLabelingBatch(ts, col, rows, np.random.default_rng(seed))
-
-
-def test_lazy_batch_reveals_uniform_injective_labelings():
-    with pytest.raises(ValueError):
-        _lazy_batch(1, 4)
-    # n=2: 14 vertices share the 15 strings 0..14, the tightest space there is
-    rows = 20_000
-    ts, batch = _lazy_batch(2, rows)
-    V, space = ts.vertex_count, 1 << batch.label_bits
-    # every row asks every string, -1 and 16 included, in its own order
-    order = np.argsort(np.random.default_rng(1).random((rows, space + 2)), axis=1) - 1
-    placed = np.stack([batch.vertex_of(order[:, k]) for k in range(space + 2)], axis=1)
-    again = np.stack([batch.vertex_of(order[:, k]) for k in range(space + 2)], axis=1)
-    assert (placed == again).all()
-    vertex_of = np.take_along_axis(placed, np.argsort(order, axis=1), axis=1)[:, 1:-1]
-    assert (vertex_of[:, 0] == ts.entrance).all() and (vertex_of[:, space - 1] == -1).all()
-    # each row is injective and labels every vertex; one string stays absent
-    assert (np.sort(vertex_of, axis=1)[:, 2:] == np.arange(V)).all()
-    labels = np.full((rows, V), -1)
-    r, s = np.nonzero(vertex_of >= 0)
-    labels[r, vertex_of[r, s]] = s
-    sigma = math.sqrt((1 / 14) * (13 / 14) / rows)
-    for v in range(V):
-        if v == ts.entrance:
-            continue
-        freq = np.bincount(labels[:, v], minlength=space)[1:space - 1] / rows
-        assert np.abs(freq - 1 / 14).max() <= 5 * sigma
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_lazy_batch_walks_answer_like_one_tree(n):
-    # long walks reveal every vertex at n=2; each answer is the label of the
-    # c-neighbour, and no row gives two vertices one label
-    rows, steps = 100, 600
-    ts, batch = _lazy_batch(n, rows, seed=n)
-    nbr = tree.neighbor_table(ts, tree.generate_coloring(ts, n))
-    rng = np.random.default_rng(5)
-    handle = batch.handle()
-    x = np.zeros(rows, dtype=np.int64)
-    label_of = np.full((rows, ts.vertex_count), -1)
-    label_of[:, ts.entrance] = 0
-    for _ in range(steps):
-        c = rng.integers(0, 11, size=rows)
-        y = handle.query_many(x, c)
-        v, w = batch.vertex_of(x), batch.vertex_of(y)
-        want = np.where((c >= 1) & (c <= 9), nbr[v, np.clip(c, 0, 9)], -1)
-        assert (w == want).all()
-        assert ((y == batch.invalid) == (want < 0)).all()
-        moved = np.flatnonzero(want >= 0)
-        known = label_of[moved, w[moved]]
-        assert ((known == -1) | (known == y[moved])).all()
-        label_of[moved, w[moved]] = y[moved]
-        x = np.where(want >= 0, y, x)
-    assert handle.count == steps * rows
-    for row in label_of:
-        seen = row[row >= 0]
-        assert len(set(seen.tolist())) == seen.size
-    if n == 2:
-        assert (label_of >= 0).all()
-
-
-def test_lazy_batch_decisions_stay_decided():
-    rows = 2_000
-    _, batch = _lazy_batch(3, rows, seed=7)
-    rng = np.random.default_rng(2)
-    handle = batch.handle()
-    handle.query_many(np.zeros(rows, dtype=np.int64), rng.integers(1, 10, size=rows))
-    asked = rng.integers(-4, 70, size=(8, rows))
-    first = [batch.vertex_of(xs) for xs in asked]
-    handle.query_many(np.zeros(rows, dtype=np.int64), rng.integers(1, 10, size=rows))
-    assert all((batch.vertex_of(xs) == v).all() for xs, v in zip(asked, first))
-    # INVALID and strings outside the space label nothing
-    assert all(((v == -1) >= ((xs < 0) | (xs >= batch.invalid))).all()
-               for xs, v in zip(asked, first))
-
-
-def test_lazy_batch_places_unrevealed_guesses_at_the_open_share():
-    # h=0: the entrance is the one revealed vertex, so a guess among the 14
-    # strings 1..14 labels one of the 13 other vertices with probability 13/14
-    # (the 2^(2n) - r = 15 strings of a wrong rule would give 13/15)
-    placed = trials = 0
-    for seed in range(10):
-        _, batch = _lazy_batch(2, 20_000, seed)
-        guess = np.random.default_rng(seed).integers(1, 15, size=20_000)
-        placed += np.count_nonzero(batch.vertex_of(guess) >= 0)
-        trials += guess.size
-    sigma = math.sqrt((13 / 14) * (1 / 14) / trials)
-    assert abs(placed / trials - 13 / 14) <= 5 * sigma
-
-
 def test_discovery_rate_agrees_with_eager_labelings():
     trials = 20_000
     lazy, lazy_se = discovery_rate(3, 16, trials=trials, seed=31)
@@ -249,7 +156,7 @@ def test_query_counter_counts_every_invocation(bbt2):
 def test_exit_label_n1_toy():
     # the degree-2 vertex in the last column (widened label space at n=1)
     b1 = labeled_blackbox(1, 2, 3)
-    ex = b1.exit_label()
+    ex = exit_label(b1)
     assert ex != 0 and ex != b1.invalid
     v = b1.inverse[ex]
     assert int(b1.structure.column[v]) == 3
@@ -257,7 +164,7 @@ def test_exit_label_n1_toy():
 
 
 def test_exit_label(bbt3):
-    ex = bbt3.exit_label()
+    ex = exit_label(bbt3)
     assert ex != 0 and ex != bbt3.invalid
     v = bbt3.inverse[ex]
     assert int(bbt3.structure.column[v]) == 2 * bbt3.n + 1
@@ -319,7 +226,7 @@ def test_sample_labelings_mode_uniform_over_free_labels(bbt2):
     for sd in range(trials):
         samp = tree.sample_consistent(V, 2, sd, mode="labelings",
                                       structure=s, coloring=bbt2.coloring)
-        counts[samp.exit_label()] = counts.get(samp.exit_label(), 0) + 1
+        counts[exit_label(samp)] = counts.get(exit_label(samp), 0) + 1
     assert len(counts) == avail
     expected = trials / avail
     for v in counts.values():
@@ -450,7 +357,7 @@ def test_serialization_round_trip(n, seed):
 
 def test_serialization_preserves_exit(bbt3):
     loaded = tree.load_tree(tree.save_tree(bbt3))
-    assert loaded.exit_label() == bbt3.exit_label()
+    assert exit_label(loaded) == exit_label(bbt3)
 
 
 def _swap_entrance_label(doc):

@@ -6,7 +6,7 @@ import pytest
 from weldlab import tree, walk
 
 from dense_reference import adjacency_matrix, dense_walk_states
-from tree_tools import labeled_blackbox
+from tree_tools import label_walks, labeled_blackbox
 
 
 def test_reduced_matrix_shape_and_symmetry():
@@ -121,17 +121,31 @@ def test_walker_rejects_bad_counts():
         walk.walker_success_rate(bbt, -1, trials=5, seed=0)
 
 
-def test_blind_walks_query_accounting():
-    # every trial spends exactly the budget through the batched handle it
-    # was given
+def test_blind_walks_follow_the_drawn_colors():
+    # every step moves along the edge of its drawn color, and a color the
+    # vertex lacks leaves the walk in place; colors come from 1..9
     bbt = tree.make_blackbox(3, 8)
-    handle = bbt.handle()
-    path = walk.blind_walks(handle, 7, 50, np.random.default_rng(0))
-    assert handle.count == 50 * 7 and path.shape == (50, 8)
-    batch = tree.LazyLabelingBatch(bbt.structure, bbt.coloring, 40, np.random.default_rng(1))
-    handle = batch.handle()
-    walk.blind_walks(handle, 5, 40, np.random.default_rng(2))
-    assert handle.count == 40 * 5
+    nbr = bbt.neighbor_by_color
+    path = walk.blind_walks(nbr, 7, 500, np.random.default_rng(0))
+    colors = np.random.default_rng(0).integers(1, 10, size=(7, 500), dtype=np.uint8)
+    assert path.shape == (500, 8) and (path[:, 0] == bbt.structure.entrance).all()
+    for t in range(7):
+        edge = nbr[path[:, t], colors[t]]
+        assert (path[:, t + 1] == np.where(edge >= 0, edge, path[:, t])).all()
+    # both branches are taken: walks that stay put and walks that move
+    assert (path[:, 1:] == path[:, :-1]).any() and (path[:, 1:] != path[:, :-1]).any()
+    assert walk.blind_walks(nbr, 0, 3, np.random.default_rng(0)).shape == (3, 1)
+
+
+@pytest.mark.parametrize("n, budget", [(2, 40), (4, 12)])
+def test_blind_walks_are_label_space_walks(n, budget):
+    # the vertex kernel, read through the labels, is the walk a label-space
+    # walker makes through the oracle with the same colors, bit for bit
+    bbt = tree.make_blackbox(n, 5)
+    trials = 300
+    path = walk.blind_walks(bbt.neighbor_by_color, budget, trials, np.random.default_rng(9))
+    colors = np.random.default_rng(9).integers(1, 10, size=(budget, trials), dtype=np.uint8)
+    assert (bbt.labels[path] == label_walks(bbt, colors)).all()
 
 
 def test_separation_snapshot_report():

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from weldlab import tree, walk
+from weldlab import tree
 from weldlab.rng import derive_seed, make_rng
 
 
@@ -14,6 +14,27 @@ def vertex_row(bbt, x: int) -> dict[int, int]:
 
 def edge_color(coloring, u: int, v: int) -> int:
     return coloring.edges[(u, v) if u < v else (v, u)]
+
+
+def exit_label(bbt) -> int:
+    """The exit vertex's label: grading only, hidden from algorithms under test."""
+    return int(bbt.labels[bbt.structure.exit])
+
+
+def label_walks(oracle, colors: np.ndarray) -> np.ndarray:
+    """Lockstep blind walks in label space from the entrance label 0.
+
+    Step t asks each walk's query on ``colors[t]`` (one color per walk) in
+    one ``oracle.answer_many`` call and moves the walks whose answer is not
+    ``oracle.invalid``.  Returns the (walks, steps + 1) labels each walk
+    stands on before and after each step.
+    """
+    steps, walks = colors.shape
+    path = np.zeros((walks, steps + 1), dtype=np.int64)
+    for t in range(steps):
+        answers = oracle.answer_many(path[:, t], colors[t])
+        path[:, t + 1] = np.where(answers != oracle.invalid, answers, path[:, t])
+    return path
 
 
 def labeled_blackbox(n: int, seed: int, label_bits: int) -> tree.BlackBoxTree:
@@ -87,7 +108,7 @@ def eager_discovery_rate(n: int, h: int, trials: int, seed: int) -> tuple[float,
 
     An independent reference for ``harness.discovery_rate``: every trial
     gets its own ``tree.generate_labels`` tree on one colored structure,
-    all of them walked in lockstep by ``walk.blind_walks`` through one
+    all of them walked in label space by ``label_walks`` through one
     row-aligned ``LabelingBatch``, and a hit is a uniform guess that
     labels a vertex its walk never stood on.
     """
@@ -98,7 +119,8 @@ def eager_discovery_rate(n: int, h: int, trials: int, seed: int) -> tuple[float,
                        for t in range(trials)])
     batch = LabelingBatch(structure, coloring, labels, 2 * n)
     rng = make_rng(seed, "eager trials")
-    seen = walk.blind_walks(tree.OracleHandle(batch), h, trials, rng)
+    colors = np.array([rng.integers(1, 10, size=trials) for _ in range(h)]).reshape(h, trials)
+    seen = label_walks(batch, colors)
     guess = rng.integers(0, 1 << (2 * n), size=trials)
     hits = np.count_nonzero((batch.vertex_of(guess) >= 0) & (seen != guess[:, None]).all(axis=1))
     p = hits / trials
