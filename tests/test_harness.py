@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import weldlab
@@ -16,6 +17,7 @@ from weldlab import cli, harness, tree, walk
 from weldlab.harness import (ExperimentConfig, cmd_discovery, cmd_simulate,
                              cmd_walk, discovery_bound, discovery_rate,
                              run_command, write_report)
+from weldlab.rng import make_rng
 
 
 def test_config_json_round_trip():
@@ -64,14 +66,34 @@ def test_discovery_rate_deterministic_and_job_invariant(monkeypatch):
 
 
 @pytest.mark.parametrize("n, h, trials, chunks", [
-    (3, 16, 1000, 1), (5, 16, 400, 1), (3, 4, 40_000, 4)])
+    (3, 16, 1000, 1), (5, 16, 400, 1), (3, 4, 20_000, 2), (3, 4, 40_000, 4)])
 def test_discovery_chunks_hold_at_most_batch_cells(monkeypatch, n, h, trials, chunks):
     # the benchmark's largest discovery cells run as one lockstep chunk; a
-    # full chunk (13107 trials at h=4) still fits its paths
+    # full chunk (13107 trials at h=4) still fits its paths, and a count that
+    # is no multiple of it ends in one short chunk
     cells = _spy_chunks(monkeypatch)
     discovery_rate(n, h, trials=trials, seed=3)
     assert len(cells) == chunks
     assert 0 < max(cells) <= walk.BATCH_CELLS
+
+
+@pytest.mark.parametrize("n, h", [(2, 0), (2, 9), (3, 16)])
+def test_discovery_chunk_grades_by_distinct_vertices_reached(n, h):
+    # a chunk hits where its guess falls below V - K, K the distinct vertices
+    # a walk stood on; the walks and guesses come from the chunk's one stream
+    structure = tree.generate_structure(n, 4)
+    neighbors = tree.neighbor_table(structure, tree.generate_coloring(structure, 4))
+    label_bits = tree.checked_label_bits(structure)
+    trials = 3000
+    hits = harness._discovery_chunk((neighbors, label_bits, h, 11, trials))
+    rng = make_rng(11, "trials")
+    path = walk.blind_walks(neighbors, h, trials, rng)
+    reached = np.array([len(set(row.tolist())) for row in path])
+    guess = rng.integers(0, 1 << label_bits, size=trials)
+    assert hits == int(np.count_nonzero(guess < len(neighbors) - reached))
+    if h == 0:
+        # the entrance alone is reached: the open share is (V - 1) / 2^(2n)
+        assert (reached == 1).all()
 
 
 def _exact_discovery_rate(n: int, h: int) -> Fraction:

@@ -121,6 +121,19 @@ def test_walker_rejects_bad_counts():
         walk.walker_success_rate(bbt, -1, trials=5, seed=0)
 
 
+def test_blind_walks_query_accounting():
+    # every trial spends exactly the budget: one color, one query, per step,
+    # and the stream gives up nothing more, so what a caller draws next is
+    # fixed by (budget, trials) alone
+    nbr = tree.make_blackbox(3, 8).neighbor_by_color
+    for budget, trials in [(7, 50), (5, 40), (0, 3)]:
+        rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+        path = walk.blind_walks(nbr, budget, trials, rng)
+        twin.integers(1, 10, size=(budget, trials), dtype=np.uint8)
+        assert path.shape == (trials, budget + 1)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_blind_walks_follow_the_drawn_colors():
     # every step moves along the edge of its drawn color, and a color the
     # vertex lacks leaves the walk in place; colors come from 1..9
