@@ -14,6 +14,11 @@ wall time and peak RSS of the five ``weldlab`` commands that
 ``tests/test_reports.py`` pins, each run once per pair and side as a fresh
 ``python -m weldlab.cli`` process on that checkout's ``src``.
 
+The document's ``command`` names the parent checkout by what it holds,
+not by its local path: ``<checkout of REV>``, REV the parent side's own
+``environment.git_rev``, or its ``src_sha256`` where the checkout has no
+``.git`` (one made by ``git archive``).
+
 ``--compare`` reads two such documents and prints, for each workload and
 end-to-end metric, the median of NEW's change side over that of OLD's (the
 revision each document was made for), marking ``WORSE`` every ratio worse
@@ -158,8 +163,7 @@ def main(argv=None) -> int:
         p.error("--parent and --out are required unless --compare is given")
     better = {m["name"]: m["better"] for m in end_to_end}
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
-    doc = {"command": " ".join(["python3", "scripts/bench_pairs.py"] + sys.argv[1:]),
-           "pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
+    doc = {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
     for workload in WORKLOADS:
         runs = []
         for i in range(1, args.pairs + 1):
@@ -178,6 +182,10 @@ def main(argv=None) -> int:
             "metrics": compare(runs, better), "seeds": [r["seed"] for r in runs],
             "first": [r["first"] for r in runs]}
     doc["commands"] = time_commands(checkouts, args.pairs)
+    parent = doc["environment"]["parent"]
+    doc["command"] = (f"python3 scripts/bench_pairs.py --parent <checkout of "
+                      f"{parent['git_rev'] or parent['src_sha256']}> --pairs {args.pairs} "
+                      f"--seconds {args.seconds:g} --out {args.out}")
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -463,19 +463,11 @@ def parse(text: str) -> Circuit:
 
 def format_circuit(circuit: Circuit) -> str:
     """Canonical text; parse(format_circuit(c)) reproduces c."""
-    out: list[str] = []
-    if isinstance(circuit, HybridCircuit):
-        flavor = "hybrid-allq" if circuit.all_quantum else "hybrid"
-        out.append(f"{flavor} n={circuit.n} g={circuit.g}")
-        blocks = [(t.kind, t) for t in circuit.tiers]
-    else:
-        out.append(f"jozsa n={circuit.n} g={circuit.g}")
-        blocks = []
-        for q, c in zip(circuit.quantum_tiers, circuit.classical_tiers):
-            blocks.append(("quantum", q))
-            blocks.append(("classical", c))
-    for kind, t in blocks:
-        out.append(f"tier {kind}")
+    flavor = ("jozsa" if isinstance(circuit, JozsaCircuit)
+              else "hybrid-allq" if circuit.all_quantum else "hybrid")
+    out = [f"{flavor} n={circuit.n} g={circuit.g}"]
+    for t in _iter_tiers(circuit):
+        out.append(f"tier {t.kind}")
         for lay in t.layers:
             if not lay.gates:
                 out.append("  -")

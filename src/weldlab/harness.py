@@ -317,10 +317,12 @@ def cmd_walk(config: ExperimentConfig) -> Report:
         report.checks.append(hard_check("probability conservation", worst_norm,
                                         1e-9, worst_norm <= 1e-9))
 
-    bbt = tree.make_blackbox(max(n, 2), derive_seed(config.seed, "walker-tree"))
+    # the walker reads no label, so it walks the colored tree unlabeled, n=1 too
+    tree_seed = derive_seed(config.seed, "walker-tree")
+    walker_tree = tree.generate_structure(n, tree_seed)
     budget = config.walker_budget()
-    trials = min(config.trials, 10_000)
-    rate = walk.walker_success_rate(bbt, budget, trials,
+    rate = walk.walker_success_rate(walker_tree, tree.generate_coloring(walker_tree, tree_seed),
+                                    budget, min(config.trials, 10_000),
                                     derive_seed(config.seed, "walker"))
     report.checks.append(info_check(f"classical walker rate (budget {budget})", rate))
     report.checks.append(hard_check("separation factor >= 10x",
@@ -426,10 +428,11 @@ def cmd_e2e(config: ExperimentConfig) -> Report:
     report = Report(experiment="e2e", config=config.result_fields())
     n = config.n
     budget = config.walker_budget()
-    bbt = tree.make_blackbox(n, derive_seed(config.seed, "tree"))
-    trials = config.trials
-    rate = walk.walker_success_rate(bbt, budget, trials,
-                                    derive_seed(config.seed, "walker"))
+    tree_seed = derive_seed(config.seed, "tree")
+    structure = tree.generate_structure(n, tree_seed)
+    tree.checked_label_bits(structure)      # the simulate part labels: n=1 fails before any work
+    rate = walk.walker_success_rate(structure, tree.generate_coloring(structure, tree_seed),
+                                    budget, config.trials, derive_seed(config.seed, "walker"))
     report.checks.append(hard_check(
         f"classical walker rate <= 1e-3 (budget {budget})", rate, 1e-3,
         rate <= 1e-3))

@@ -13,10 +13,11 @@ sparse state:
 Query accounting is per *vertex*: branch (b) and the entrance
 initialization each cost one query on the transcript (the oracle handle
 still counts all nine raw (x, c) invocations underneath).  Under this
-accounting the growth and query ceilings are exact and asserted on every
-call: a quantum layer at most quadruples the number of known vertices, a
-depth-d quantum tier spends at most 4^d |V| queries, and a classical tier
-at most width*depth.
+accounting the growth and query ceilings are exact and asserted: a quantum
+layer at most quadruples the number of known vertices, a depth-d quantum
+tier of a hybrid circuit spends at most 4^d |V| queries (Jozsa quantum
+tiers run layer by layer and are not checked), and a classical tier at
+most width*depth.
 
 The per-layer instrumentation records the outlier mass (squared amplitude
 on basis strings where the substituted answers differ from the true
@@ -131,29 +132,14 @@ def _query_regs(lt: C.Layer, n: int, live: tuple[int, ...]):
     return SV.layer_plan(lt, 0, live, n).regs
 
 
-def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
-                    support, live: tuple[int, ...], n: int, ctx: SimContext,
-                    queries=None) -> tuple[Mapping[int, int], KnownVertices]:
-    """Alg-style query substitution over ``support``; returns (S, updated V).
+def substitution(V: KnownVertices, ctx: SimContext):
+    """(answer, V'): the three-way substitution of one layer as an oracle
+    policy, and the copy of ``V`` that records the vertices it learns.
 
-    ``support`` must be sorted ascending (the caller sorts it once, for its
-    own use too); keys are visited in that order.  An int64 array
-    ``support`` takes the array kernel, which asks each distinct (x, c) pair
-    once in that order, and gives ``S`` as an ``SV.ArrayMap`` over
-    ``support``; ``queries`` are its ``SV.gather_queries`` if the caller
-    has gathered them.  Branch (b) consults the set of labels known at layer
-    start (frozen), so the updated dictionary gains at most 3|V| new key
-    vertices.
+    Branch (b) consults the labels known at layer start (frozen), so V'
+    gains at most 3|V| new key vertices.
     """
-    for g in lt.gates:
-        if g.kind != C.GateKind.QUERY:
-            raise ValueError("simulate_oracle expects a query-only layer")
-    if not lt.gates:
-        # no query gate: the identity, which asks and learns nothing
-        if isinstance(support, np.ndarray):
-            return SV.ArrayMap(support, support), V.copy()
-        return {z: z for z in support}, V.copy()
-    invalid = bbt.invalid
+    invalid = V.invalid
     frozen = V.known_labels()
     work = V.copy()
     entries = work.entries
@@ -170,6 +156,31 @@ def simulate_oracle(V: KnownVertices, bbt: BlackBoxTree, lt: C.Layer,
             y = entries[(x, c)]
         return y
 
+    return answer, work
+
+
+def simulate_oracle(V: KnownVertices, ctx: SimContext, lt: C.Layer, support,
+                    live: tuple[int, ...], n: int,
+                    queries=None) -> tuple[Mapping[int, int], KnownVertices]:
+    """Alg-style query substitution over ``support``; returns (S, updated V).
+
+    ``support`` must be sorted ascending (the caller sorts it once, for its
+    own use too); keys are visited in that order.  An int64 array
+    ``support`` takes the array kernel, which asks each distinct (x, c) pair
+    once in that order, and gives ``S`` as an ``SV.ArrayMap`` over
+    ``support``; ``queries`` are its ``SV.gather_queries`` if the caller
+    has gathered them.  perfbench's tracer reads ``support`` as the fourth
+    positional argument.
+    """
+    for g in lt.gates:
+        if g.kind != C.GateKind.QUERY:
+            raise ValueError("simulate_oracle expects a query-only layer")
+    if not lt.gates:
+        # no query gate: the identity, which asks and learns nothing
+        if isinstance(support, np.ndarray):
+            return SV.ArrayMap(support, support), V.copy()
+        return {z: z for z in support}, V.copy()
+    answer, work = substitution(V, ctx)
     regs = _query_regs(lt, n, live)
     if isinstance(support, np.ndarray):
         moved = SV.query_keys(support, regs, SV.distinct_answers(answer), queries)
@@ -212,13 +223,13 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
         support, vals = keys[order], vals[order]
         # (x, c) gathered once for the substitution and the instrumented truth map
         queries = SV.gather_queries(support, regs) if regs else None
-        S, V2 = simulate_oracle(V, bbt, lt, support, phi.live, n, ctx, queries)
+        S, V2 = simulate_oracle(V, ctx, lt, support, phi.live, n, queries)
         # the substitution permutes the support; move_amps adds each to 0j
         psi = SV.PureState(width=phi.width, live=phi.live,
                            amps=SV.ArrayMap(S.value_array, vals + 0.0))
     else:
         support = sorted(phi.amps)
-        S, V2 = simulate_oracle(V, bbt, lt, support, phi.live, n, ctx)
+        S, V2 = simulate_oracle(V, ctx, lt, support, phi.live, n)
         psi = SV.PureState(width=phi.width, live=phi.live, amps=SV.move_amps(phi.amps, S))
 
     if V2.size() > 4 * max(size_before, 1):
@@ -291,16 +302,12 @@ def classical_tier_sim(t: C.Tier, x: int, V: KnownVertices,
     """Deterministic classical tier with the same query substitution rules."""
     if t.kind != "classical":
         raise ValueError("classical tier expected")
-    bbt, n = ctx.bbt, ctx.bbt.n
     q_before = ctx.transcript.queries
     width = max((lay.working_width for lay in t.layers), default=t.width_in)
     out = x
     for lay in t.layers:
-        lg, lt = lay.split
-        out = SV.eval_classical_layer(out, lg, bbt, None, n)
-        live = tuple(range(lay.width_out))
-        S, V = simulate_oracle(V, bbt, lt, [out], live, n, ctx)
-        out = S[out]
+        answer, V = substitution(V, ctx)
+        out = SV.eval_classical_layer(out, lay, ctx.bbt.n, answer)
     spent = ctx.transcript.queries - q_before
     if spent > width * max(t.depth, 1):
         raise AssertionError(f"classical tier spent {spent} queries, ceiling "
@@ -391,9 +398,6 @@ class CompareReport:
     max_tv: float
     mean_queries: float
     max_fidelity_gap: float
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True, separators=(",", ":"))
 
 
 def compare_to_reference(circuit: C.Circuit, structure, labelings: int,

@@ -428,7 +428,7 @@ class LayerPlan(NamedTuple):
 
     width: int              # physical wires after the layer's ancillas
     steps: tuple            # (kind, control or target bit, Toffoli target bit)
-    regs: tuple             # (x, c, y) physical wires of each query gate
+    regs: tuple             # (x, c, y) physical wires of each query gate, by first wire
     live_out: tuple[int, ...]
     n_h: int                # H gates
 
@@ -454,22 +454,19 @@ def layer_plan(lay: C.Layer, width: int, live: tuple[int, ...], n: int | None) -
         return anc_phys[w] if w in anc_phys else live[w]
 
     steps = []
-    regs = []
     for gate in lay.gates:
-        if gate.kind == C.GateKind.ANCILLA or gate.kind == C.GateKind.DISCARD:
-            continue
         if gate.kind in (C.GateKind.H, C.GateKind.PHASE):
             steps.append((gate.kind, 1 << phys(gate.wires[0]), 0))
         elif gate.kind == C.GateKind.TOFFOLI:
             a, b, t = (phys(w) for w in gate.wires)
             steps.append((gate.kind, (1 << a) | (1 << b), 1 << t))
-        elif gate.kind == C.GateKind.QUERY:
-            if n is None:
-                raise ValueError("query gate needs the black-box tree and n")
-            regs.append(tuple(tuple(phys(w) for w in reg)
-                              for reg in C.query_registers(gate, n)))
-        else:
-            raise ValueError(f"unknown gate kind {gate.kind}")
+    queries = lay.split[1].gates
+    if queries and n is None:
+        raise ValueError("query gate needs the black-box tree and n")
+    # in first-wire order (``C.Layer.split``), the order in which a policy
+    # that learns as it answers is asked
+    regs = [tuple(tuple(phys(w) for w in reg) for reg in C.query_registers(gate, n))
+            for gate in queries]
     plan = LayerPlan(width=width, steps=tuple(steps), regs=tuple(regs),
                      live_out=tuple(phys(w) for w in range(lay.width_out)),
                      n_h=sum(kind == C.GateKind.H for kind, _b, _t in steps))
@@ -543,24 +540,16 @@ def sample_outcome(probs: dict[int, float], u: float) -> int:
     return keys[-1]
 
 
-def eval_classical_layer(x: int, lay: C.Layer, bbt: BlackBoxTree,
-                         handle: OracleHandle | None, n: int) -> int:
-    """Classical evaluation on a plain bitstring; queries via ``handle``."""
-    out = x
-    regs = []
-    for gate in lay.gates:
-        if gate.kind == C.GateKind.TOFFOLI:
-            a, b, t_ = gate.wires
-            if (out >> a) & 1 and (out >> b) & 1:
-                out ^= 1 << t_
-        elif gate.kind == C.GateKind.QUERY:
-            regs.append(C.query_registers(gate, n))
-        elif gate.kind not in (C.GateKind.ANCILLA, C.GateKind.DISCARD):
-            raise ValueError(f"{gate.kind.value} in a classical layer")
-    if regs:
-        answer = handle.query if handle is not None else bbt.answer
-        out = query_map([out], regs, answer)[out]
-    return out & ((1 << lay.width_out) - 1)
+def eval_classical_layer(x: int, lay: C.Layer, n: int | None, answer) -> int:
+    """A classical layer on the bitstring ``x``: its plan's Toffoli steps,
+    then its query registers through ``query_map`` with the policy ``answer``."""
+    plan = layer_plan(lay, lay.width_in, tuple(range(lay.width_in)), n)
+    for kind, bits, t_bit in plan.steps:
+        if kind != C.GateKind.TOFFOLI:
+            raise ValueError(f"{kind.value} in a classical layer")
+        if x & bits == bits:
+            x ^= t_bit
+    return query_map([x], plan.regs, answer)[x] & ((1 << lay.width_out) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +574,9 @@ class TrueOracle:
     def classical_tier(self, i: int, t: C.Tier, x: int, known):
         if t.kind != "classical":
             raise ValueError("classical tier expected")
+        answer = self.handle.query if self.handle is not None else self.bbt.answer
         for lay in t.layers:
-            x = eval_classical_layer(x, lay, self.bbt, self.handle, self.n)
+            x = eval_classical_layer(x, lay, self.n, answer)
         return x, known
 
     def layer(self, i: int, li: int, lay: C.Layer, state: PureState, known):

@@ -15,7 +15,8 @@ single valued.
 
 Label-space note: 2n-bit labels require 2^(2n) - 2 >= vertex_count - 1,
 which fails only at n=1 (6 vertices, 4 strings).  ``checked_label_bits``
-rejects that case for ``generate_labels`` and the guessing experiment.
+rejects that case for ``generate_labels``, the guessing experiment and
+``e2e``; blind walkers read no label and walk the n=1 tree as any other.
 A ``BlackBoxTree`` itself takes labels of any width; the consistent-tree
 sampler reads the width from its entries' INVALID label.
 
@@ -364,20 +365,10 @@ class BlackBoxTree:
 
 
 def _sample_distinct(rng, low: int, high: int, k: int) -> np.ndarray:
-    """k distinct ints uniform over [low, high); Floyd's algorithm when huge."""
-    span = high - low
-    if k > span:
+    """k distinct ints uniform over [low, high)."""
+    if k > high - low:
         raise ValueError("not enough labels available")
-    if span <= (1 << 22):
-        return low + rng.choice(span, size=k, replace=False)
-    chosen: set[int] = set()
-    out = []
-    for j in range(span - k, span):
-        t = int(rng.integers(0, j + 1))
-        pick = t if t not in chosen else j
-        chosen.add(pick)
-        out.append(low + pick)
-    return np.array(out, dtype=np.int64)
+    return low + rng.choice(high - low, size=k, replace=False)
 
 
 def checked_label_bits(structure: TreeStructure) -> int:
@@ -656,22 +647,10 @@ def _assign_columns(edges: dict[int, dict[int, int]], labels_in_play: list[int],
         if idx == len(order):
             return True
         x = order[idx]
-        if x == 0:
-            if not feasible(0, 0):
-                return False
-            cols[0] = 0
-            counts[0] += 1
-            if rec(idx + 1):
-                return True
-            del cols[0]
-            counts[0] -= 1
-            return False
-        anchor = [cols[y] for y in edges.get(x, {}).values() if y in cols]
-        if anchor:
-            cands = sorted({a + d for a in anchor for d in (-1, 1)})
-        else:
-            cands = list(range(2 * n + 2))
-        if rng.integers(0, 2):
+        # BFS order places a neighbour of every label but the entrance first
+        cands = [0] if x == 0 else sorted(
+            {cols[y] + d for y in edges[x].values() if y in cols for d in (-1, 1)})
+        if x != 0 and rng.integers(0, 2):
             cands.reverse()
         for j in cands:
             if feasible(x, j):

@@ -17,7 +17,8 @@ independently of the walk.  ``blind_walks`` therefore walks vertex indices
 over the neighbour table, a batch of walks in lockstep, and callers grade
 the paths afterwards: the walker baseline here by the exit vertex, the
 guessing experiment in ``harness`` by the exact law of a guess given the
-vertices a walk reached.
+vertices a walk reached.  Neither draws a labeling: both take only the
+colored structure.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import make_rng
-from .tree import BlackBoxTree, TreeStructure, generate_structure
+from .tree import EdgeColoring, TreeStructure, generate_structure, neighbor_table
 
 FULL_WALK_MAX_N = 7
 
@@ -175,14 +176,16 @@ def blind_walks(neighbors: np.ndarray, budget: int, trials: int,
     return path.T
 
 
-def walker_success_rate(bbt: BlackBoxTree, query_budget: int, trials: int,
-                        seed: int) -> float:
-    """Share of ``trials`` blind walkers that reach the exit, in batches of lockstep walks."""
+def walker_success_rate(structure: TreeStructure, coloring: EdgeColoring,
+                        query_budget: int, trials: int, seed: int) -> float:
+    """Share of ``trials`` blind walkers that reach the exit of the colored
+    tree, in batches of lockstep walks over its neighbour table."""
     check_trials("walker_success_rate", trials, query_budget)
+    neighbors = neighbor_table(structure, coloring)
     per = batch_trials(query_budget + 1)
     hits = 0
     for start in range(0, trials, per):
-        path = blind_walks(bbt.neighbor_by_color, query_budget, min(per, trials - start),
+        path = blind_walks(neighbors, query_budget, min(per, trials - start),
                            make_rng(seed, "walker", start))
-        hits += int(np.count_nonzero((path == bbt.structure.exit).any(axis=1)))
+        hits += int(np.count_nonzero((path == structure.exit).any(axis=1)))
     return hits / trials

@@ -97,3 +97,29 @@ def test_commands_time_each_side_in_a_fresh_process(monkeypatch):
 def test_run_command_raises_on_a_failing_command():
     with pytest.raises(subprocess.CalledProcessError):
         bench_pairs.run_command(ROOT, ("discovery", "--trials", "0"))
+
+
+@pytest.mark.parametrize("git_rev, rev", [("0123abc", "0123abc"), (None, "5eed")],
+                         ids=["clone", "archive"])
+def test_document_names_the_parent_by_revision_not_path(tmp_path, monkeypatch, git_rev, rev):
+    # the parent's own git revision, else (no .git) its source digest; the
+    # local --parent path never reaches the document
+    parent_dir = tmp_path / "scratch" / "parent"
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def fake_run(checkout, workload, seed, seconds):
+        env = ({"git_rev": git_rev, "src_sha256": "5eed"} if checkout == parent_dir.resolve()
+               else {"git_rev": "feed", "src_sha256": "f00d"})
+        return {"environment": env}, {"metrics": {m: {"value": 1.0} for m in names},
+                                      "attempted": 1, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "time_commands", lambda checkouts, pairs: {})
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent_dir), "--pairs", "2",
+                             "--seconds", "0.5", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["command"] == (f"python3 scripts/bench_pairs.py --parent <checkout of {rev}> "
+                              f"--pairs 2 --seconds 0.5 --out {out}")
+    assert doc["environment"]["parent"]["git_rev"] == git_rev
+    assert str(parent_dir) not in out.read_text()

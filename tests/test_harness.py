@@ -17,7 +17,9 @@ from weldlab import cli, harness, tree, walk
 from weldlab.harness import (ExperimentConfig, cmd_discovery, cmd_simulate,
                              cmd_walk, discovery_bound, discovery_rate,
                              run_command, write_report)
-from weldlab.rng import make_rng
+from weldlab.rng import derive_seed, make_rng
+
+from tree_tools import colored_tree
 
 
 def test_config_json_round_trip():
@@ -141,6 +143,26 @@ def test_walk_report_deterministic(tmp_path):
     r2 = cmd_walk(cfg)
     assert r1.to_json() == r2.to_json()
     assert r1.ok()
+
+
+def test_walk_n1_walks_the_n1_tree():
+    # the walker takes the unlabeled colored tree, so walk -n 1 walks n=1; at
+    # budget 40 its rate is the direct walk's there (an n=2 tree reads 0.249)
+    want = walk.walker_success_rate(*colored_tree(1, derive_seed(0, "walker-tree")), 40,
+                                    10_000, derive_seed(0, "walker"))
+    rep = cmd_walk(ExperimentConfig(experiment="walk", n=1, budget=40, steps=20))
+    assert [c.measured for c in rep.checks if c.name.startswith("classical walker")] == [want]
+    assert want > 0.5
+
+
+def test_e2e_n1_fails_before_the_walker_and_the_sweep(monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("ran before the label space was checked")
+
+    monkeypatch.setattr(walk, "walker_success_rate", ran)
+    monkeypatch.setattr(walk, "sweep", ran)
+    with pytest.raises(ValueError, match=r"label space 2\^2 cannot injectively label 6"):
+        run_command(ExperimentConfig(experiment="e2e", n=1))
 
 
 def test_simulate_report_runs():
@@ -327,6 +349,8 @@ def test_discovery_rate_rejects_bad_counts(trials, budget, message):
     (["discovery", "-n", "1"], None, "label space 2^2 cannot injectively label 6 vertices "
                                      "(entrance pinned to 0, all-ones reserved)"),
     (["e2e", "-n", "16"], None, "config field 'n' must be in [1, 15], got 16"),
+    (["e2e", "-n", "1"], None, "label space 2^2 cannot injectively label 6 vertices "
+                               "(entrance pinned to 0, all-ones reserved)"),
     (["e2e", "--trials", "0"], None, "config field 'trials' must be >= 1, got 0"),
     (["walk"], '{"budget": -1}', "config field 'budget' must be >= 0, got -1"),
     (["e2e"], '{"budget": -1}', "config field 'budget' must be >= 0, got -1"),
@@ -336,7 +360,7 @@ def test_discovery_rate_rejects_bad_counts(trials, budget, message):
         "e2e-tau", "walk-t_max-nan", "walk-t_max-inf", "e2e-t_max-nan",
         "simulate-rho_log2-nan", "simulate-rho_log2-inf", "e2e-rho_log2-nan",
         "discovery-h_values", "walk-n-40", "discovery-n-0", "discovery-n-1",
-        "e2e-n-16", "e2e-trials", "walk-budget-neg", "e2e-budget-neg"])
+        "e2e-n-16", "e2e-n-1", "e2e-trials", "walk-budget-neg", "e2e-budget-neg"])
 def test_cli_bad_trials_exit_2(tmp_path, capsys, argv, config, message):
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)

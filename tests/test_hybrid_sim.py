@@ -32,7 +32,7 @@ def test_branch_a_known_key_spends_nothing(bbt2):
     lt = C.Layer(12, 12, (query_gate(2),))
     valid_color = next(c for c in range(1, 10) if bbt2.answer(0, c) != bbt2.invalid)
     z = valid_color << 4          # x-register = entrance, c = valid color
-    S, V2 = HS.simulate_oracle(V, bbt2, lt, [z], tuple(range(12)), 2, ctx)
+    S, V2 = HS.simulate_oracle(V, ctx, lt, [z], tuple(range(12)), 2)
     assert ctx.transcript.queries == 1
     assert (S[z] >> 8) & 0xF == bbt2.answer(0, valid_color)
 
@@ -43,7 +43,7 @@ def test_branch_b_fresh_key_spends_exactly_one_query(bbt2):
     child = next(v for v in V.value_labels())
     lt = C.Layer(12, 12, (query_gate(2),))
     z = child | (1 << 4)
-    S, V2 = HS.simulate_oracle(V, bbt2, lt, [z], tuple(range(12)), 2, ctx)
+    S, V2 = HS.simulate_oracle(V, ctx, lt, [z], tuple(range(12)), 2)
     assert ctx.transcript.queries == 2          # entrance + the new vertex
     assert child in V2.key_labels()
     assert (S[z] >> 8) & 0xF == bbt2.answer(child, 1)
@@ -56,7 +56,7 @@ def test_branch_c_junk_substitutes_invalid_without_querying(bbt2):
                 if x not in V.known_labels() and x != bbt2.invalid)
     lt = C.Layer(12, 12, (query_gate(2),))
     z = junk | (1 << 4)
-    S, V2 = HS.simulate_oracle(V, bbt2, lt, [z], tuple(range(12)), 2, ctx)
+    S, V2 = HS.simulate_oracle(V, ctx, lt, [z], tuple(range(12)), 2)
     assert ctx.transcript.queries == 1
     assert (S[z] >> 8) & 0xF == bbt2.invalid
     assert V2.entries == V.entries
@@ -74,7 +74,7 @@ def test_consults_counted_on_both_kernels(bbt2, kernel):
         support = [c << 4 for c in colors]
         if kernel == "arrays":
             support = np.array(support, dtype=np.int64)
-        HS.simulate_oracle(V, bbt2, lt, support, tuple(range(12)), 2, ctx)
+        HS.simulate_oracle(V, ctx, lt, support, tuple(range(12)), 2)
         assert ctx.consulted == consulted
 
 
@@ -179,6 +179,16 @@ def test_toffoli_only_classical_tier_spends_nothing(bbt2):
     assert x == 0b11 ^ 0b100 ^ 0b100  # two identical Toffolis cancel
 
 
+def test_classical_toffoli_truth_table(bbt2):
+    # the target flips only when both controls are set, on both oracles
+    t = C.tier("classical", [C.layer(3, [C.Gate(C.GateKind.TOFFOLI, (0, 2, 1))])])
+    for x in range(8):
+        want = x ^ 0b010 if x & 0b101 == 0b101 else x
+        assert SV.TrueOracle(bbt2, 2).classical_tier(1, t, x, None)[0] == want
+        ctx = _ctx(bbt2)
+        assert HS.classical_tier_sim(t, x, HS.entrance_known(ctx), ctx)[0] == want
+
+
 def test_classical_tier_matches_real_oracle_when_known(bbt2):
     # queries at the entrance: simulated answer equals the real evaluation
     ctx = _ctx(bbt2)
@@ -190,6 +200,22 @@ def test_classical_tier_matches_real_oracle_when_known(bbt2):
     got, _ = HS.classical_tier_sim(t, x, V, ctx)
     truth, _ = SV.TrueOracle(bbt2, 2).classical_tier(1, t, x, None)
     assert got == truth
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_classical_layer_learns_in_first_wire_order(bbt2, first):
+    # query gates stored out of first-wire order are asked in first-wire
+    # order, as Layer.split gives them, so the vertices they learn enter the
+    # dictionary in that order
+    ctx = _ctx(bbt2)
+    V = HS.entrance_known(ctx)
+    low, high = np.roll(sorted(V.value_labels()), first).tolist()  # the entrance's neighbours
+    lay = C.Layer(24, 24, (query_gate(2, 12), query_gate(2, 0)))
+    t = C.Tier("classical", (lay,), 24, 24)
+    x = low | 1 << 4 | high << 12 | 1 << 16     # each gate asks its label on color 1
+    got, V2 = HS.classical_tier_sim(t, x, V, ctx)
+    assert list(dict.fromkeys(key for key, _c in V2.entries)) == [0, low, high]
+    assert got == SV.TrueOracle(bbt2, 2).classical_tier(1, t, x, None)[0]
 
 
 # ---------------------------------------------------------------------------

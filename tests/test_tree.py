@@ -82,6 +82,20 @@ def test_labels_basics():
         assert len(set(labs)) == len(labs)
 
 
+def test_labels_drawn_at_a_span_above_2_22():
+    # n=12 draws 16,381 of 2^24 - 2 labels in the same single draw as small n
+    bbt = tree.make_blackbox(12, 3)
+    labs = bbt.labels
+    assert labs[bbt.structure.entrance] == 0
+    assert np.unique(labs).size == labs.size
+    assert not (labs == bbt.invalid).any()
+    drawn = np.delete(labs, bbt.structure.entrance)
+    # the top three bits: each of 8 values within 5 sigma of its share
+    counts = np.bincount(drawn >> (bbt.label_bits - 3), minlength=8)
+    sigma = np.sqrt(drawn.size * (1 / 8) * (7 / 8))
+    assert (np.abs(counts - drawn.size / 8) <= 5 * sigma).all()
+
+
 def test_labels_impossible_at_n1():
     ts = tree.generate_structure(1, 0)
     col = tree.generate_coloring(ts, 0)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from weldlab import tree, walk
+from weldlab.rng import make_rng
 
 from dense_reference import adjacency_matrix, dense_walk_states
-from tree_tools import label_walks, labeled_blackbox
+from tree_tools import colored_tree, label_walks
 
 
 def test_reduced_matrix_shape_and_symmetry():
@@ -99,26 +100,39 @@ def test_sweep_curve():
 
 
 def test_walker_budget_zero_false():
-    bbt = tree.make_blackbox(2, 4)
-    assert walk.walker_success_rate(bbt, 0, trials=1, seed=1) == 0.0
+    assert walk.walker_success_rate(*colored_tree(2, 4), 0, trials=1, seed=1) == 0.0
 
 
 def test_walker_small_tree_generous_budget():
-    # n=1 needs a label space wider than 2n bits
-    b1 = labeled_blackbox(1, 3, 3)
-    rate = walk.walker_success_rate(b1, query_budget=400, trials=100, seed=0)
+    # a walker reads no label, so n=1, which 2n-bit labels cannot label, walks too
+    rate = walk.walker_success_rate(*colored_tree(1, 3), query_budget=400, trials=100, seed=0)
     assert rate >= 0.95
-    b2 = tree.make_blackbox(2, 3)
-    rate2 = walk.walker_success_rate(b2, query_budget=500, trials=100, seed=0)
+    rate2 = walk.walker_success_rate(*colored_tree(2, 3), query_budget=500, trials=100, seed=0)
     assert rate2 >= 0.9
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_walker_rate_is_the_labeled_trees_rate(n):
+    # the colored tree a walker takes is the one make_blackbox labels, so its
+    # rate is, bit for bit, the one walked on the labeled tree's neighbour table
+    bbt = tree.make_blackbox(n, 11)
+    budget, trials, seed = 8 * n, 600, 4
+    per = walk.batch_trials(budget + 1)
+    hits = sum(int(np.count_nonzero((walk.blind_walks(
+        bbt.neighbor_by_color, budget, min(per, trials - start), make_rng(seed, "walker", start))
+        == bbt.structure.exit).any(axis=1))) for start in range(0, trials, per))
+    rate = walk.walker_success_rate(*colored_tree(n, 11), budget, trials, seed)
+    assert rate == hits / trials
+    if n <= 4:
+        assert rate > 0     # the exit is reached, so the grading is exercised
+
+
 def test_walker_rejects_bad_counts():
-    bbt = tree.make_blackbox(2, 4)
+    structure, coloring = colored_tree(2, 4)
     with pytest.raises(ValueError, match="walker_success_rate: trials must be >= 1, got 0"):
-        walk.walker_success_rate(bbt, 3, trials=0, seed=0)
+        walk.walker_success_rate(structure, coloring, 3, trials=0, seed=0)
     with pytest.raises(ValueError, match="walker_success_rate: query budget must be >= 0"):
-        walk.walker_success_rate(bbt, -1, trials=5, seed=0)
+        walk.walker_success_rate(structure, coloring, -1, trials=5, seed=0)
 
 
 def test_blind_walks_query_accounting():
@@ -165,6 +179,6 @@ def test_separation_snapshot_report():
     # best reduced-walk probability beats the walker at the 2^(n/3) budget
     for n in range(4, 9):
         res = walk.sweep(n, t_max=60.0, steps=300, seed=1)
-        bbt = tree.make_blackbox(n, 1)
-        rate = walk.walker_success_rate(bbt, round(2 ** (n / 3)), trials=300, seed=2)
+        rate = walk.walker_success_rate(*colored_tree(n, 1), round(2 ** (n / 3)),
+                                        trials=300, seed=2)
         assert res.best_p >= 10 * rate

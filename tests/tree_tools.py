@@ -21,6 +21,12 @@ def exit_label(bbt) -> int:
     return int(bbt.labels[bbt.structure.exit])
 
 
+def colored_tree(n: int, seed: int) -> tuple[tree.TreeStructure, tree.EdgeColoring]:
+    """The (structure, coloring) that ``tree.make_blackbox(n, seed)`` labels."""
+    structure = tree.generate_structure(n, seed)
+    return structure, tree.generate_coloring(structure, seed)
+
+
 def label_walks(oracle, colors: np.ndarray) -> np.ndarray:
     """Lockstep blind walks in label space from the entrance label 0.
 
