@@ -30,7 +30,7 @@ from .rng import derive_seed, make_rng
 SCHEMA_VERSION = 1
 JOBS_ENV_VAR = "WELDLAB_JOBS"
 MAX_N = 15
-"""Largest tree height: every command colors a height-n tree, and the coloring
+"""Largest tree height: ``simulate`` colors a height-n tree, and the coloring
 search stops at 200,000 steps, one per edge unconstrained (3 * 2^(n+1) - 4)."""
 
 
@@ -238,15 +238,14 @@ def discovery_rate(n: int, h: int, trials: int, seed: int, jobs: int = 1
                    ) -> tuple[float, float]:
     """(empirical rate, stderr) for the h-query guessing adversary.
 
-    Every trial walks the same colored tree under a fresh labeling.  Trials
-    run in chunks of a size fixed by h alone, each seeded from its chunk
-    index, so ``jobs`` only decides how many processes share them.
+    Every trial walks the same ``walk.blind_table`` under a fresh labeling.
+    Trials run in chunks of a size fixed by h alone, each seeded from its
+    chunk index, so ``jobs`` only decides how many processes share them.
     """
     walk.check_trials("discovery_rate", trials, h)
     structure = tree.generate_structure(n, derive_seed(seed, "structure"))
     label_bits = tree.checked_label_bits(structure)
-    coloring = tree.generate_coloring(structure, derive_seed(seed, "coloring"))
-    neighbors = tree.neighbor_table(structure, coloring)
+    neighbors = walk.blind_table(structure)
     per = walk.batch_trials(h + 1)
     args = [(neighbors, label_bits, h, derive_seed(seed, "chunk", i), min(per, trials - start))
             for i, start in enumerate(range(0, trials, per))]
@@ -317,12 +316,10 @@ def cmd_walk(config: ExperimentConfig) -> Report:
         report.checks.append(hard_check("probability conservation", worst_norm,
                                         1e-9, worst_norm <= 1e-9))
 
-    # the walker reads no label, so it walks the colored tree unlabeled, n=1 too
-    tree_seed = derive_seed(config.seed, "walker-tree")
-    walker_tree = tree.generate_structure(n, tree_seed)
+    # the walker reads no label or color, so it walks the bare structure, n=1 too
+    walker_tree = tree.generate_structure(n, derive_seed(config.seed, "walker-tree"))
     budget = config.walker_budget()
-    rate = walk.walker_success_rate(walker_tree, tree.generate_coloring(walker_tree, tree_seed),
-                                    budget, min(config.trials, 10_000),
+    rate = walk.walker_success_rate(walker_tree, budget, min(config.trials, 10_000),
                                     derive_seed(config.seed, "walker"))
     report.checks.append(info_check(f"classical walker rate (budget {budget})", rate))
     report.checks.append(hard_check("separation factor >= 10x",
@@ -428,11 +425,10 @@ def cmd_e2e(config: ExperimentConfig) -> Report:
     report = Report(experiment="e2e", config=config.result_fields())
     n = config.n
     budget = config.walker_budget()
-    tree_seed = derive_seed(config.seed, "tree")
-    structure = tree.generate_structure(n, tree_seed)
+    structure = tree.generate_structure(n, derive_seed(config.seed, "tree"))
     tree.checked_label_bits(structure)      # the simulate part labels: n=1 fails before any work
-    rate = walk.walker_success_rate(structure, tree.generate_coloring(structure, tree_seed),
-                                    budget, config.trials, derive_seed(config.seed, "walker"))
+    rate = walk.walker_success_rate(structure, budget, config.trials,
+                                    derive_seed(config.seed, "walker"))
     report.checks.append(hard_check(
         f"classical walker rate <= 1e-3 (budget {budget})", rate, 1e-3,
         rate <= 1e-3))

@@ -23,8 +23,8 @@ sampler reads the width from its entries' INVALID label.
 ``BlackBoxTree.answer_many`` answers arrays from one lookup kept per tree:
 its labels in ascending order, found by ``searchsorted``, and a table of
 each labeled vertex's answer by color.  Blind walks and guessing trials
-draw no labels at all: they walk ``neighbor_table`` in vertex space (see
-``walk``).
+draw no labels and no coloring at all: they walk the structure's own
+neighbour lists in vertex space (see ``walk``).
 """
 from __future__ import annotations
 
@@ -70,6 +70,15 @@ class TreeStructure:
     weld_cycle: list[int]       # alternating L-leaf, R-leaf, ... (length 2*2^n)
     entrance: int
     exit: int
+
+    @cached_property
+    def neighbors(self) -> np.ndarray:
+        """(V, 3) read-only array: row v is ``adjacency[v]`` in order, padded with -1."""
+        slots = itertools.zip_longest(*self.adjacency, fillvalue=-1)   # column k: k-th neighbours
+        table = np.fromiter(itertools.chain.from_iterable(slots), dtype=np.int64)
+        table = table.reshape(3, self.vertex_count).T
+        table.flags.writeable = False
+        return table
 
     def validate(self) -> list[str]:
         problems: list[str] = []

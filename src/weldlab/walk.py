@@ -13,12 +13,13 @@ uniformly random color, moving to the answer when it is a valid label and
 staying put otherwise.  Such a walker never compares label values, so its
 path in vertex space is ``v' = nbr[v, c]`` where that neighbour exists and
 ``v`` otherwise, under every labeling; and the labeling is drawn
-independently of the walk.  ``blind_walks`` therefore walks vertex indices
-over the neighbour table, a batch of walks in lockstep, and callers grade
-the paths afterwards: the walker baseline here by the exit vertex, the
-guessing experiment in ``harness`` by the exact law of a guess given the
-vertices a walk reached.  Neither draws a labeling: both take only the
-colored structure.
+independently of the walk.  Each color a vertex has leads to one neighbour,
+so a step moves to each neighbour with probability 1/9 under every coloring
+too.  ``blind_walks`` walks vertex indices over ``blind_table``, a batch of
+walks in lockstep, and callers grade the paths afterwards: the walker
+baseline here by the exit vertex, the guessing experiment in ``harness`` by
+the exact law of a guess given the vertices a walk reached.  Neither draws a
+labeling or a coloring: both take only the structure.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import make_rng
-from .tree import EdgeColoring, TreeStructure, generate_structure, neighbor_table
+from .tree import TreeStructure, generate_structure
 
 FULL_WALK_MAX_N = 7
 
@@ -36,7 +37,6 @@ FULL_WALK_MAX_N = 7
 class ReducedWalk:
     """Column-space Hamiltonian with its eigendecomposition."""
 
-    n: int
     matrix: np.ndarray
     evals: np.ndarray
     evecs: np.ndarray
@@ -45,14 +45,14 @@ class ReducedWalk:
 def build_reduced(structure: TreeStructure) -> ReducedWalk:
     n = structure.n
     dim = 2 * n + 2
-    col = structure.column.tolist()
+    col, nbr = structure.column, structure.neighbors
     counts = np.bincount(col, minlength=dim)                    # N_j
-    edges_between = np.bincount([col[v] for v, ws in enumerate(structure.adjacency)
-                                 for w in ws if col[w] == col[v] + 1], minlength=dim - 1)
+    rightward = (nbr >= 0) & (col[nbr] == col[:, None] + 1)
+    edges_between = np.bincount(col[rightward.nonzero()[0]], minlength=dim - 1)
     off = edges_between / np.sqrt(counts[:-1] * counts[1:])
     mat = np.diag(off, 1) + np.diag(off, -1)
     evals, evecs = np.linalg.eigh(mat)
-    return ReducedWalk(n=n, matrix=mat, evals=evals, evecs=evecs)
+    return ReducedWalk(matrix=mat, evals=evals, evecs=evecs)
 
 
 def evolve_exit_probabilities(rw: ReducedWalk, ts: np.ndarray) -> np.ndarray:
@@ -69,20 +69,21 @@ TAYLOR_TOL = 1e-17      # a step adds terms until one's max-norm falls below thi
 def full_graph_state(structure: TreeStructure, times) -> np.ndarray:
     """exp(-iAt)|entrance> on the full 2^(n+2)-2 vertex graph, one row per t.
 
-    Reads only ``structure.adjacency`` and ``structure.entrance``, so it
+    Reads only ``structure.neighbors`` and ``structure.entrance``, so it
     checks the column reduction rather than repeating it.  It propagates
     once through ``times`` in sorted order, in truncated Taylor steps of
-    |h| * 3 <= TAYLOR_THETA (Al-Mohy & Higham 2011) on the neighbour table,
-    whose padding points at a zero entry past the vertices.
+    |h| * 3 <= TAYLOR_THETA (Al-Mohy & Higham 2011) on the neighbour array,
+    whose padding -1 reads a zero entry past the vertices.  Each term is
+    written into one buffer, after its neighbour sums are gathered, and
+    added to the state in place.
     """
     if structure.n > FULL_WALK_MAX_N:
         raise ValueError(f"full-graph walk capped at n <= {FULL_WALK_MAX_N}")
-    V = len(structure.adjacency)
-    nbr = np.full((V, 3), V, dtype=np.intp)
-    for v, ws in enumerate(structure.adjacency):
-        nbr[v, :len(ws)] = ws
+    V = structure.vertex_count
+    first, second, third = structure.neighbors.T
     state = np.zeros(V + 1, dtype=complex)
     state[structure.entrance] = 1.0
+    buffer = np.zeros(V + 1, dtype=complex)     # each term in turn; entry V stays 0
     times = np.asarray(times, dtype=float)
     out = np.empty((times.size, V), dtype=complex)
     now = 0.0
@@ -93,8 +94,11 @@ def full_graph_state(structure: TreeStructure, times) -> np.ndarray:
             term, j = state, 0
             while np.abs(term).max() >= TAYLOR_TOL:
                 j += 1
-                term = np.append((-1j * h / j) * term[nbr].sum(axis=1), 0j)
-                state = state + term
+                gather = term[first] + term[second]
+                gather += term[third]
+                term = buffer
+                np.multiply(-1j * h / j, gather, out=term[:V])
+                state += term
         now = times[i]
         out[i] = state[:V]
     return out
@@ -159,12 +163,12 @@ def blind_walks(neighbors: np.ndarray, budget: int, trials: int,
     """Lockstep blind walks from the entrance, vertex 0, one per trial.
 
     ``neighbors`` is a (V, 10) vertex-by-color table, -1 where a vertex has
-    no edge of that color (``tree.neighbor_table``); every welded-tree
-    layout numbers the entrance 0.  One call draws every step's color, a
-    uniform 1..9 per trial, and each step moves a walk along the edge of
-    its color or leaves it in place where there is none.  Returns the
-    (trials, budget + 1) vertices each walk stands on before and after each
-    step.
+    no edge of that color (``blind_table``, or a coloring's
+    ``tree.neighbor_table``); every welded-tree layout numbers the entrance
+    0.  One call draws every step's color, a uniform 1..9 per trial, and
+    each step moves a walk along the edge of its color or leaves it in
+    place where there is none.  Returns the (trials, budget + 1) vertices
+    each walk stands on before and after each step.
     """
     V, width = neighbors.shape
     # row v, column c: where a walk at v goes on color c
@@ -176,12 +180,21 @@ def blind_walks(neighbors: np.ndarray, budget: int, trials: int,
     return path.T
 
 
-def walker_success_rate(structure: TreeStructure, coloring: EdgeColoring,
-                        query_budget: int, trials: int, seed: int) -> float:
-    """Share of ``trials`` blind walkers that reach the exit of the colored
-    tree, in batches of lockstep walks over its neighbour table."""
+def blind_table(structure: TreeStructure) -> np.ndarray:
+    """(V, 10) table for ``blind_walks``: row v holds v's neighbours at
+    colors 1..deg v and -1 elsewhere.  It steps as every coloring's
+    ``tree.neighbor_table`` does: 1/9 to each neighbour, else in place."""
+    table = np.full((structure.vertex_count, 10), -1, dtype=np.int64)
+    table[:, 1:4] = structure.neighbors
+    return table
+
+
+def walker_success_rate(structure: TreeStructure, query_budget: int, trials: int,
+                        seed: int) -> float:
+    """Share of ``trials`` blind walkers that reach the exit of the tree, in
+    batches of lockstep walks over its ``blind_table``."""
     check_trials("walker_success_rate", trials, query_budget)
-    neighbors = neighbor_table(structure, coloring)
+    neighbors = blind_table(structure)
     per = batch_trials(query_budget + 1)
     hits = 0
     for start in range(0, trials, per):

@@ -27,7 +27,7 @@ from circuit_gen import (entrance_query_circuit, hardcoded_guess_circuit,
                          random_hybrid, random_jozsa, random_quantum_layer,
                          total_quantum_layers)
 from dense_reference import dense_tier_state
-from tree_tools import colored_tree, vertex_row
+from tree_tools import vertex_row
 
 
 def _line(idx: int, name: str, ok: bool, detail: str) -> None:
@@ -146,7 +146,8 @@ def test_criterion_4_walk_cross_check():
 def test_criterion_5_separation_snapshot():
     n = 9
     budget = round(2 ** (n / 3))
-    rate = walk.walker_success_rate(*colored_tree(n, 5), budget, trials=10_000, seed=3)
+    rate = walk.walker_success_rate(tree.generate_structure(n, 5), budget, trials=10_000,
+                                    seed=3)
     res = walk.sweep(n, t_max=60.0, steps=600, seed=5)
     ok = rate <= 1e-3 and res.best_p >= 10 * max(rate, 1e-3)
     _line(5, "n=9 walker (budget 2^(n/3)=8) vs reduced walk",

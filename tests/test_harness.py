@@ -19,8 +19,6 @@ from weldlab.harness import (ExperimentConfig, cmd_discovery, cmd_simulate,
                              run_command, write_report)
 from weldlab.rng import derive_seed, make_rng
 
-from tree_tools import colored_tree
-
 
 def test_config_json_round_trip():
     cfg = ExperimentConfig(experiment="walk", n=5, seed=3, h_values=(1, 2))
@@ -146,13 +144,46 @@ def test_walk_report_deterministic(tmp_path):
 
 
 def test_walk_n1_walks_the_n1_tree():
-    # the walker takes the unlabeled colored tree, so walk -n 1 walks n=1; at
-    # budget 40 its rate is the direct walk's there (an n=2 tree reads 0.249)
-    want = walk.walker_success_rate(*colored_tree(1, derive_seed(0, "walker-tree")), 40,
-                                    10_000, derive_seed(0, "walker"))
+    # the walker takes the bare structure, so walk -n 1 walks n=1; at budget
+    # 40 its rate is the direct walk's there (an n=2 tree reads 0.2518)
+    want = walk.walker_success_rate(tree.generate_structure(1, derive_seed(0, "walker-tree")),
+                                    40, 10_000, derive_seed(0, "walker"))
     rep = cmd_walk(ExperimentConfig(experiment="walk", n=1, budget=40, steps=20))
     assert [c.measured for c in rep.checks if c.name.startswith("classical walker")] == [want]
     assert want > 0.5
+
+
+def test_blind_paths_draw_no_coloring(monkeypatch):
+    # the guessing trials and both walker baselines walk the bare structure:
+    # a coloring drawn outside cmd_simulate raises, and in e2e only the
+    # simulate part colors a tree
+    inside, drawn = [], []
+    coloring, simulate = tree.generate_coloring, harness.cmd_simulate
+
+    def guarded(structure, seed):
+        if not inside:
+            raise AssertionError("a blind path drew a coloring")
+        drawn.append(structure.n)
+        return coloring(structure, seed)
+
+    def simulate_part(config):
+        inside.append(True)
+        try:
+            return simulate(config)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(tree, "generate_coloring", guarded)
+    monkeypatch.setattr(harness, "cmd_simulate", simulate_part)
+    rate, _ = discovery_rate(3, 4, trials=2000, seed=5)
+    assert 0 < rate < 1
+    assert cmd_walk(ExperimentConfig(experiment="walk", n=3, trials=500, steps=50)).ok()
+    assert drawn == []
+    with pytest.raises(AssertionError, match="a blind path drew a coloring"):
+        tree.generate_coloring(tree.generate_structure(2, 0), 0)
+    report = harness.cmd_e2e(ExperimentConfig(experiment="e2e", n=4, trials=500, steps=50,
+                                              samples=3))
+    assert report.ok() and drawn and set(drawn) == {3}
 
 
 def test_e2e_n1_fails_before_the_walker_and_the_sweep(monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from weldlab import tree, walk
 from weldlab.rng import make_rng
 
 from dense_reference import adjacency_matrix, dense_walk_states
-from tree_tools import colored_tree, label_walks
+from tree_tools import label_walks
 
 
 def test_reduced_matrix_shape_and_symmetry():
@@ -100,39 +102,95 @@ def test_sweep_curve():
 
 
 def test_walker_budget_zero_false():
-    assert walk.walker_success_rate(*colored_tree(2, 4), 0, trials=1, seed=1) == 0.0
+    assert walk.walker_success_rate(tree.generate_structure(2, 4), 0, trials=1, seed=1) == 0.0
 
 
 def test_walker_small_tree_generous_budget():
     # a walker reads no label, so n=1, which 2n-bit labels cannot label, walks too
-    rate = walk.walker_success_rate(*colored_tree(1, 3), query_budget=400, trials=100, seed=0)
+    rate = walk.walker_success_rate(tree.generate_structure(1, 3), query_budget=400,
+                                    trials=100, seed=0)
     assert rate >= 0.95
-    rate2 = walk.walker_success_rate(*colored_tree(2, 3), query_budget=500, trials=100, seed=0)
+    rate2 = walk.walker_success_rate(tree.generate_structure(2, 3), query_budget=500,
+                                     trials=100, seed=0)
     assert rate2 >= 0.9
 
 
 @pytest.mark.parametrize("n", range(2, 10))
-def test_walker_rate_is_the_labeled_trees_rate(n):
-    # the colored tree a walker takes is the one make_blackbox labels, so its
-    # rate is, bit for bit, the one walked on the labeled tree's neighbour table
-    bbt = tree.make_blackbox(n, 11)
+def test_walker_rate_is_the_structure_tables_rate(n):
+    # the walker walks the bare structure's blind_table, so its rate is, bit
+    # for bit, the one read from lockstep walks over that table
+    structure = tree.generate_structure(n, 11)
     budget, trials, seed = 8 * n, 600, 4
     per = walk.batch_trials(budget + 1)
     hits = sum(int(np.count_nonzero((walk.blind_walks(
-        bbt.neighbor_by_color, budget, min(per, trials - start), make_rng(seed, "walker", start))
-        == bbt.structure.exit).any(axis=1))) for start in range(0, trials, per))
-    rate = walk.walker_success_rate(*colored_tree(n, 11), budget, trials, seed)
+        walk.blind_table(structure), budget, min(per, trials - start),
+        make_rng(seed, "walker", start)) == structure.exit).any(axis=1)))
+        for start in range(0, trials, per))
+    rate = walk.walker_success_rate(structure, budget, trials, seed)
     assert rate == hits / trials
     if n <= 4:
         assert rate > 0     # the exit is reached, so the grading is exercised
 
 
 def test_walker_rejects_bad_counts():
-    structure, coloring = colored_tree(2, 4)
+    structure = tree.generate_structure(2, 4)
     with pytest.raises(ValueError, match="walker_success_rate: trials must be >= 1, got 0"):
-        walk.walker_success_rate(structure, coloring, 3, trials=0, seed=0)
+        walk.walker_success_rate(structure, 3, trials=0, seed=0)
     with pytest.raises(ValueError, match="walker_success_rate: query budget must be >= 0"):
-        walk.walker_success_rate(structure, coloring, -1, trials=5, seed=0)
+        walk.walker_success_rate(structure, -1, trials=5, seed=0)
+
+
+def _step_counts(table: np.ndarray) -> np.ndarray:
+    """(V, V) counts of the colors 1..9 that move a blind walk from row v to
+    column w of a vertex-by-color table: its one-step law, times 9."""
+    V = len(table)
+    to = np.where(table[:, 1:] >= 0, table[:, 1:], np.arange(V)[:, None])
+    counts = np.zeros((V, V), dtype=np.int64)
+    np.add.at(counts, (np.repeat(np.arange(V), 9), to.ravel()), 1)
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_blind_table_steps_as_every_coloring(n):
+    # a blind step goes to each neighbour on 1 color of 9 and stays on the
+    # rest, whatever the coloring: the structure's table has the same law as
+    # every colored tree's neighbour table
+    for seed in (0, 1, 2):
+        structure = tree.generate_structure(n, seed)
+        bare = _step_counts(walk.blind_table(structure))
+        for coloring_seed in (seed, 7 + seed):
+            colored = tree.neighbor_table(structure,
+                                          tree.generate_coloring(structure, coloring_seed))
+            assert np.array_equal(bare, _step_counts(colored))
+        # a table that drops one weld neighbour has another law
+        u, w = structure.weld_cycle[:2]
+        mutant = walk.blind_table(structure)
+        mutant[u, mutant[u] == w] = -1
+        assert not np.array_equal(_step_counts(mutant), bare)
+
+
+# sha256 of the output bytes of full_graph_state for n = 1..7 at FULL_TIMES,
+# recorded before the propagator stopped allocating per Taylor term; pinned on
+# one machine's numpy build, as the walk report's cross-check values are
+FULL_TIMES = [0.0, 0.37, 2.5, 7.3, 1.1, 13.0]
+FULL_SHA256 = "ab69bec937c70e337d83cdb7073e43592f5615bb7b2946a0354d30cce86fea52"
+
+
+def test_full_graph_state_bytes_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        out = walk.full_graph_state(tree.generate_structure(n, 20 + n), FULL_TIMES)
+        digest.update(out.tobytes())
+    assert digest.hexdigest() == FULL_SHA256
+
+
+def test_structure_neighbors_are_its_adjacency():
+    for n in (1, 3, 6):
+        structure = tree.generate_structure(n, n)
+        nbr = structure.neighbors
+        assert nbr.shape == (structure.vertex_count, 3) and not nbr.flags.writeable
+        assert [tuple(w for w in row if w >= 0) for row in nbr.tolist()] == \
+            list(structure.adjacency)
 
 
 def test_blind_walks_query_accounting():
@@ -179,6 +237,6 @@ def test_separation_snapshot_report():
     # best reduced-walk probability beats the walker at the 2^(n/3) budget
     for n in range(4, 9):
         res = walk.sweep(n, t_max=60.0, steps=300, seed=1)
-        rate = walk.walker_success_rate(*colored_tree(n, 1), round(2 ** (n / 3)),
+        rate = walk.walker_success_rate(tree.generate_structure(n, 1), round(2 ** (n / 3)),
                                         trials=300, seed=2)
         assert res.best_p >= 10 * rate
