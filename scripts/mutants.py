@@ -1,0 +1,110 @@
+"""Mutation check: every recorded mutant of ``src/weldlab`` must fail a test.
+
+    python3 scripts/mutants.py                      # every row of MUTANTS
+    python3 scripts/mutants.py welded-weld-swap ... # the rows with these names
+
+Each row of ``MUTANTS`` names a module of ``src/weldlab``, a text that
+occurs in it exactly once, the text that replaces it, and the tests that
+must fail once it does.  For each row the script copies ``src/``,
+``tests/`` and ``pyproject.toml`` into a temporary directory, applies the
+one replacement there and runs the row's tests with pytest.  A row whose
+tests all pass is a survivor.  A row whose old text does not occur exactly
+once, or whose pytest run ends other than in passes and failures (a
+collection error, an unknown test), is broken.  The script prints one line
+per row and exits 1 if any row survived or is broken.
+
+``tests/test_mutants.py`` checks in Tier-1 that every row's old text still
+occurs in its module, so the table cannot rot silently; the mutant runs
+themselves stay out of Tier-1 for their cost.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str         # file under src/weldlab
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant("welded-weld-swap", "tree.py",
+           "neighbors[cyc, 1], neighbors[cyc, 2] = cyc[at - 1], cyc[(at + 1) % len(cyc)]",
+           "neighbors[cyc, 1], neighbors[cyc, 2] = cyc[(at + 1) % len(cyc)], cyc[at - 1]",
+           ("tests/test_tree.py::test_structure_arrays_pinned",)),
+    Mutant("coloring-one-end", "tree.py",
+           "    table[ends[:, 1], colors] = ends[:, 0]\n", "",
+           ("tests/test_tree.py::test_coloring_tables_pinned",)),
+    Mutant("loaded-color-unchecked", "tree.py",
+           "if 0 <= u < w < V and 1 <= c <= 9:", "if 0 <= u < w < V:",
+           ("tests/test_tree.py::test_load_tree_rejects_improper_edge_colors",)),
+    Mutant("tv-compensated", "statevec.py",
+           "0.5 * seq_sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)",
+           "0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)",
+           ("tests/test_statevec.py::test_tv_distance_sums_left_to_right",)),
+    Mutant("discovery-draws-coloring", "harness.py",
+           "    neighbors = walk.blind_table(structure)\n",
+           "    neighbors = tree.generate_coloring(structure, seed).by_color\n",
+           ("tests/test_harness.py::test_blind_paths_draw_no_coloring",)),
+    Mutant("blind-table-two-neighbours", "walk.py",
+           "table[:, 1:4] = structure.neighbors", "table[:, 1:3] = structure.neighbors[:, :2]",
+           ("tests/test_walk.py::test_blind_table_steps_as_every_coloring",)),
+    Mutant("gathers-out-of-order", "walk.py",
+           "gather = term[first] + term[second]\n                gather += term[third]",
+           "gather = term[third] + term[second]\n                gather += term[first]",
+           ("tests/test_walk.py::test_full_graph_state_bytes_pinned",)),
+]
+
+
+def run(mutant: Mutant) -> str:
+    """``killed``, ``SURVIVED`` or ``BROKEN: <why>`` for one row."""
+    text = (ROOT / "src" / "weldlab" / mutant.module).read_text()
+    if text.count(mutant.old) != 1:
+        return f"BROKEN: old text occurs {text.count(mutant.old)} times"
+    with tempfile.TemporaryDirectory(prefix="weldlab-mutant-") as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp) / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        (Path(tmp) / "src" / "weldlab" / mutant.module).write_text(
+            text.replace(mutant.old, mutant.new))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests], cwd=tmp, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": "src"})
+    if done.returncode == 0:
+        return "SURVIVED"
+    if done.returncode == 1:
+        return "killed"
+    lines = done.stdout.strip().splitlines()
+    return f"BROKEN: pytest exit {done.returncode}: {lines[-1] if lines else ''}"
+
+
+def main(argv: list[str]) -> int:
+    rows = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    bad = 0
+    for mutant in rows:
+        verdict = run(mutant)
+        bad += verdict != "killed"
+        print(f"{mutant.name}: {verdict}", flush=True)
+    print(f"{len(rows) - bad} of {len(rows)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -421,8 +421,8 @@ def compare_to_reference(circuit: C.Circuit, structure, labelings: int,
         queries.append(run.transcript.queries)
         for rec in run.transcript.per_layer:
             fgap = max(fgap, abs(rec.fidelity - (1.0 - rec.outlier_mass)))
-    mean = sum(tvs) / len(tvs)
-    var = sum((t - mean) ** 2 for t in tvs) / max(len(tvs) - 1, 1)
+    mean = SV.seq_sum(tvs) / len(tvs)
+    var = SV.seq_sum((t - mean) ** 2 for t in tvs) / max(len(tvs) - 1, 1)
     return CompareReport(labelings=labelings, mean_tv=mean,
                          stderr_tv=(var / len(tvs)) ** 0.5, max_tv=max(tvs),
                          mean_queries=sum(queries) / len(queries),

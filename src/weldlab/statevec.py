@@ -288,7 +288,7 @@ class OutputDistribution:
 
 def tv_distance(p: dict[int, float], q: dict[int, float]) -> float:
     keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    return 0.5 * seq_sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
 def _prune(amps: dict[int, complex]) -> dict[int, complex]:
@@ -530,7 +530,7 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
 def sample_outcome(probs: dict[int, float], u: float) -> int:
     """The outcome the uniform ``u`` in [0, 1) picks, outcomes in key order."""
     keys = sorted(probs)
-    total = sum(probs[k] for k in keys)
+    total = seq_sum(probs[k] for k in keys)
     u = u * total
     acc = 0.0
     for k in keys:
@@ -599,7 +599,7 @@ def _branches(probs: dict[int, float], u: float | None) -> list[tuple[int, float
     (no layer changes the norm: a query layer permutes the support)."""
     if u is not None:
         return [(sample_outcome(probs, u), 1.0)]
-    total = sum(probs.values())
+    total = seq_sum(probs.values())
     scale = total if abs(total - 1.0) > 1e-12 else 1.0
     return [(y, p / scale) for y, p in sorted(probs.items()) if p > 0]
 

@@ -20,16 +20,18 @@ rejects that case for ``generate_labels``, the guessing experiment and
 A ``BlackBoxTree`` itself takes labels of any width; the consistent-tree
 sampler reads the width from its entries' INVALID label.
 
-``BlackBoxTree.answer_many`` answers arrays from one lookup kept per tree:
-its labels in ascending order, found by ``searchsorted``, and a table of
-each labeled vertex's answer by color.  Blind walks and guessing trials
-draw no labels and no coloring at all: they walk the structure's own
-neighbour lists in vertex space (see ``walk``).
+A tree is held once, in arrays: the structure's (V, 3) ``neighbors`` and
+the coloring's (V, 10) vertex-by-color table ``by_color``; ``save_tree``
+writes format v2's edge list from the table.  ``BlackBoxTree.answer_many``
+answers arrays from one lookup kept per tree: its labels in ascending
+order, found by ``searchsorted``, and a table of each labeled vertex's
+answer by color.  Blind walks and guessing trials draw no labels and no
+coloring at all: they walk the structure's own neighbour array in vertex
+space (see ``walk``).
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -60,30 +62,28 @@ def _direction_slots(n: int, j: int) -> tuple[int, int]:
 
 @dataclass
 class TreeStructure:
-    """Label-free welded-tree graph.  Immutable after construction."""
+    """Label-free welded-tree graph.  Immutable after construction.
+
+    ``neighbors`` is the graph: a read-only (V, 3) array whose row v lists
+    v's neighbours, padded with -1 where v has two.  On every layout a
+    vertex lies in the exit's tree exactly when its column exceeds n.
+    """
 
     n: int
     vertex_count: int
     column: np.ndarray          # vertex -> column in [0, 2n+1]
-    adjacency: list[tuple[int, ...]]
-    side: np.ndarray            # vertex -> 0 for L, 1 for R
+    neighbors: np.ndarray       # vertex -> its neighbours, padded with -1
     weld_cycle: list[int]       # alternating L-leaf, R-leaf, ... (length 2*2^n)
     entrance: int
     exit: int
 
-    @cached_property
-    def neighbors(self) -> np.ndarray:
-        """(V, 3) read-only array: row v is ``adjacency[v]`` in order, padded with -1."""
-        slots = itertools.zip_longest(*self.adjacency, fillvalue=-1)   # column k: k-th neighbours
-        table = np.fromiter(itertools.chain.from_iterable(slots), dtype=np.int64)
-        table = table.reshape(3, self.vertex_count).T
-        table.flags.writeable = False
-        return table
+    def __post_init__(self):
+        self.column.flags.writeable = self.neighbors.flags.writeable = False
 
     def validate(self) -> list[str]:
         problems: list[str] = []
         n, V = self.n, self.vertex_count
-        column, adjacency = self.column.tolist(), self.adjacency
+        column, rows = self.column.tolist(), self.neighbors.tolist()
         if V != (1 << (n + 2)) - 2:
             problems.append(f"vertex count {V} != 2^(n+2)-2")
         for j in range(2 * n + 2):
@@ -91,12 +91,13 @@ class TreeStructure:
                 problems.append(f"column {j} has {column.count(j)} vertices")
         ends = (self.entrance, self.exit)
         for v in range(V):
-            nbrs, cv = adjacency[v], column[v]
+            row, cv = rows[v], column[v]
             want = 2 if v in ends else 3
-            if len(nbrs) != want:
-                problems.append(f"vertex {v} has degree {len(nbrs)}, expected {want}")
-            for w in nbrs:
-                if column[w] - cv not in (1, -1):
+            degree = 3 - row.count(-1)
+            if degree != want:
+                problems.append(f"vertex {v} has degree {degree}, expected {want}")
+            for w in row:
+                if w >= 0 and column[w] - cv not in (1, -1):
                     problems.append(f"edge {v}-{w} skips columns")
         cyc = self.weld_cycle
         if len(cyc) != 2 * (1 << n):
@@ -108,27 +109,27 @@ class TreeStructure:
             if column[v] != want_col:
                 problems.append(f"weld cycle position {i} not alternating")
             w = cyc[(i + 1) % len(cyc)]
-            if w not in adjacency[v]:
+            if w not in rows[v]:
                 problems.append(f"weld cycle edge {v}-{w} missing from adjacency")
         return problems
 
 
 @functools.lru_cache(maxsize=None)
 def _tree_pair(n: int):
-    """``_welded``'s two trees without weld edges, built once per ``n``: the
-    adjacency tuples and read-only column and side arrays."""
+    """``_welded``'s two trees without weld edges, built once per ``n``:
+    read-only neighbour and column arrays.  A row lists the vertex's parent,
+    then its children; the root has no parent, and a leaf's last two slots
+    stay -1 for its weld edges."""
     half = (1 << (n + 1)) - 1                   # vertices per tree
-    depth = np.array([(u + 1).bit_length() - 1 for u in range(half)], dtype=np.int64)
-    adj: list[list[int]] = [[] for _ in range(2 * half)]
-    for base in (0, half):
-        for u in range(half >> 1):              # the inner vertices
-            for child in (2 * u + 1, 2 * u + 2):
-                adj[base + u].append(base + child)
-                adj[base + child].append(base + u)
+    u = np.arange(half)
+    local = np.stack([(u - 1) // 2, 2 * u + 1, 2 * u + 2], axis=1)
+    local[local >= half] = -1                   # a leaf has no children
+    local[0] = [1, 2, -1]                       # nor the root a parent
+    neighbors = np.concatenate([local, np.where(local >= 0, local + half, -1)])
+    depth = np.repeat(np.arange(n + 1), 1 << np.arange(n + 1))
     column = np.concatenate([depth, 2 * n + 1 - depth])
-    side = np.repeat(np.array([0, 1], dtype=np.int64), half)
-    column.flags.writeable = side.flags.writeable = False
-    return tuple(map(tuple, adj)), column, side
+    neighbors.flags.writeable = column.flags.writeable = False
+    return neighbors, column
 
 
 def _welded(n: int, cycle: list[int]) -> TreeStructure:
@@ -136,18 +137,19 @@ def _welded(n: int, cycle: list[int]) -> TreeStructure:
 
     Each tree is numbered in heap order (local vertex u has children 2u+1
     and 2u+2): the left tree from the entrance, then the right tree from the
-    exit.  Adjacency lists keep insertion order: tree edges top down, left
-    tree first, then the weld edges in cycle order.
+    exit.  A row lists tree edges top down, then weld edges in cycle order:
+    the leaf at cycle position p > 0 takes cycle[p-1], then cycle[p+1], and
+    the leaf at position 0 the same two the other way round.
     """
-    tree_adj, column, side = _tree_pair(n)
-    adjacency = list(tree_adj)
-    for i, u in enumerate(cycle):
-        w = cycle[(i + 1) % len(cycle)]
-        adjacency[u] += (w,)
-        adjacency[w] += (u,)
-    return TreeStructure(n=n, vertex_count=len(tree_adj), column=column,
-                         adjacency=adjacency, side=side, weld_cycle=list(cycle),
-                         entrance=0, exit=len(tree_adj) // 2)
+    tree_neighbors, column = _tree_pair(n)
+    neighbors = tree_neighbors.copy()
+    cyc = np.array(cycle, dtype=np.int64)
+    at = np.arange(len(cyc))                    # cycle positions
+    neighbors[cyc, 1], neighbors[cyc, 2] = cyc[at - 1], cyc[(at + 1) % len(cyc)]
+    neighbors[cyc[:1], 1:] = neighbors[cyc[:1], :0:-1]
+    return TreeStructure(n=n, vertex_count=len(column), column=column,
+                         neighbors=neighbors, weld_cycle=list(cycle),
+                         entrance=0, exit=len(column) // 2)
 
 
 def generate_structure(n: int, seed: int) -> TreeStructure:
@@ -170,51 +172,32 @@ def generate_structure(n: int, seed: int) -> TreeStructure:
 class EdgeColoring:
     """Explicit proper edge coloring with the nine colors 1..9.
 
-    Every vertex sees pairwise distinct colors on its incident edges, so the
-    oracle's "c-neighbour" map is single valued.  Edge colors are stored
-    explicitly rather than induced from a coloring of the vertices by pairs,
-    because the induced scheme has no solution on random welded trees at
-    desk scale (provably none at n=2..4; the leaf cliques force rigid mod-3
-    chains around the weld cycle).
+    ``by_color`` is the coloring: a read-only (V, 10) table whose row v holds
+    v's c-neighbour in column c, and -1 where v has no edge of color c
+    (column 0 throughout).  Every vertex sees pairwise distinct colors on its
+    incident edges, so the oracle's "c-neighbour" map is single valued.  Edge
+    colors are stored explicitly rather than induced from a coloring of the
+    vertices by pairs, because the induced scheme has no solution on random
+    welded trees at desk scale (provably none at n=2..4; the leaf cliques
+    force rigid mod-3 chains around the weld cycle).
     """
 
-    edges: dict[tuple[int, int], int]
+    by_color: np.ndarray
+
+    def __post_init__(self):
+        self.by_color.flags.writeable = False
 
     def validate(self, structure: TreeStructure) -> list[str]:
         problems = []
-        for v in range(structure.vertex_count):
-            seen = []
-            for w in structure.adjacency[v]:
-                key = (v, w) if v < w else (w, v)
-                c = self.edges.get(key)
-                if c is None:
-                    problems.append(f"edge {key} has no color")
-                    continue
-                if not (1 <= c <= 9):
-                    problems.append(f"edge {key} color {c} out of range")
-                seen.append(c)
-            if len(set(seen)) != len(seen):
-                problems.append(f"vertex {v} has two same-colored incident edges")
-        edge_count = sum(len(nbrs) for nbrs in structure.adjacency) // 2
-        if len(self.edges) != edge_count:
-            problems.append(f"{len(self.edges)} edge colors for {edge_count} edges")
+        table = self.by_color.tolist()
+        for v, row in enumerate(structure.neighbors.tolist()):
+            colored = [w for w in table[v] if w >= 0]
+            if table[v][0] >= 0 or sorted(colored) != sorted(w for w in row if w >= 0):
+                problems.append(f"vertex {v}'s edges do not each have one color in 1..9")
+            for c, w in enumerate(table[v]):
+                if w >= 0 and table[w][c] != v:
+                    problems.append(f"edge {v}-{w} has color {c} at vertex {v} only")
         return problems
-
-
-def neighbor_table(structure: TreeStructure, coloring: EdgeColoring) -> np.ndarray:
-    """(V, 10) vertex-by-color neighbor table; cached on the coloring."""
-    cached = getattr(coloring, "_nbc", None)
-    if cached is not None and cached.shape[0] == structure.vertex_count:
-        return cached
-    table = np.full((structure.vertex_count, 10), -1, dtype=np.int64)
-    count = len(coloring.edges)
-    ends = np.fromiter(itertools.chain.from_iterable(coloring.edges), dtype=np.int64,
-                       count=2 * count).reshape(count, 2)
-    colors = np.fromiter(coloring.edges.values(), dtype=np.int64, count=count)
-    table[ends[:, 0], colors] = ends[:, 1]
-    table[ends[:, 1], colors] = ends[:, 0]
-    coloring._nbc = table
-    return table
 
 
 # the colors 1..9 absent from a 10-bit mask of colors, in ascending order
@@ -224,7 +207,7 @@ _FREE_COLORS = [tuple(c for c in range(1, 10) if not mask >> c & 1) for mask in 
 def _greedy_edge_coloring(structure: TreeStructure, rng,
                           pinned: dict[tuple[int, int], int] | None = None,
                           forbid: dict[int, int] | None = None,
-                          ) -> dict[tuple[int, int], int]:
+                          ) -> EdgeColoring:
     """Random proper edge coloring; backtracking only matters under forbids.
 
     With nine colors and degree at most three, an unconstrained edge sees at
@@ -242,8 +225,8 @@ def _greedy_edge_coloring(structure: TreeStructure, rng,
             raise ValueError("pinned edge colors are inconsistent")
         blocked[u] |= 1 << c
         blocked[w] |= 1 << c
-    todo = [(u, w) for u, nbrs in enumerate(structure.adjacency)
-            for w in nbrs if u < w and (u, w) not in pinned]
+    todo = [(u, w) for u, row in enumerate(structure.neighbors.tolist())
+            for w in row if u < w and (u, w) not in pinned]
     todo.sort()
     if len(todo) > 1:
         rng.shuffle(todo)
@@ -277,9 +260,12 @@ def _greedy_edge_coloring(structure: TreeStructure, rng,
             pu, pw = todo[i]
             blocked[pu] &= ~(1 << colors[i])
             blocked[pw] &= ~(1 << colors[i])
-    assigned = dict(pinned)
-    assigned.update(zip(todo, colors))
-    return assigned
+    ends = np.array([*pinned, *todo], dtype=np.int64).reshape(-1, 2)
+    colors = np.array([*pinned.values(), *colors], dtype=np.int64)
+    table = np.full((structure.vertex_count, 10), -1, dtype=np.int64)
+    table[ends[:, 0], colors] = ends[:, 1]
+    table[ends[:, 1], colors] = ends[:, 0]
+    return EdgeColoring(table)
 
 
 def generate_coloring(structure: TreeStructure, seed: int) -> EdgeColoring:
@@ -288,7 +274,7 @@ def generate_coloring(structure: TreeStructure, seed: int) -> EdgeColoring:
     # the draw of a vertex palette that no longer exists: without it the
     # stream, and with it every seeded coloring, would shift
     rng.integers(0, 3, size=structure.vertex_count)
-    return EdgeColoring(_greedy_edge_coloring(structure, rng))
+    return _greedy_edge_coloring(structure, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +308,9 @@ class BlackBoxTree:
     labels: np.ndarray              # vertex -> label
     label_bits: int
     inverse: dict[int, int] = field(init=False, repr=False)
-    neighbor_by_color: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.inverse = dict(zip(self.labels.tolist(), range(len(self.labels))))
-        self.neighbor_by_color = neighbor_table(self.structure, self.coloring)
 
     @property
     def n(self) -> int:
@@ -346,7 +330,7 @@ class BlackBoxTree:
         v = self.inverse.get(x)
         if v is None or x == inv or not 1 <= c <= 9:
             return inv
-        w = self.neighbor_by_color[v, c]
+        w = self.coloring.by_color[v, c]
         return inv if w < 0 else int(self.labels[w])
 
     @cached_property
@@ -355,7 +339,7 @@ class BlackBoxTree:
         in its row, and a last row of INVALID for strings that label none)."""
         order = np.argsort(self.labels)
         w = np.full((order.size + 1, 11), -1, dtype=np.int64)
-        w[:-1, :10] = self.neighbor_by_color[order]
+        w[:-1, :10] = self.coloring.by_color[order]
         padded = np.append(self.labels, self.invalid)
         return self.labels[order], padded[w]
 
@@ -478,7 +462,7 @@ def embed_entries(entries: KnownVertices, bbt_structure: TreeStructure,
     """
     inv = entries.invalid
     edges = _entry_edges(entries)
-    nbc = neighbor_table(bbt_structure, coloring)
+    nbc = coloring.by_color
 
     pos: dict[int, int] = {0: bbt_structure.entrance}
     stack = [0]
@@ -679,27 +663,25 @@ def _assign_columns(edges: dict[int, dict[int, int]], labels_in_play: list[int],
 @functools.lru_cache(maxsize=None)
 def _column_layout(n: int):
     """The sampler's column-by-column vertex numbering: ids per column, column and
-    parent column per vertex, read-only column and side arrays, and the (children,
-    parents, child slots per parent) of each column pair tree completion fills."""
+    parent column per vertex, the column array its structures share, and the
+    (children, parents, child slots per parent) of each column pair tree completion fills."""
     by_col, column = [], []
     for j in range(2 * n + 2):
         by_col.append(range(len(column), len(column) + column_size(n, j)))
         column += [j] * column_size(n, j)
     up = tuple(j - 1 if j <= n else j + 1 for j in column)
     column_arr = np.array(column, dtype=np.int64)
-    side_arr = (column_arr > n).astype(np.int64)
-    column_arr.flags.writeable = side_arr.flags.writeable = False
     pairs = []
     for j_child, j_parent in [(j + 1, j) for j in range(n)] + \
                              [(j - 1, j) for j in range(2 * n + 1, n + 1, -1)]:
         dl, dr = _direction_slots(n, j_parent)
         pairs.append((by_col[j_child], by_col[j_parent], dr if j_child > j_parent else dl))
-    return tuple(by_col), tuple(column), up, column_arr, side_arr, tuple(pairs)
+    return tuple(by_col), tuple(column), up, column_arr, tuple(pairs)
 
 
 def _complete_structure(edges: dict[int, dict[int, int]], cols: dict[int, int],
                         n: int, rng) -> tuple[TreeStructure, dict[int, int]]:
-    by_col, column, up, column_arr, side_arr, pairs = _column_layout(n)
+    by_col, column, up, column_arr, pairs = _column_layout(n)
     V = len(column)
     # each column's pinned labels, in label order, take its first vertex ids
     vid: dict[int, int] = {}
@@ -742,9 +724,9 @@ def _complete_structure(edges: dict[int, dict[int, int]], cols: dict[int, int],
         adj[u].add(w)
         adj[w].add(u)
 
-    structure = TreeStructure(
-        n=n, vertex_count=V, column=column_arr, adjacency=list(map(tuple, map(sorted, adj))),
-        side=side_arr, weld_cycle=weld_cycle, entrance=by_col[0][0], exit=by_col[-1][0])
+    neighbors = np.array([sorted(a) + [-1] * (3 - len(a)) for a in adj], dtype=np.int64)
+    structure = TreeStructure(n=n, vertex_count=V, column=column_arr, neighbors=neighbors,
+                              weld_cycle=weld_cycle, entrance=by_col[0][0], exit=by_col[-1][0])
     problems = structure.validate()
     if problems:
         raise EmbeddingError("completed structure invalid: " + "; ".join(problems[:3]))
@@ -850,12 +832,12 @@ def _complete_coloring(structure: TreeStructure, entries: KnownVertices,
         if y == entries.invalid and x in vid:
             forbid[vid[x]] = forbid.get(vid[x], 0) | 1 << c
     try:
-        assigned = _greedy_edge_coloring(structure, rng, pinned=pinned, forbid=forbid)
+        coloring = _greedy_edge_coloring(structure, rng, pinned=pinned, forbid=forbid)
     except ValueError as e:
         raise EmbeddingError(str(e)) from e
     # as in generate_coloring: the labels drawn next keep their values
     rng.integers(0, 3, size=structure.vertex_count)
-    return EdgeColoring(assigned)
+    return coloring
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +851,7 @@ def canonicalize(bbt: BlackBoxTree) -> BlackBoxTree:
     """Isomorphic copy on the canonical vertex layout (query map unchanged)."""
     old = bbt.structure
     half = old.vertex_count // 2
+    rows, side = old.neighbors.tolist(), (old.column > old.n).tolist()
     mapping = np.empty(old.vertex_count, dtype=np.int64)  # old -> new
     for root, base in ((old.entrance, 0), (old.exit, half)):
         # walk each tree in lockstep with its canonical heap order, children
@@ -877,20 +860,17 @@ def canonicalize(bbt: BlackBoxTree) -> BlackBoxTree:
         frontier = [(root, -1, 0)]
         while frontier:
             v, parent, u = frontier.pop()
-            kids = sorted(w for w in old.adjacency[v]
-                          if old.side[w] == old.side[v] and w != parent)
+            kids = sorted(w for w in rows[v] if w >= 0 and side[w] == side[v] and w != parent)
             for k, w in enumerate(kids):
                 mapping[w] = base + 2 * u + 1 + k
                 frontier.append((w, v, 2 * u + 1 + k))
 
     labels = np.empty(old.vertex_count, dtype=np.int64)
     labels[mapping] = bbt.labels
-    edge_map = {}
-    for (u, w), c in bbt.coloring.edges.items():
-        a, b = int(mapping[u]), int(mapping[w])
-        edge_map[(min(a, b), max(a, b))] = c
+    table = np.empty_like(bbt.coloring.by_color)
+    table[mapping] = np.where(bbt.coloring.by_color >= 0, mapping[bbt.coloring.by_color], -1)
     return BlackBoxTree(structure=_welded(bbt.n, [int(mapping[v]) for v in old.weld_cycle]),
-                        coloring=EdgeColoring(edge_map), labels=labels,
+                        coloring=EdgeColoring(table), labels=labels,
                         label_bits=bbt.label_bits)
 
 
@@ -908,7 +888,8 @@ def save_tree(bbt: BlackBoxTree) -> str:
         "label_bits": c.label_bits,
         "weld_cycle": c.structure.weld_cycle,
         "labels": [_hex_label(lab, c.label_bits) for lab in c.labels.tolist()],
-        "edge_colors": [[u, w, col] for (u, w), col in sorted(c.coloring.edges.items())],
+        "edge_colors": sorted([u, w, col] for u, row in enumerate(c.coloring.by_color.tolist())
+                              for col, w in enumerate(row) if u < w),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -963,9 +944,27 @@ def load_tree(text: str) -> BlackBoxTree:
     problems = structure.validate()
     if problems:
         raise ValueError("loaded structure invalid: " + "; ".join(problems[:3]))
-    coloring = EdgeColoring({(u, w): col for u, w, col in edge_colors})
-    problems = coloring.validate(structure)
+    return BlackBoxTree(structure=structure, coloring=_loaded_coloring(structure, edge_colors),
+                        labels=np.array(labels, dtype=np.int64), label_bits=label_bits)
+
+
+def _loaded_coloring(structure: TreeStructure, edge_colors: list) -> EdgeColoring:
+    """The coloring of ``structure`` that ``edge_colors``' [u, w, color]
+    triples (u < w) name; any other set of triples is a ValueError."""
+    V = structure.vertex_count
+    edge_count = int(np.count_nonzero(structure.neighbors >= 0)) // 2
+    problems = [] if len(edge_colors) == edge_count else [
+        f"{len(edge_colors)} edge colors for {edge_count} edges"]
+    # with one triple per edge, a cell written twice leaves some edge
+    # without its cell, which validate reports
+    table = [[-1] * 10 for _ in range(V)]
+    for u, w, c in edge_colors:
+        if 0 <= u < w < V and 1 <= c <= 9:
+            table[u][c], table[w][c] = w, u
+        else:
+            problems.append(f"[{u}, {w}, {c}] is no pair u < w < {V} with a color in 1..9")
+    coloring = EdgeColoring(np.array(table, dtype=np.int64))
+    problems += coloring.validate(structure)
     if problems:
         raise ValueError("loaded coloring invalid: " + "; ".join(problems[:3]))
-    return BlackBoxTree(structure=structure, coloring=coloring,
-                        labels=np.array(labels, dtype=np.int64), label_bits=label_bits)
+    return coloring

@@ -164,7 +164,7 @@ def blind_walks(neighbors: np.ndarray, budget: int, trials: int,
 
     ``neighbors`` is a (V, 10) vertex-by-color table, -1 where a vertex has
     no edge of that color (``blind_table``, or a coloring's
-    ``tree.neighbor_table``); every welded-tree layout numbers the entrance
+    ``EdgeColoring.by_color``); every welded-tree layout numbers the entrance
     0.  One call draws every step's color, a uniform 1..9 per trial, and
     each step moves a walk along the edge of its color or leaves it in
     place where there is none.  Returns the (trials, budget + 1) vertices
@@ -183,7 +183,7 @@ def blind_walks(neighbors: np.ndarray, budget: int, trials: int,
 def blind_table(structure: TreeStructure) -> np.ndarray:
     """(V, 10) table for ``blind_walks``: row v holds v's neighbours at
     colors 1..deg v and -1 elsewhere.  It steps as every coloring's
-    ``tree.neighbor_table`` does: 1/9 to each neighbour, else in place."""
+    ``EdgeColoring.by_color`` does: 1/9 to each neighbour, else in place."""
     table = np.full((structure.vertex_count, 10), -1, dtype=np.int64)
     table[:, 1:4] = structure.neighbors
     return table

@@ -96,8 +96,8 @@ def dense_tier_vector(x: int, t: C.Tier, n: int, bbt) -> np.ndarray:
 def adjacency_matrix(structure) -> np.ndarray:
     """The welded tree's dense 0/1 adjacency matrix."""
     A = np.zeros((structure.vertex_count,) * 2)
-    for v, nbrs in enumerate(structure.adjacency):
-        A[v, list(nbrs)] = 1.0
+    for v, row in enumerate(structure.neighbors.tolist()):
+        A[v, [w for w in row if w >= 0]] = 1.0
     return A
 
 

@@ -82,7 +82,7 @@ def test_discovery_chunk_grades_by_distinct_vertices_reached(n, h):
     # a chunk hits where its guess falls below V - K, K the distinct vertices
     # a walk stood on; the walks and guesses come from the chunk's one stream
     structure = tree.generate_structure(n, 4)
-    neighbors = tree.neighbor_table(structure, tree.generate_coloring(structure, 4))
+    neighbors = tree.generate_coloring(structure, 4).by_color
     label_bits = tree.checked_label_bits(structure)
     trials = 3000
     hits = harness._discovery_chunk((neighbors, label_bits, h, 11, trials))

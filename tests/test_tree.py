@@ -23,8 +23,7 @@ from tree_tools import (eager_discovery_rate, edge_color, exit_label, labeled_bl
 def test_structure_counts_forced_at_n1():
     ts = tree.generate_structure(1, 0)
     assert ts.vertex_count == 6
-    assert len(ts.adjacency[ts.entrance]) == 2
-    assert len(ts.adjacency[ts.exit]) == 2
+    assert (ts.neighbors[[ts.entrance, ts.exit]] >= 0).sum(axis=1).tolist() == [2, 2]
     assert len(ts.weld_cycle) == 4
 
 
@@ -48,7 +47,7 @@ def test_weld_is_single_alternating_cycle_many_seeds():
         assert len(cyc) == 2 * 2 ** 3 and len(set(cyc)) == len(cyc)
         for i, v in enumerate(cyc):
             assert int(ts.column[v]) == (3 if i % 2 == 0 else 4)
-            assert cyc[(i + 1) % len(cyc)] in ts.adjacency[v]
+            assert cyc[(i + 1) % len(cyc)] in ts.neighbors[v]
 
 
 def test_structure_deterministic_per_seed():
@@ -69,7 +68,7 @@ def test_coloring_entrance_edges_distinct_n1():
     ts = tree.generate_structure(1, 3)
     col = tree.generate_coloring(ts, 3)
     e = ts.entrance
-    c1, c2 = (edge_color(col, e, w) for w in ts.adjacency[e])
+    c1, c2 = (edge_color(col, e, w) for w in ts.neighbors[e] if w >= 0)
     assert c1 != c2
 
 
@@ -174,7 +173,7 @@ def test_exit_label_n1_toy():
     assert ex != 0 and ex != b1.invalid
     v = b1.inverse[ex]
     assert int(b1.structure.column[v]) == 3
-    assert len(b1.structure.adjacency[v]) == 2
+    assert np.count_nonzero(b1.structure.neighbors[v] >= 0) == 2
 
 
 def test_exit_label(bbt3):
@@ -182,7 +181,7 @@ def test_exit_label(bbt3):
     assert ex != 0 and ex != bbt3.invalid
     v = bbt3.inverse[ex]
     assert int(bbt3.structure.column[v]) == 2 * bbt3.n + 1
-    assert len(bbt3.structure.adjacency[v]) == 2
+    assert np.count_nonzero(bbt3.structure.neighbors[v] >= 0) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +291,12 @@ def test_sample_membership_statistics(bbt2):
 # ---------------------------------------------------------------------------
 
 def _raw_tree(structure, coloring, labels=None) -> list:
-    """The raw layout, no canonicalize; json refuses numpy scalars."""
-    return [[list(nbrs) for nbrs in structure.adjacency], structure.weld_cycle,
-            sorted([u, w, c] for (u, w), c in coloring.edges.items()),
+    """The raw layout, no canonicalize, as the JSON lists of each vertex's
+    neighbours and of the [u, w, color] triples; json refuses numpy scalars."""
+    return [[[w for w in row if w >= 0] for row in structure.neighbors.tolist()],
+            structure.weld_cycle,
+            sorted([u, w, c] for u, row in enumerate(coloring.by_color.tolist())
+                   for c, w in enumerate(row) if u < w),
             None if labels is None else labels.tolist()]
 
 
@@ -350,6 +352,50 @@ def test_generate_coloring_stream_pinned():
             ts = tree.generate_structure(n, seed)
             parts.append(_raw_tree(ts, tree.generate_coloring(ts, seed)))
     assert _digest(parts) == "00584da36c14a42d"
+
+
+# sha256 prefixes of the arrays that hold a tree, recorded while adjacency
+# tuples and an edge dict still stood beside them: building the arrays
+# directly keeps every row, slot and color in place
+def _array_digest(parts) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part.encode() if isinstance(part, str) else part.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def test_structure_arrays_pinned():
+    parts = []
+    for n in range(1, 11):
+        for seed in (0, 1, 2):
+            structure = tree.generate_structure(n, seed)
+            parts += [structure.neighbors, structure.column]
+    assert _array_digest(parts) == "d41f7a23c08997ae"
+
+
+def test_coloring_tables_pinned():
+    parts = []
+    for n in range(1, 9):
+        for seed in (0, 1):
+            structure = tree.generate_structure(n, seed)
+            parts.append(tree.generate_coloring(structure, seed).by_color)
+    assert _array_digest(parts) == "e62932c38f5855f2"
+
+
+@pytest.mark.parametrize("mode, pin", [("structures", "53c107de60336895"),
+                                       ("labelings", "19ce65e6e9d04e29")])
+def test_sampled_arrays_pinned(mode, pin):
+    bbt = tree.make_blackbox(3, 1003)
+    fixed = dict(structure=bbt.structure, coloring=bbt.coloring) if mode == "labelings" else {}
+    parts = []
+    for s in range(20):
+        try:
+            samp = tree.sample_consistent(_pin_entries(bbt, s), 3, s, mode=mode, **fixed)
+        except tree.EmbeddingError as e:
+            parts.append(str(e))
+            continue
+        parts += [samp.structure.neighbors, samp.structure.column, samp.coloring.by_color]
+    assert _array_digest(parts) == pin
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +462,33 @@ def test_load_tree_rejects_malformed_documents(breakage, message):
     breakage(doc)
     with pytest.raises(ValueError, match=re.escape(message)):
         tree.load_tree(json.dumps(doc))
+
+
+def _repeat_a_color(doc):
+    # the entrance's two edges, 0-1 and 0-2, come first: give them one color
+    doc["edge_colors"][1][2] = doc["edge_colors"][0][2]
+
+
+def _move_an_edge(doc):
+    # edge 0-1 becomes the absent edge 0-13, in a color free at both its ends
+    used = {c for u, w, c in doc["edge_colors"][1:] if {u, w} & {0, 13}}
+    doc["edge_colors"][0] = [0, 13, min(set(range(1, 10)) - used)]
+
+
+@pytest.mark.parametrize("breakage", [
+    lambda d: d["edge_colors"][0].__setitem__(2, 0),
+    lambda d: d["edge_colors"][0].__setitem__(2, 10),
+    _repeat_a_color,
+    _move_an_edge,
+], ids=["color 0", "color 10", "a color twice at a vertex", "an absent edge"])
+def test_load_tree_rejects_improper_edge_colors(breakage):
+    # triples that would index the vertex-by-color table out of its range, or
+    # write one cell twice, are named as the coloring's fault
+    doc = json.loads(tree.save_tree(tree.make_blackbox(2, 0)))
+    breakage(doc)
+    with pytest.raises(ValueError) as info:
+        tree.load_tree(json.dumps(doc))
+    assert str(info.value).startswith("loaded coloring invalid")
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,7 @@ def test_blind_table_steps_as_every_coloring(n):
         structure = tree.generate_structure(n, seed)
         bare = _step_counts(walk.blind_table(structure))
         for coloring_seed in (seed, 7 + seed):
-            colored = tree.neighbor_table(structure,
-                                          tree.generate_coloring(structure, coloring_seed))
+            colored = tree.generate_coloring(structure, coloring_seed).by_color
             assert np.array_equal(bare, _step_counts(colored))
         # a table that drops one weld neighbour has another law
         u, w = structure.weld_cycle[:2]
@@ -185,19 +184,22 @@ def test_full_graph_state_bytes_pinned():
 
 
 def test_structure_neighbors_are_its_adjacency():
+    # the read-only (V, 3) array is the whole graph: an edge stands in the
+    # rows of both its ends, and only the entrance and exit have a -1 slot
     for n in (1, 3, 6):
         structure = tree.generate_structure(n, n)
         nbr = structure.neighbors
         assert nbr.shape == (structure.vertex_count, 3) and not nbr.flags.writeable
-        assert [tuple(w for w in row if w >= 0) for row in nbr.tolist()] == \
-            list(structure.adjacency)
+        edges = {(v, w) for v, row in enumerate(nbr.tolist()) for w in row if w >= 0}
+        assert edges == {(w, v) for v, w in edges}
+        assert (nbr < 0).any(axis=1).nonzero()[0].tolist() == [structure.entrance, structure.exit]
 
 
 def test_blind_walks_query_accounting():
     # every trial spends exactly the budget: one color, one query, per step,
     # and the stream gives up nothing more, so what a caller draws next is
     # fixed by (budget, trials) alone
-    nbr = tree.make_blackbox(3, 8).neighbor_by_color
+    nbr = tree.make_blackbox(3, 8).coloring.by_color
     for budget, trials in [(7, 50), (5, 40), (0, 3)]:
         rng, twin = np.random.default_rng(2), np.random.default_rng(2)
         path = walk.blind_walks(nbr, budget, trials, rng)
@@ -210,7 +212,7 @@ def test_blind_walks_follow_the_drawn_colors():
     # every step moves along the edge of its drawn color, and a color the
     # vertex lacks leaves the walk in place; colors come from 1..9
     bbt = tree.make_blackbox(3, 8)
-    nbr = bbt.neighbor_by_color
+    nbr = bbt.coloring.by_color
     path = walk.blind_walks(nbr, 7, 500, np.random.default_rng(0))
     colors = np.random.default_rng(0).integers(1, 10, size=(7, 500), dtype=np.uint8)
     assert path.shape == (500, 8) and (path[:, 0] == bbt.structure.entrance).all()
@@ -228,7 +230,7 @@ def test_blind_walks_are_label_space_walks(n, budget):
     # walker makes through the oracle with the same colors, bit for bit
     bbt = tree.make_blackbox(n, 5)
     trials = 300
-    path = walk.blind_walks(bbt.neighbor_by_color, budget, trials, np.random.default_rng(9))
+    path = walk.blind_walks(bbt.coloring.by_color, budget, trials, np.random.default_rng(9))
     colors = np.random.default_rng(9).integers(1, 10, size=(budget, trials), dtype=np.uint8)
     assert (bbt.labels[path] == label_walks(bbt, colors)).all()
 

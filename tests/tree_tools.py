@@ -13,7 +13,7 @@ def vertex_row(bbt, x: int) -> dict[int, int]:
 
 
 def edge_color(coloring, u: int, v: int) -> int:
-    return coloring.edges[(u, v) if u < v else (v, u)]
+    return int(np.flatnonzero(coloring.by_color[u] == v)[0])
 
 
 def exit_label(bbt) -> int:
@@ -68,7 +68,7 @@ class LabelingBatch:
                              f"the int64 lookup keys")
         self.labels = np.ascontiguousarray(labels, dtype=np.int64)
         self.label_bits = label_bits
-        self._neighbors = tree.neighbor_table(structure, coloring)
+        self._neighbors = coloring.by_color
         row = np.arange(rows, dtype=np.int64)
         self._label_base = row * V
         self._key_base = row << label_bits
