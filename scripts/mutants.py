@@ -64,6 +64,33 @@ MUTANTS = [
            "gather = term[first] + term[second]\n                gather += term[third]",
            "gather = term[third] + term[second]\n                gather += term[first]",
            ("tests/test_walk.py::test_full_graph_state_bytes_pinned",)),
+    Mutant("walk-moves-on-invalid", "walk.py",
+           "step_to = np.where(neighbors >= 0, neighbors, np.arange(V)[:, None]).ravel()",
+           "step_to = neighbors.ravel()",
+           ("tests/test_walk.py::test_blind_walks_follow_the_drawn_colors",)),
+    Mutant("walk-colors-from-zero", "walk.py",
+           "colors = rng.integers(1, 10, size=(budget, trials), dtype=np.uint8)",
+           "colors = rng.integers(0, 10, size=(budget, trials), dtype=np.uint8)",
+           ("tests/test_walk.py::test_blind_walks_follow_the_drawn_colors",)),
+    Mutant("discovery-grades-v-minus-k-plus-1", "harness.py",
+           "guess < len(neighbors) - reached", "guess < len(neighbors) - reached + 1",
+           ("tests/test_harness.py::test_discovery_chunk_grades_by_distinct_vertices_reached",)),
+    Mutant("toffoli-one-control", "statevec.py",
+           "if x & bits == bits:", "if x & bits:",
+           ("tests/test_hybrid_sim.py::test_classical_toffoli_truth_table",)),
+    Mutant("taylor-plus-i", "walk.py",
+           "-1j * h / j", "1j * h / j",
+           ("tests/test_walk.py::test_full_graph_matches_dense_eigh",)),
+    Mutant("seq-sum-compensated", "statevec.py",
+           "        return sum(values)\n", "        return math.fsum(values)\n",
+           ("tests/test_statevec.py::test_seq_sum_adds_left_to_right",)),
+    Mutant("self-answer-accepted", "tree.py",
+           "        if y == x:\n            loop = loop or", "        if False:\n            loop = loop or",
+           ("tests/test_tree.py::test_sample_rejects_an_entry_that_answers_itself",)),
+    Mutant("invalid-answers-dropped", "tree.py",
+           "            invalid.add((x, c))\n", "",
+           ("tests/test_tree.py::test_sample_rejection_messages_pinned",
+            "tests/test_tree.py::test_sampled_arrays_pinned")),
 ]
 
 

@@ -35,6 +35,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -401,72 +402,74 @@ def make_blackbox(n: int, seed: int) -> BlackBoxTree:
 # Sampling consistent black-box trees
 # ---------------------------------------------------------------------------
 
-def _check_entries(entries: KnownVertices) -> int:
-    """The label width that ``entries``' INVALID label names, once ``entries``
-    can come from a tree with labels that wide."""
-    label_bits = entries.invalid.bit_length()
-    inv = invalid_label(label_bits)
-    if entries.invalid != inv:
-        raise ValueError("entries INVALID label is not an all-ones string")
-    for (x, c) in entries.entries:
-        if x == inv:
-            raise ValueError("INVALID cannot be a queried vertex")
-        if not (1 <= c <= 9):
-            raise ValueError(f"color {c} out of range")
-    nbrs_of: dict[int, set[int]] = {}
-    for (x, _c), y in entries.entries.items():
-        if y != inv:
-            nbrs_of.setdefault(x, set()).add(y)
-    for x, nbrs in nbrs_of.items():
-        if len(nbrs) > 3:
-            raise ValueError(f"vertex {x:#x} has more than 3 distinct neighbours")
-    if len(entries.known_labels() | {0}) > (1 << label_bits) - 1:
-        raise ValueError("entries mention more labels than the space holds")
-    return label_bits
-
-
 class EmbeddingError(ValueError):
     """Entries cannot be embedded into the requested structure."""
 
 
-def _entry_edges(entries: KnownVertices) -> dict[int, dict[int, int]]:
-    """label -> {color: neighbour label} over non-INVALID answers, symmetrized."""
+class EntryGraph(NamedTuple):
+    """What a recorded-answer dictionary says about its tree, read once."""
+
+    label_bits: int
+    edges: dict[int, dict[int, int]]    # label -> {color: neighbour label}, symmetrized
+    invalid: set[tuple[int, int]]       # the (label, color) keys answered INVALID
+    labels: set[int]                    # every label the entries name but INVALID
+
+
+def read_entries(entries: KnownVertices) -> EntryGraph:
+    """One pass over ``entries``: the label width its INVALID label names and
+    the graph its answers record.  Form errors (``ValueError``) come before
+    graph errors (``EmbeddingError``), whichever entry holds them."""
+    label_bits = entries.invalid.bit_length()
+    inv = invalid_label(label_bits)
+    if entries.invalid != inv:
+        raise ValueError("entries INVALID label is not an all-ones string")
     edges: dict[int, dict[int, int]] = {}
+    answers: dict[int, set[int]] = {}
+    invalid: set[tuple[int, int]] = set()
+    clash = loop = ""                   # graph errors, raised after the form checks
     for (x, c), y in entries.entries.items():
-        if y == entries.invalid:
+        if x == inv:
+            raise ValueError("INVALID cannot be a queried vertex")
+        if not (1 <= c <= 9):
+            raise ValueError(f"color {c} out of range")
+        if y == inv:
+            invalid.add((x, c))
             continue
-        for (a, b) in ((x, y), (y, x)):
-            row = edges.setdefault(a, {})
-            if c in row and row[c] != b:
-                raise EmbeddingError(f"vertex {a:#x} has two {c}-neighbours")
-            row[c] = b
+        answers.setdefault(x, set()).add(y)
+        if y == x:
+            loop = loop or f"label {x:#x} answers itself at color {c}"
+        for a, b in ((x, y), (y, x)):
+            if edges.setdefault(a, {}).setdefault(c, b) != b:
+                clash = clash or f"vertex {a:#x} has two {c}-neighbours"
+    for x, ys in answers.items():
+        if len(ys) > 3:
+            raise ValueError(f"vertex {x:#x} has more than 3 distinct neighbours")
+    labels = set(edges).union(x for x, _c in invalid)
+    if len(labels | {0}) > (1 << label_bits) - 1:
+        raise ValueError("entries mention more labels than the space holds")
+    if clash:
+        raise EmbeddingError(clash)
     for a, row in edges.items():
         if len(set(row.values())) != len(row):
             raise EmbeddingError(f"vertex {a:#x} repeats a neighbour across colors")
-    return edges
+    if loop:
+        raise EmbeddingError(loop)
+    return EntryGraph(label_bits, edges, invalid, labels)
 
 
-def _invalid_pairs(entries: KnownVertices) -> set[tuple[int, int]]:
-    return {(x, c) for (x, c), y in entries.entries.items() if y == entries.invalid}
-
-
-def embed_entries(entries: KnownVertices, bbt_structure: TreeStructure,
+def embed_entries(graph: EntryGraph, bbt_structure: TreeStructure,
                   coloring: EdgeColoring) -> dict[int, int]:
     """Place entry labels onto a fixed (structure, coloring); forced and unique.
 
     Starting at the entrance, every recorded edge follows the structure's
     c-edge deterministically (incident colors are distinct).  Raises
     EmbeddingError when an edge is missing, an INVALID answer contradicts an
-    existing edge, the placement collides, or a key is unreachable from the
+    existing edge, the placement collides, or a label is unreachable from the
     entrance.
     """
-    inv = entries.invalid
-    edges = _entry_edges(entries)
-    nbc = coloring.by_color
-
+    edges, nbc = graph.edges, coloring.by_color
     pos: dict[int, int] = {0: bbt_structure.entrance}
     stack = [0]
-    seen = {0}
     while stack:
         x = stack.pop()
         for c, y in edges.get(x, {}).items():
@@ -478,19 +481,12 @@ def embed_entries(entries: KnownVertices, bbt_structure: TreeStructure,
                     raise EmbeddingError(f"label {y:#x} placed twice inconsistently")
             else:
                 pos[y] = w
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    unreached = set(edges) - set(pos)
-    if entries.key_labels() - set(pos):
+                stack.append(y)
+    if graph.labels - pos.keys():
         raise EmbeddingError("entries are not an entrance-rooted subtree")
-    if unreached:
-        raise EmbeddingError("entries contain labels unreachable from the entrance")
     if len(set(pos.values())) != len(pos):
         raise EmbeddingError("two labels map to the same vertex")
-    for (x, c) in _invalid_pairs(entries):
-        if x == inv or x not in pos:
-            continue
+    for (x, c) in graph.invalid:
         if int(nbc[pos[x]][c]) >= 0:
             raise EmbeddingError(f"recorded INVALID at ({x:#x}, {c}) but edge exists")
     return pos
@@ -534,21 +530,24 @@ def sample_consistent(entries: KnownVertices, n: int, seed: int, *,
     colors pinned, and remaining labels drawn uniformly.  Approximately
     uniform over consistent trees; the approximation is documented rather
     than hidden.
+
+    ``read_entries`` reads the dictionary once, before placement; every
+    sampled tree is then checked by replaying each entry against it.
     """
-    label_bits = _check_entries(entries)
+    if mode not in ("labelings", "structures"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "labelings" and (structure is None or coloring is None):
+        raise ValueError("labelings mode requires the fixed structure and coloring")
+    graph = read_entries(entries)
     rng = make_rng(seed, "sample_consistent")
     if mode == "labelings":
-        if structure is None or coloring is None:
-            raise ValueError("labelings mode requires the fixed structure and coloring")
-        pos = embed_entries(entries, structure, coloring)
+        pos = embed_entries(graph, structure, coloring)
         labels = _fill_labels(structure, {lab: v for lab, v in pos.items() if lab != 0},
-                              rng, label_bits)
+                              rng, graph.label_bits)
         bbt = BlackBoxTree(structure=structure, coloring=coloring, labels=labels,
-                           label_bits=label_bits)
-    elif mode == "structures":
-        bbt = _sample_structure_mode(entries, n, rng, label_bits)
+                           label_bits=graph.label_bits)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        bbt = _sample_structure_mode(graph, n, rng)
     _replay_entries(entries, bbt)
     return bbt
 
@@ -562,16 +561,11 @@ def _replay_entries(entries: KnownVertices, bbt: BlackBoxTree) -> None:
                 f"{got:#x} != {y:#x}")
 
 
-def _sample_structure_mode(entries: KnownVertices, n: int, rng,
-                           label_bits: int) -> BlackBoxTree:
-    edges = _entry_edges(entries)
-    inv = invalid_label(label_bits)
-    labels_in_play = sorted(set(edges) | entries.key_labels() | {0})
-    if any(lab == inv for lab in labels_in_play):
-        raise EmbeddingError("INVALID appears as a vertex")
-
+def _sample_structure_mode(graph: EntryGraph, n: int, rng) -> BlackBoxTree:
+    edges = graph.edges
+    labels_in_play = sorted(graph.labels | {0})
     invalid_counts: dict[int, int] = {}
-    for (x, _c) in _invalid_pairs(entries):
+    for (x, _c) in graph.invalid:
         invalid_counts[x] = invalid_counts.get(x, 0) + 1
     degree_bounds = {}
     for lab in labels_in_play:
@@ -582,11 +576,11 @@ def _sample_structure_mode(entries: KnownVertices, n: int, rng,
         degree_bounds[lab] = (lo, hi)
     cols = _assign_columns(edges, labels_in_play, n, rng, degree_bounds)
     structure, vid = _complete_structure(edges, cols, n, rng)
-    coloring = _complete_coloring(structure, entries, edges, vid, rng)
+    coloring = _complete_coloring(structure, graph, vid, rng)
     labels = _fill_labels(structure, {lab: v for lab, v in vid.items() if lab != 0},
-                          rng, label_bits)
+                          rng, graph.label_bits)
     return BlackBoxTree(structure=structure, coloring=coloring, labels=labels,
-                        label_bits=label_bits)
+                        label_bits=graph.label_bits)
 
 
 def _assign_columns(edges: dict[int, dict[int, int]], labels_in_play: list[int],
@@ -816,21 +810,18 @@ def _complete_weld(adj: list[set[int]], l_leaves: range, r_leaves: range,
     return chain if chain[0] in l_set else chain[1:] + chain[:1]
 
 
-def _complete_coloring(structure: TreeStructure, entries: KnownVertices,
-                       edges: dict[int, dict[int, int]], vid: dict[int, int],
-                       rng) -> EdgeColoring:
+def _complete_coloring(structure: TreeStructure, graph: EntryGraph,
+                       vid: dict[int, int], rng) -> EdgeColoring:
     """Complete a proper edge coloring around the entries' pinned colors."""
     pinned: dict[tuple[int, int], int] = {}
-    for x, row in edges.items():
+    for x, row in graph.edges.items():
         u = vid[x]
         for c, y in row.items():
             w = vid[y]
-            if pinned.setdefault((u, w) if u < w else (w, u), c) != c:
-                raise EmbeddingError("entry edge colors contradict each other")
+            pinned[(u, w) if u < w else (w, u)] = c
     forbid: dict[int, int] = {}         # vertex -> mask of its INVALID colors
-    for (x, c), y in entries.entries.items():
-        if y == entries.invalid and x in vid:
-            forbid[vid[x]] = forbid.get(vid[x], 0) | 1 << c
+    for (x, c) in graph.invalid:
+        forbid[vid[x]] = forbid.get(vid[x], 0) | 1 << c
     try:
         coloring = _greedy_edge_coloring(structure, rng, pinned=pinned, forbid=forbid)
     except ValueError as e:

@@ -314,7 +314,7 @@ def test_criterion_9_bottleneck():
     for lab in sorted(V.known_labels() - V.key_labels())[:3]:
         V.set_vertex(lab, vertex_row(bbt, lab))
     x = BN.replay_prefix(circ, bbt, tape, 1)
-    pos = tree.embed_entries(V, bbt.structure, bbt.coloring)
+    pos = tree.embed_entries(tree.read_entries(V), bbt.structure, bbt.coloring)
     free_vs = [v for v in range(14) if v not in pos.values()]
     avail = sorted(set(range(1, 15)) - V.known_labels())
     accepted, valid_counts = 0, {}

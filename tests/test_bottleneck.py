@@ -296,7 +296,7 @@ def test_estimators_match_enumeration(bbt2):
         V.set_vertex(lab, vertex_row(bbt2, lab))
     x = BN.replay_prefix(circ, bbt2, env.tape, 1)
 
-    pos = tree.embed_entries(V, bbt2.structure, bbt2.coloring)
+    pos = tree.embed_entries(tree.read_entries(V), bbt2.structure, bbt2.coloring)
     free_vs = [v for v in range(bbt2.structure.vertex_count) if v not in pos.values()]
     avail = sorted(set(range(1, 15)) - V.known_labels())
     count = math.perm(len(avail), len(free_vs))

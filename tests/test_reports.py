@@ -16,9 +16,9 @@ neighbour table: each step still moves to each neighbour with probability
 are drawn in one call per chunk, and a chunk holds
 ``walk.batch_trials(h + 1)`` trials, so the 20,000 trials of each
 ``discovery -n 3`` cell run in 1, 2 and 6 chunks at h=1, 4 and 16.
-Against the exact rates 259/576 = 0.44965, 0.439384 and 0.403222, h=1
-reads 0.91 sigma below (z = -0.91), h=4 1.42 sigma below (z = -1.42) and
-h=16 0.68 sigma above (z = +0.68).
+Against the exact rates of the cells' own structures, 259/576 = 0.44965,
+0.439384 and 0.4032091, h=1 reads 0.91 sigma below (z = -0.91), h=4 1.42
+sigma below (z = -1.42) and h=16 0.69 sigma above (z = +0.69).
 """
 from __future__ import annotations
 

@@ -224,6 +224,27 @@ def test_tv_distance_sums_left_to_right():
     assert SV.tv_distance({0: 1.0, 1: 1e-16, 2: 1e-16}, {}) == 0.5
 
 
+def _left_to_right(values) -> float:
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 64, 1024])
+def test_seq_sum_adds_left_to_right(size):
+    # magnitudes spread over 30 decades, so a compensated or pairwise sum
+    # differs from the loop in its last bits
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        values = (rng.standard_normal(size) * 10.0 ** rng.integers(-15, 15, size)).tolist()
+        want = _left_to_right(values)
+        assert SV.seq_sum(values) == want
+        assert SV.seq_sum(v for v in values) == want
+        assert SV.seq_sum(dict(enumerate(values)).values()) == want
+        assert SV.seq_sum(np.array(values)) == want
+
+
 def test_query_free_circuit_independent_of_tree():
     rng = np.random.default_rng(4)
     circ = random_hybrid(rng, n=2, g=10, eta=3, max_c=2, max_q=2, p_query=0.0)

@@ -230,7 +230,7 @@ def test_sample_labelings_mode_uniform_over_free_labels(bbt2):
         if int(s.column[v]) <= s.n:
             lab = int(bbt2.labels[v])
             V.set_vertex(lab, vertex_row(bbt2, lab))
-    pos = tree.embed_entries(V, s, bbt2.coloring)
+    pos = tree.embed_entries(tree.read_entries(V), s, bbt2.coloring)
     free_count = s.vertex_count - len(pos)
     avail = (1 << 4) - 1 - len(V.known_labels() | {0})
     assert free_count == 3 and avail == free_count + 1
@@ -283,6 +283,54 @@ def test_sample_membership_statistics(bbt2):
                                       structure=bbt2.structure,
                                       coloring=bbt2.coloring)
         assert set(V.known_labels()) <= set(int(x) for x in samp.labels)
+
+
+# the bbt2 entrance (label 0) has edges of colors 1 and 5 only; 15 is INVALID
+_BOTH = ("structures", "labelings")
+
+
+@pytest.mark.parametrize("modes, entries, error", [
+    (_BOTH, KnownVertices(14, {(0, 1): 3}),
+     "ValueError: entries INVALID label is not an all-ones string"),
+    (_BOTH, KnownVertices(15, {(0, 1): 3, (15, 2): 3}),
+     "ValueError: INVALID cannot be a queried vertex"),
+    (_BOTH, KnownVertices(15, {(0, 0): 3}), "ValueError: color 0 out of range"),
+    (_BOTH, KnownVertices(15, {(0, 10): 3}), "ValueError: color 10 out of range"),
+    (_BOTH, KnownVertices(15, {(0, 1): 1, (0, 2): 2, (0, 3): 3, (0, 4): 4}),
+     "ValueError: vertex 0x0 has more than 3 distinct neighbours"),
+    (_BOTH, KnownVertices(3, {(0, 1): 1, (1, 2): 2, (2, 3): 4}),
+     "ValueError: entries mention more labels than the space holds"),
+    (_BOTH, KnownVertices(15, {(0, 1): 1, (2, 1): 1}),
+     "EmbeddingError: vertex 0x1 has two 1-neighbours"),
+    (_BOTH, KnownVertices(15, {(0, 1): 1, (0, 2): 1}),
+     "EmbeddingError: vertex 0x0 repeats a neighbour across colors"),
+    # a form error in a later entry is reported before an earlier graph error
+    (_BOTH, KnownVertices(15, {(0, 1): 1, (2, 1): 1, (3, 10): 4}),
+     "ValueError: color 10 out of range"),
+    (("structures",), KnownVertices(15, {(0, 1): 1, **{(1, c): 15 for c in range(1, 10)}}),
+     "EmbeddingError: vertex 0x1 has contradictory degree evidence"),
+    (("labelings",), KnownVertices(15, {(0, 2): 1}),
+     "EmbeddingError: structure has no 2-edge at placed vertex for 0x0"),
+    (("labelings",), KnownVertices(15, {(0, 1): 15}),
+     "EmbeddingError: recorded INVALID at (0x0, 1) but edge exists"),
+])
+def test_sample_rejection_messages_pinned(bbt2, modes, entries, error):
+    fixed = dict(structure=bbt2.structure, coloring=bbt2.coloring)
+    for mode in modes:
+        with pytest.raises(ValueError) as info:
+            tree.sample_consistent(entries, 2, 0, mode=mode,
+                                   **(fixed if mode == "labelings" else {}))
+        assert f"{type(info.value).__name__}: {info.value}" == error
+
+
+@pytest.mark.parametrize("mode", _BOTH)
+def test_sample_rejects_an_entry_that_answers_itself(bbt2, mode):
+    # a loop: no welded tree has one, whatever the seed
+    fixed = dict(structure=bbt2.structure, coloring=bbt2.coloring) if mode == "labelings" else {}
+    V = KnownVertices(15, {(0, 1): 5, (5, 2): 5})
+    for s in range(5):
+        with pytest.raises(tree.EmbeddingError, match=re.escape("label 0x5 answers itself at color 2")):
+            tree.sample_consistent(V, 2, s, mode=mode, **fixed)
 
 
 # ---------------------------------------------------------------------------
