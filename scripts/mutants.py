@@ -81,9 +81,6 @@ MUTANTS = [
     Mutant("taylor-plus-i", "walk.py",
            "-1j * h / j", "1j * h / j",
            ("tests/test_walk.py::test_full_graph_matches_dense_eigh",)),
-    Mutant("seq-sum-compensated", "statevec.py",
-           "        return sum(values)\n", "        return math.fsum(values)\n",
-           ("tests/test_statevec.py::test_seq_sum_adds_left_to_right",)),
     Mutant("self-answer-accepted", "tree.py",
            "        if y == x:\n            loop = loop or", "        if False:\n            loop = loop or",
            ("tests/test_tree.py::test_sample_rejects_an_entry_that_answers_itself",)),

@@ -62,7 +62,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -101,14 +100,11 @@ def use_arrays(support: int, width: int) -> bool:
 def seq_sum(values):
     """Left-to-right sum from 0, as CPython 3.11's ``sum`` adds floats.
 
-    An array is summed with ``np.cumsum``; anything else with builtin ``sum``
-    before Python 3.12, which boxes no partial sum, and with ``reduce`` from
-    3.12 on, where ``sum`` compensates.  Empty input gives the int 0.
+    An array is summed with ``np.cumsum``; anything else with ``reduce``.
+    Empty input gives the int 0, as ``sum`` does.
     """
     if isinstance(values, np.ndarray):
         return float(np.cumsum(values)[-1]) if values.size else 0
-    if sys.version_info < (3, 12):
-        return sum(values)
     return functools.reduce(operator.add, values, 0)
 
 

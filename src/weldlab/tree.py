@@ -534,20 +534,20 @@ def sample_consistent(entries: KnownVertices, n: int, seed: int, *,
     ``read_entries`` reads the dictionary once, before placement; every
     sampled tree is then checked by replaying each entry against it.
     """
-    if mode not in ("labelings", "structures"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "labelings" and (structure is None or coloring is None):
-        raise ValueError("labelings mode requires the fixed structure and coloring")
     graph = read_entries(entries)
     rng = make_rng(seed, "sample_consistent")
     if mode == "labelings":
+        if structure is None or coloring is None:
+            raise ValueError("labelings mode requires the fixed structure and coloring")
         pos = embed_entries(graph, structure, coloring)
         labels = _fill_labels(structure, {lab: v for lab, v in pos.items() if lab != 0},
                               rng, graph.label_bits)
         bbt = BlackBoxTree(structure=structure, coloring=coloring, labels=labels,
                            label_bits=graph.label_bits)
-    else:
+    elif mode == "structures":
         bbt = _sample_structure_mode(graph, n, rng)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     _replay_entries(entries, bbt)
     return bbt
 

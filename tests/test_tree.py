@@ -323,6 +323,19 @@ def test_sample_rejection_messages_pinned(bbt2, modes, entries, error):
         assert f"{type(info.value).__name__}: {info.value}" == error
 
 
+@pytest.mark.parametrize("entries, error", [
+    (KnownVertices(15, {(0, 10): 3}), "color 10 out of range"),
+    (KnownVertices(15, {(0, 1): 3}), "unknown mode 'walk'"),
+])
+def test_sample_reads_entries_before_its_mode(entries, error):
+    # a form error in the dictionary is reported before a bad mode argument
+    with pytest.raises(ValueError, match=re.escape(error)):
+        tree.sample_consistent(entries, 2, 0, mode="walk")
+    if "mode" not in error:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            tree.sample_consistent(entries, 2, 0, mode="labelings")
+
+
 @pytest.mark.parametrize("mode", _BOTH)
 def test_sample_rejects_an_entry_that_answers_itself(bbt2, mode):
     # a loop: no welded tree has one, whatever the seed
