@@ -88,6 +88,23 @@ MUTANTS = [
            "            invalid.add((x, c))\n", "",
            ("tests/test_tree.py::test_sample_rejection_messages_pinned",
             "tests/test_tree.py::test_sampled_arrays_pinned")),
+    Mutant("short-weld-cycle-accepted", "tree.py",
+           "return not _closes_short_weld_cycle(edges, cols, n)", "return True",
+           ("tests/test_tree.py::test_sample_structures_mode_completes_walk_dictionaries",)),
+    Mutant("never-prune", "statevec.py",
+           "            amps = _prune(amps)\n", "            pass\n",
+           ("tests/test_kernels.py::test_cancelled_amplitudes_pruned_after_h_layers",)),
+    Mutant("validate-every-require-valid", "circuits.py",
+           "problems = circuit.problems", "problems = validate(circuit)",
+           ("tests/test_hybrid_sim.py::test_each_circuit_object_validated_once",)),
+    Mutant("uncached-norm", "statevec.py",
+           "if self._norm_sq is None:", "if True:",
+           ("tests/test_kernels.py::test_wire_only_layers_reuse_amplitudes_and_norm",
+            "tests/test_kernels.py::test_each_state_norm_summed_once_and_no_prune_without_h")),
+    Mutant("queries-in-stored-order", "statevec.py",
+           "queries = lay.split[1].gates",
+           "queries = [g for g in lay.gates if g.kind == C.GateKind.QUERY]",
+           ("tests/test_hybrid_sim.py::test_classical_layer_learns_in_first_wire_order",)),
 ]
 
 

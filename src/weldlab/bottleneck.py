@@ -160,9 +160,6 @@ class Abort(Exception):
         super().__init__(reason)
         self.reason = reason
 
-    def __repr__(self):
-        return f"Abort({self.reason!r})"
-
 
 @dataclass
 class BottleneckResult:
@@ -527,8 +524,8 @@ class _BottleneckTiers:
 
 
 def bottleneck_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree, seed: int = 0,
-                       cfg: BottleneckConfig | None = None,
-                       tape: SeedTape | None = None) -> BottleneckResult:
+                       cfg: BottleneckConfig | None = None, *,
+                       tape: SeedTape) -> BottleneckResult:
     """Iterative composition of bottlenecked tier simulations (all-quantum).
 
     On ABORT the result carries a uniformly random label as the exit guess.
@@ -537,9 +534,6 @@ def bottleneck_wrapper(circuit: C.HybridCircuit, bbt: BlackBoxTree, seed: int = 
     if not circuit.all_quantum:
         raise ValueError("bottleneck pipeline expects the all-quantum-tier variant")
     cfg = cfg or BottleneckConfig()
-    if tape is None:
-        tape = SeedTape.generate(seed, circuit.n, circuit.eta,
-                                 max(C.accounting(circuit).max_quantum_depth, 1), circuit.g)
     env = EstimatorEnv(circuit=circuit, tape=tape, seed=seed,
                        structure=bbt.structure if cfg.mode == "labelings" else None,
                        coloring=bbt.coloring if cfg.mode == "labelings" else None)

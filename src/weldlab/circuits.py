@@ -125,12 +125,6 @@ class Tier:
         return len(self.layers)
 
 
-def tier(kind: str, layers_: list[Layer]) -> Tier:
-    if not layers_:
-        raise ValueError("use Tier(...) directly for empty tiers")
-    return Tier(kind, tuple(layers_), layers_[0].width_in, layers_[-1].width_out)
-
-
 class _Validated:
     """A frozen circuit's ``validate`` diagnostics, computed on first use."""
 

@@ -30,7 +30,9 @@ state, never materialized over all basis strings; support-restricted
 evaluation is pointwise identical on the states it is applied to.  It is
 the ``answer`` policy handed to the executor's query kernel, and
 ``SimContext`` is the oracle policy under which the executor's tier drivers
-run the simulators.
+run the simulators.  The wrappers run only circuits ``circuits.validate``
+accepts, and the drivers pick a tier's step by its kind, so no step here
+checks a tier's kind or its gates' kinds again.
 """
 from __future__ import annotations
 
@@ -172,9 +174,6 @@ def simulate_oracle(V: KnownVertices, ctx: SimContext, lt: C.Layer, support,
     has gathered them.  perfbench's tracer reads ``support`` as the fourth
     positional argument.
     """
-    for g in lt.gates:
-        if g.kind != C.GateKind.QUERY:
-            raise ValueError("simulate_oracle expects a query-only layer")
     if not lt.gates:
         # no query gate: the identity, which asks and learns nothing
         if isinstance(support, np.ndarray):
@@ -281,8 +280,6 @@ def _quantum_tier_state(t: C.Tier, x: int, V: KnownVertices, ctx: SimContext,
     Layers run through ``layer_sim`` (default ``quantum_layer_sim``); then the
     4^d|V| ceiling is asserted and the queries booked.
     """
-    if t.kind != "quantum":
-        raise ValueError("quantum tier expected")
     layer_sim = layer_sim or quantum_layer_sim
     size_in = V.size()
     q_before = ctx.transcript.queries
@@ -300,8 +297,6 @@ def _quantum_tier_state(t: C.Tier, x: int, V: KnownVertices, ctx: SimContext,
 def classical_tier_sim(t: C.Tier, x: int, V: KnownVertices,
                        ctx: SimContext) -> tuple[int, KnownVertices]:
     """Deterministic classical tier with the same query substitution rules."""
-    if t.kind != "classical":
-        raise ValueError("classical tier expected")
     q_before = ctx.transcript.queries
     width = max((lay.working_width for lay in t.layers), default=t.width_in)
     out = x

@@ -69,6 +69,3 @@ class KnownVertices:
 
     def is_key_subset_of(self, other: "KnownVertices") -> bool:
         return self.key_labels() <= other.key_labels()
-
-    def __len__(self) -> int:
-        return len(self.entries)

@@ -328,15 +328,14 @@ def gather_queries(keys: np.ndarray, regs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def query_keys(keys: np.ndarray, regs, answer_many, queries=None) -> np.ndarray:
-    """``query_map`` over an int64 key array: each key's image, aligned.
+    """``query_map`` over an int64 key array and at least one query gate:
+    each key's image, aligned.
 
     ``answer_many(xs, cs)`` answers arrays of shape (keys, gates); their
     row-major order is the order in which ``query_map`` asks its policy.
     ``queries`` is ``gather_queries(keys, regs)`` when the caller has
     gathered it already, to ask a second oracle of the same keys.
     """
-    if not regs:
-        return keys
     ans = answer_many(*(queries or gather_queries(keys, regs)))
     moved = keys.copy()
     for g, (_px, _pc, py) in enumerate(regs):
@@ -542,11 +541,10 @@ def sample_outcome(probs: dict[int, float], u: float) -> int:
 
 def eval_classical_layer(x: int, lay: C.Layer, n: int | None, answer) -> int:
     """A classical layer on the bitstring ``x``: its plan's Toffoli steps,
-    then its query registers through ``query_map`` with the policy ``answer``."""
+    then its query registers through ``query_map`` with the policy ``answer``.
+    ``circuits.validate`` allows no H or P gate in a classical layer."""
     plan = layer_plan(lay, lay.width_in, tuple(range(lay.width_in)), n)
-    for kind, bits, t_bit in plan.steps:
-        if kind != C.GateKind.TOFFOLI:
-            raise ValueError(f"{kind.value} in a classical layer")
+    for _kind, bits, t_bit in plan.steps:
         if x & bits == bits:
             x ^= t_bit
     return query_map([x], plan.regs, answer)[x] & ((1 << lay.width_out) - 1)
@@ -572,8 +570,6 @@ class TrueOracle:
     handle: OracleHandle | None = None
 
     def classical_tier(self, i: int, t: C.Tier, x: int, known):
-        if t.kind != "classical":
-            raise ValueError("classical tier expected")
         answer = self.handle.query if self.handle is not None else self.bbt.answer
         for lay in t.layers:
             x = eval_classical_layer(x, lay, self.n, answer)
@@ -584,8 +580,6 @@ class TrueOracle:
 
     def quantum_tier(self, i: int, t: C.Tier, x: int, known):
         """Outcome distribution of quantum tier ``t`` from basis input ``x``."""
-        if t.kind != "quantum":
-            raise ValueError("quantum tier expected")
         state = PureState.basis(t.width_in, x)
         for li, lay in enumerate(t.layers):
             state, known = self.layer(i, li, lay, state, known)

@@ -14,6 +14,11 @@ def query_gate(n: int, base: int = 0) -> C.Gate:
     return C.Gate(C.GateKind.QUERY, tuple(range(base, base + 4 * n + 4)))
 
 
+def tier(kind: str, layers: list[C.Layer]) -> C.Tier:
+    """A tier of ``layers`` (at least one), its widths read from its ends."""
+    return C.Tier(kind, tuple(layers), layers[0].width_in, layers[-1].width_out)
+
+
 def total_quantum_layers(circuit: C.Circuit) -> int:
     return sum(t.depth for t in C._iter_tiers(circuit) if t.kind == "quantum")
 
@@ -86,7 +91,7 @@ def random_hybrid(rng, n: int, g: int, eta: int, max_c: int, max_q: int,
             else:
                 layers.append(random_classical_layer(rng, g, n, p_query))
         kind = "quantum" if quantum else "classical"
-        tiers.append(C.tier(kind, layers))
+        tiers.append(tier(kind, layers))
     circ = C.HybridCircuit(n=n, g=g, tiers=tuple(tiers), all_quantum=all_quantum)
     C.require_valid(circ)
     return circ
@@ -105,11 +110,11 @@ def random_jozsa(rng, n: int, g: int, eta: int, max_c: int, max_q: int,
         depth = int(rng.integers(1, max_q + 1))
         while len(layers) < depth:
             layers.append(random_quantum_layer(rng, g, n, p_query))
-        qts.append(C.tier("quantum", layers))
+        qts.append(tier("quantum", layers))
         cdepth = int(rng.integers(1, max_c + 1))
         clayers = [random_classical_layer(rng, half, n, p_query)
                    for _ in range(cdepth)]
-        cts.append(C.tier("classical", clayers))
+        cts.append(tier("classical", clayers))
     circ = C.JozsaCircuit(n=n, g=g, quantum_tiers=tuple(qts),
                           classical_tiers=tuple(cts))
     C.require_valid(circ)
@@ -128,8 +133,8 @@ def entrance_query_circuit(n: int, extra_h: int = 2) -> C.HybridCircuit:
     h_wires += [4 * n + 4 + j for j in range(extra_h)]
     h_layer = C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in h_wires])
     q_layer = C.layer(g, [query_gate(n)])
-    c1 = C.tier("classical", [grow])
-    q1 = C.tier("quantum", [h_layer, q_layer])
+    c1 = tier("classical", [grow])
+    q1 = tier("quantum", [h_layer, q_layer])
     return C.HybridCircuit(n=n, g=g, tiers=(c1, q1))
 
 
@@ -158,6 +163,6 @@ def hardcoded_guess_circuit(n: int, guess: int, color: int | None = None,
         layers.append(C.layer(g, [query_gate(n)]))
         layers.append(C.layer(g, [query_gate(n)]))  # uncompute keeps y clean
     layers.pop()  # leave the final query's answer in y
-    c1 = C.tier("classical", [grow])
-    q1 = C.tier("quantum", layers)
+    c1 = tier("classical", [grow])
+    q1 = tier("quantum", layers)
     return C.HybridCircuit(n=n, g=g, tiers=(c1, q1))

@@ -25,7 +25,7 @@ from weldlab.rng import derive_seed
 
 from circuit_gen import (entrance_query_circuit, hardcoded_guess_circuit,
                          random_hybrid, random_jozsa, random_quantum_layer,
-                         total_quantum_layers)
+                         tier, total_quantum_layers)
 from dense_reference import dense_tier_state
 from tree_tools import vertex_row
 
@@ -103,7 +103,7 @@ def test_criterion_3_executor_exactness():
         W = int(rng.integers(2, 11))
         depth = int(rng.integers(1, 4))
         layers = [random_quantum_layer(rng, W, n=77, p_query=0) for _ in range(depth)]
-        t = C.tier("quantum", layers)
+        t = tier("quantum", layers)
         x = int(rng.integers(0, 1 << W))
         state = SV.PureState.basis(W, x)
         for lay in t.layers:

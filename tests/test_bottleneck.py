@@ -17,7 +17,7 @@ from weldlab import tree
 from weldlab.known import KnownVertices
 from weldlab.rng import derive_seed
 
-from circuit_gen import _x_layers, query_gate, random_hybrid
+from circuit_gen import _x_layers, query_gate, random_hybrid, tier
 from tree_tools import vertex_row
 
 
@@ -218,6 +218,8 @@ def test_merge_idempotent_order_insensitive():
     bad = KnownVertices(inv, {(0, 1): 9})
     with pytest.raises(ValueError):
         a.merge(bad)
+    with pytest.raises(ValueError, match="cannot merge KnownVertices with different INVALID labels"):
+        a.merge(KnownVertices(7, {(0, 1): 3}))
 
 
 def test_key_labels_follow_every_write():
@@ -329,6 +331,17 @@ def test_estimators_match_enumeration(bbt2):
     assert abs(est.value - exact_ratio) <= 3 * max(est.stderr, 0.01)
 
 
+def test_membership_inconclusive_where_no_tree_gives_the_transcript(bbt2):
+    # a query-free circuit replays alike on every tree, so no tree reproduces
+    # any other transcript, and no label's membership can be estimated
+    circ = _allq(np.random.default_rng(8), p_query=0.0)
+    env = _env_for(circ, bbt2, 13)
+    other = BN.replay_prefix(circ, bbt2, env.tape, 1) ^ 1
+    est = BN.estimate_membership_probability(KnownVertices(bbt2.invalid), other, 1, 1, env,
+                                             BN.BottleneckConfig(sample_budget=8))
+    assert (est.value, est.stderr, est.accepted, est.attempted) == (None, None, 0, 8)
+
+
 def _spy(monkeypatch, name: str) -> list:
     """The argument tuples of every call to ``BN.<name>`` from now on."""
     calls, real = [], getattr(BN, name)
@@ -413,7 +426,7 @@ def _array_consult_circuit(n=2, g=12):
     grow = C.Layer(n, g, tuple(C.Gate(C.GateKind.ANCILLA, (w,)) for w in range(n, g)))
     h = C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in (1, 2, 3, *range(2 * n, 2 * n + 4))])
     circ = C.HybridCircuit(n=n, g=g, all_quantum=True, tiers=(
-        C.tier("quantum", [grow, h, C.layer(g, [query_gate(n)])]),))
+        tier("quantum", [grow, h, C.layer(g, [query_gate(n)])]),))
     C.require_valid(circ)
     return circ
 
@@ -444,6 +457,39 @@ def test_bottleneck_keeps_entrance_dictionary_on_query_free_circuit(bbt2):
     out = BN.bottleneck(0, 0, V.copy(), V.copy(), env, BN.BottleneckConfig())
     assert not isinstance(out, BN.Abort)
     assert out.entries == V.entries
+
+
+def test_bottleneck_rejects_current_keys_outside_the_history(bbt2):
+    circ = _allq(np.random.default_rng(15), p_query=0.0)
+    V = HS.entrance_known(HS.SimContext.fresh(bbt2))
+    with pytest.raises(ValueError, match="V_current must be a key-subset of V_hist"):
+        BN.bottleneck(0, 0, V, KnownVertices(bbt2.invalid), _env_for(circ, bbt2, 19),
+                      BN.BottleneckConfig())
+
+
+def test_certify_round_adopts_a_violators_full_row(bbt2):
+    # V knows the left tree's rows and V_hist every row: each label a round
+    # can certify lies in the right tree, a key of V_hist, and the round
+    # adopts its whole row
+    circ = _allq(np.random.default_rng(15), p_query=0.0)
+    s = bbt2.structure
+    V, hist = KnownVertices(bbt2.invalid), KnownVertices(bbt2.invalid)
+    for v, lab in enumerate(bbt2.labels.tolist()):
+        hist.set_vertex(lab, vertex_row(bbt2, lab))
+        if s.column[v] <= s.n:
+            V.set_vertex(lab, vertex_row(bbt2, lab))
+    rec = BN.CallRecord(tier=0, layer=-1, iterations=0, aborted=False, v_current=V.size(),
+                        v_out=0, v_hist=hist.size(), ratio=None)
+    cfg = BN.BottleneckConfig(tau=0.75, sample_budget=3, fresh_candidates=0)
+    out = BN.bottleneck(0, 0, V, hist, _env_for(circ, bbt2, 19), cfg, record=rec)
+    assert rec.iterations > 0 and out.size() > V.size()
+    assert all(out.row(v) == hist.row(v) for v in out.key_labels())
+
+
+def test_bottleneck_wrapper_rejects_a_circuit_with_classical_tiers(bbt2):
+    circ = random_hybrid(np.random.default_rng(4), n=2, g=12, eta=2, max_c=1, max_q=1)
+    with pytest.raises(ValueError, match="bottleneck pipeline expects the all-quantum-tier variant"):
+        BN.bottleneck_wrapper(circ, bbt2, tape=_tape_for(circ, 0))
 
 
 def test_replay_prefix_of_no_tiers_is_the_all_zeros_input(bbt2):
@@ -525,7 +571,7 @@ def _pinned_run(case: str) -> BN.BottleneckResult:
     # n=3 at the default tau; a second tier starts from a label-dependent
     # transcript, so its ratio estimates (and their seeds) show in the report
     n, g = 3, 16
-    again = C.tier("quantum", [C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in range(3)]),
+    again = tier("quantum", [C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in range(3)]),
                                C.layer(g, [query_gate(n)])])
     circ = C.HybridCircuit(n=n, g=g, tiers=_superposed_query_circuit(n, g).tiers + (again,),
                            all_quantum=True)

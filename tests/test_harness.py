@@ -318,6 +318,11 @@ def test_config_accepts_null_and_integral_numbers():
     assert (cfg.budget, cfg.t_max, cfg.tau) == (None, 40, 0)
 
 
+def test_config_without_an_experiment_is_rejected():
+    with pytest.raises(ValueError, match="config names no experiment"):
+        ExperimentConfig.from_json('{"n": 3}')
+
+
 @pytest.mark.parametrize("name, text, reason", [
     ("missing.txt", None, "No such file or directory"),
     (".", None, "Is a directory"),

@@ -14,7 +14,7 @@ from weldlab import tree
 
 from circuit_gen import (entrance_query_circuit, hardcoded_guess_circuit, query_gate,
                          random_hybrid, random_jozsa, random_quantum_layer,
-                         total_quantum_layers)
+                         tier, total_quantum_layers)
 
 
 def _ctx(bbt):
@@ -162,7 +162,7 @@ def test_initialization_learns_the_entrance_for_one_query(bbt2):
 def test_identity_tier_echoes(bbt2):
     t1 = C.Tier("classical", (C.Layer(2, 5, tuple(
         C.Gate(C.GateKind.ANCILLA, (w,)) for w in range(2, 5))),), 2, 5)
-    t2 = C.tier("quantum", [C.identity_layer(5)])
+    t2 = tier("quantum", [C.identity_layer(5)])
     circ = C.HybridCircuit(n=2, g=5, tiers=(t1, t2))
     res = HS.few_tier_wrapper(circ, bbt2, seed=3)
     assert res.output == 0
@@ -173,7 +173,7 @@ def test_toffoli_only_classical_tier_spends_nothing(bbt2):
     ctx = _ctx(bbt2)
     V = HS.entrance_known(ctx)
     lay = C.layer(5, [C.Gate(C.GateKind.TOFFOLI, (0, 1, 2))])
-    t = C.tier("classical", [lay, lay])
+    t = tier("classical", [lay, lay])
     x, V2 = HS.classical_tier_sim(t, 0b11, V, ctx)
     assert ctx.transcript.queries == 1
     assert x == 0b11 ^ 0b100 ^ 0b100  # two identical Toffolis cancel
@@ -181,7 +181,7 @@ def test_toffoli_only_classical_tier_spends_nothing(bbt2):
 
 def test_classical_toffoli_truth_table(bbt2):
     # the target flips only when both controls are set, on both oracles
-    t = C.tier("classical", [C.layer(3, [C.Gate(C.GateKind.TOFFOLI, (0, 2, 1))])])
+    t = tier("classical", [C.layer(3, [C.Gate(C.GateKind.TOFFOLI, (0, 2, 1))])])
     for x in range(8):
         want = x ^ 0b010 if x & 0b101 == 0b101 else x
         assert SV.TrueOracle(bbt2, 2).classical_tier(1, t, x, None)[0] == want
@@ -194,7 +194,7 @@ def test_classical_tier_matches_real_oracle_when_known(bbt2):
     ctx = _ctx(bbt2)
     V = HS.entrance_known(ctx)
     qlay = C.layer(12, [query_gate(2)])
-    t = C.tier("classical", [qlay])
+    t = tier("classical", [qlay])
     valid_color = next(c for c in range(1, 10) if bbt2.answer(0, c) != bbt2.invalid)
     x = valid_color << 4
     got, _ = HS.classical_tier_sim(t, x, V, ctx)
@@ -275,10 +275,10 @@ def test_jozsa_query_ceiling_corpus(bbt2):
 def test_jozsa_identity_classical_blocks_match_reference(bbt2):
     # classical blocks that do nothing: simulator equals the executor exactly
     rng = np.random.default_rng(12)
-    qt = C.tier("quantum", [C.Layer(2, 12, tuple(C.Gate(C.GateKind.ANCILLA, (w,))
+    qt = tier("quantum", [C.Layer(2, 12, tuple(C.Gate(C.GateKind.ANCILLA, (w,))
                                                  for w in range(2, 12))),
                             random_quantum_layer(rng, 12, n=2, p_query=0.0)])
-    ct = C.tier("classical", [C.identity_layer(6)])
+    ct = tier("classical", [C.identity_layer(6)])
     circ = C.JozsaCircuit(n=2, g=12, quantum_tiers=(qt,), classical_tiers=(ct,))
     ref = SV.run_jozsa_exact(circ, bbt2)
     sim = HS.jozsa_exact_distribution(circ, bbt2)

@@ -19,7 +19,7 @@ from weldlab import statevec as SV
 from weldlab import tree
 
 from circuit_gen import (_grow_layer, hardcoded_guess_circuit, query_gate, random_hybrid,
-                         random_jozsa, random_quantum_layer)
+                         random_jozsa, random_quantum_layer, tier)
 from dense_reference import dense_tier_vector
 
 THRESHOLDS = {"arrays": 0, "dicts": math.inf}
@@ -197,8 +197,8 @@ def _deferred_discard_circuit() -> C.HybridCircuit:
                                       for j in range(k)]))
     layers.append(C.layer(g, [query_gate(2)]))
     layers.append(C.layer(g, [C.Gate(C.GateKind.H, (w,)) for w in (0, 3, 5)]))
-    circ = C.HybridCircuit(n=2, g=g, tiers=(C.tier("classical", [_grow_layer(2, g)]),
-                                            C.tier("quantum", layers)))
+    circ = C.HybridCircuit(n=2, g=g, tiers=(tier("classical", [_grow_layer(2, g)]),
+                                            tier("quantum", layers)))
     C.require_valid(circ)
     return circ
 
@@ -225,7 +225,7 @@ def test_executor_matches_dense_reference_at_wide_support(bbt2):
     layers = [C.layer(W, [C.Gate(C.GateKind.H, (w,)) for w in range(W) if w != 9])]
     layers += [random_quantum_layer(rng, W, n=2, p_query=1.0) for _ in range(3)]
     layers.append(C.layer(W, [query_gate(2, base=4)]))
-    t = C.tier("quantum", layers)
+    t = tier("quantum", layers)
     state = SV.PureState.basis(W, 0)
     support = []
     for lay in t.layers:

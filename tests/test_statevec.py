@@ -11,7 +11,7 @@ from weldlab import statevec as SV
 from weldlab import tree
 from weldlab.rng import derive_seed, make_rng
 
-from circuit_gen import _x_layers, query_gate, random_hybrid, random_quantum_layer
+from circuit_gen import _x_layers, query_gate, random_hybrid, random_quantum_layer, tier
 from dense_reference import dense_tier_state
 from tree_tools import edge_color, exit_label
 
@@ -160,7 +160,7 @@ def test_dense_reference_agreement_small():
     for _ in range(10):
         W = int(rng.integers(2, 9))
         layers = [random_quantum_layer(rng, W, n=50, p_query=0) for _ in range(3)]
-        t = C.tier("quantum", layers)
+        t = tier("quantum", layers)
         x = int(rng.integers(0, 1 << W))
         state = SV.PureState.basis(W, x)
         for lay in t.layers:
@@ -175,7 +175,7 @@ def test_dense_reference_agreement_with_queries(bbt2):
     rng = np.random.default_rng(12)
     for _ in range(5):
         layers = [random_quantum_layer(rng, 12, n=2, p_query=0.9) for _ in range(2)]
-        t = C.tier("quantum", layers)
+        t = tier("quantum", layers)
         state = SV.PureState.basis(12, 0)
         for lay in t.layers:
             state = SV.apply_layer(state, lay, bbt2, 2)
@@ -194,13 +194,13 @@ def _run_quantum_tier(x: int, t: C.Tier, bbt, seed: int) -> int:
 
 
 def test_identity_tier_echo(bbt2):
-    t = C.tier("quantum", [C.identity_layer(5)])
+    t = tier("quantum", [C.identity_layer(5)])
     for x in (0, 7, 21):
         assert _run_quantum_tier(x, t, bbt2, seed=1) == x
 
 
 def test_single_hadamard_tier_born_rule(bbt2):
-    t = C.tier("quantum", [C.layer(1, [C.Gate(C.GateKind.H, (0,))])])
+    t = tier("quantum", [C.layer(1, [C.Gate(C.GateKind.H, (0,))])])
     hits = sum(_run_quantum_tier(0, t, bbt2, seed=s) for s in range(10_000))
     assert abs(hits / 10_000 - 0.5) < 0.02
 
@@ -261,6 +261,11 @@ def test_exact_width_cap():
         SV.run_hybrid_exact(circ, tree.make_blackbox(2, 1))
 
 
+def test_apply_layer_rejects_a_state_of_another_width():
+    with pytest.raises(ValueError, match="layer expects 3 wires, state has 2"):
+        SV.apply_layer(SV.PureState.basis(2, 0), C.identity_layer(3))
+
+
 def test_discard_is_deferred_and_marginalized(bbt2):
     # entangle two wires through an always-on ancilla control, discard the
     # ancilla: the output marginal must be the Bell-pair distribution
@@ -269,7 +274,7 @@ def test_discard_is_deferred_and_marginalized(bbt2):
     lay2 = _x_layers(3, [2])  # set wire 2 to |1>
     lay3 = C.layer(3, [C.Gate(C.GateKind.TOFFOLI, (0, 2, 1))])  # CNOT 0->1
     lay4 = C.layer(3, [C.Gate(C.GateKind.DISCARD, (2,))])
-    t = C.tier("quantum", [lay1] + lay2 + [lay3, lay4])
+    t = tier("quantum", [lay1] + lay2 + [lay3, lay4])
     probs = _tier_probs(0, t, bbt2)
     assert set(probs) == {0b00, 0b11}
     assert abs(probs[0b00] - 0.5) < 1e-12 and abs(probs[0b11] - 0.5) < 1e-12
@@ -319,7 +324,7 @@ def _constant_output_circuit(n: int, value: int) -> C.HybridCircuit:
     wires = [j for j in range(2 * n) if (value >> j) & 1]
     layers = _x_layers(g, wires) or [C.identity_layer(g)]
     return C.HybridCircuit(n=n, g=g, tiers=(
-        C.Tier("classical", (grow,), n, g), C.tier("quantum", layers)))
+        C.Tier("classical", (grow,), n, g), tier("quantum", layers)))
 
 
 def _walk_replay_circuit(bbt: tree.BlackBoxTree) -> C.HybridCircuit:
@@ -379,7 +384,7 @@ def _walk_replay_circuit(bbt: tree.BlackBoxTree) -> C.HybridCircuit:
     for x_reg, c_reg, y_reg in zip(x_regs, c_regs, y_regs):
         layers.append(C.layer(g, [C.Gate(C.GateKind.QUERY, x_reg + c_reg + y_reg)]))
     circ = C.HybridCircuit(n=n, g=g, tiers=(
-        C.Tier("classical", (grow,), n, g), C.tier("quantum", layers)))
+        C.Tier("classical", (grow,), n, g), tier("quantum", layers)))
     C.require_valid(circ)
     return circ
 

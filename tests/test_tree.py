@@ -313,6 +313,23 @@ _BOTH = ("structures", "labelings")
      "EmbeddingError: structure has no 2-edge at placed vertex for 0x0"),
     (("labelings",), KnownVertices(15, {(0, 1): 15}),
      "EmbeddingError: recorded INVALID at (0x0, 1) but edge exists"),
+    # a 3-bit INVALID leaves 7 labels for bbt2's 14 vertices
+    (_BOTH, KnownVertices(7, {(0, 1): 3}), "EmbeddingError: label space exhausted"),
+    (("structures",), KnownVertices(15, {(5, 1): 6}),
+     "EmbeddingError: entries are not connected to the entrance"),
+    # a triangle: no column assignment puts each edge between adjacent columns
+    (("structures",), KnownVertices(15, {(0, 1): 1, (0, 2): 2, (1, 3): 2}),
+     "EmbeddingError: entries cannot be embedded into any welded tree"),
+    (("structures",), KnownVertices(15, {(0, 1): 5, (5, 1): 15}),
+     "EmbeddingError: pinned edge colors are inconsistent"),
+    # 0xa and 0x3 are the entrance's children, and their 3-neighbours differ
+    (("labelings",), KnownVertices(15, {(0, 1): 10, (0, 5): 3, (10, 3): 3}),
+     "EmbeddingError: label 0xa placed twice inconsistently"),
+    # two paths reach one left leaf: 0-0xa-0x5 down the left tree, and
+    # 0-0x3-0x4 then across the weld through 0xe, whose end is labeled 0x2
+    (("labelings",), KnownVertices(15, {(0, 1): 10, (10, 4): 5, (0, 5): 3, (3, 3): 4,
+                                        (4, 2): 14, (14, 1): 2}),
+     "EmbeddingError: two labels map to the same vertex"),
 ])
 def test_sample_rejection_messages_pinned(bbt2, modes, entries, error):
     fixed = dict(structure=bbt2.structure, coloring=bbt2.coloring)
@@ -334,6 +351,43 @@ def test_sample_reads_entries_before_its_mode(entries, error):
     if "mode" not in error:
         with pytest.raises(ValueError, match=re.escape(error)):
             tree.sample_consistent(entries, 2, 0, mode="labelings")
+
+
+def test_sample_labelings_mode_needs_the_fixed_tree():
+    with pytest.raises(ValueError, match="labelings mode requires the fixed structure and coloring"):
+        tree.sample_consistent(KnownVertices(15, {(0, 1): 3}), 2, 0, mode="labelings")
+
+
+@pytest.mark.parametrize("s", [23, 37])
+def test_sample_structures_mode_completes_walk_dictionaries(s):
+    # full rows along a walk of a real tree: a column assignment whose
+    # pinned weld edges close a cycle through fewer than all 16 leaves is
+    # searched past, so every sampler seed completes the dictionary
+    bbt = tree.make_blackbox(3, 1003)
+    V = _entries_from_walk(bbt, s % 8, seed=s)
+    for seed in range(20):
+        samp = tree.sample_consistent(V, 3, seed, mode="structures")
+        assert all(samp.answer(x, c) == y for (x, c), y in V.entries.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sample_structures_mode_on_fully_revealed_trees(n):
+    # every row known pins the whole weld cycle, which the sampler rebuilds;
+    # each draw then answers every query as the tree does
+    bbt = labeled_blackbox(1, 5, 3) if n == 1 else tree.make_blackbox(n, 5)
+    V = KnownVertices(bbt.invalid)
+    for lab in bbt.labels.tolist():
+        V.set_vertex(lab, vertex_row(bbt, lab))
+    for s in range(20):
+        samp = tree.sample_consistent(V, n, s, mode="structures")
+        assert all(samp.answer(x, c) == y for (x, c), y in V.entries.items())
+
+
+def test_edge_coloring_fails_where_forbids_leave_no_color():
+    structure = tree.generate_structure(2, 0)
+    forbid = {v: 0x3FE for v in range(structure.vertex_count)}
+    with pytest.raises(ValueError, match="no proper edge coloring under the given constraints"):
+        tree._greedy_edge_coloring(structure, np.random.default_rng(0), forbid=forbid)
 
 
 @pytest.mark.parametrize("mode", _BOTH)
@@ -516,6 +570,19 @@ def _swap_entrance_label(doc):
      "tree field 'labels' must hold 1-digit lowercase hex strings, as save_tree writes them"),
     (lambda d: d["labels"].__setitem__(1, "A"),
      "tree field 'labels' must hold 1-digit lowercase hex strings, as save_tree writes them"),
+    # weld cycles the document's leaves 3..6 and 10..13 do not form
+    (lambda d: d.update(weld_cycle=[0, 10, 4, 12, 5, 11, 6, 13]),
+     "loaded structure invalid: vertex 0 has degree 3, expected 2; "
+     "edge 0-10 skips columns; edge 0-13 skips columns"),
+    (lambda d: d.update(weld_cycle=[3, 10, 4, 12, 3, 11, 6, 13]),
+     "loaded structure invalid: vertex 5 has degree 1, expected 3; "
+     "weld cycle revisits a vertex; weld cycle edge 3-10 missing from adjacency"),
+    (lambda d: d.update(weld_cycle=[3, 10, 4, 12, 5, 11]),
+     "loaded structure invalid: vertex 6 has degree 1, expected 3; "
+     "vertex 13 has degree 1, expected 3; weld cycle length 6"),
+    (lambda d: d.update(weld_cycle=[10, 4, 12, 5, 11, 6, 13, 3]),
+     "loaded structure invalid: weld cycle position 0 not alternating; "
+     "weld cycle position 1 not alternating; weld cycle position 2 not alternating"),
 ])
 def test_load_tree_rejects_malformed_documents(breakage, message):
     doc = json.loads(tree.save_tree(tree.make_blackbox(2, 0)))
@@ -523,6 +590,12 @@ def test_load_tree_rejects_malformed_documents(breakage, message):
     breakage(doc)
     with pytest.raises(ValueError, match=re.escape(message)):
         tree.load_tree(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"tree"'])
+def test_load_tree_rejects_a_document_that_is_no_object(text):
+    with pytest.raises(ValueError, match="a tree document must be a JSON object"):
+        tree.load_tree(text)
 
 
 def _repeat_a_color(doc):
