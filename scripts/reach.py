@@ -1,12 +1,11 @@
 """Reachability audit: the statements of ``src/weldlab`` that nothing runs.
 
-    python3 scripts/reach.py            # the test suite, then every perfbench item
-    python3 scripts/reach.py --no-bench # the test suite only
+    python3 scripts/reach.py
 
-The script traces line events in ``src/weldlab`` (``sys.settrace``, and
-``threading.settrace`` for threads) while it runs ``tests/`` in-process
-with pytest, then one pass of every perfbench item: each workload's
-set-up with seed 1, then each item's ``run()``.  It then prints, one a
+The script traces line events in ``src/weldlab`` (``sys.settrace``) while
+it runs ``tests/`` in-process with pytest, then one pass of every
+perfbench item: each workload's set-up with seed 1, then each item's
+``run()``.  It then prints, one a
 line, each statement of the package that never ran (function and class
 definitions, docstrings, ``global`` and ``nonlocal`` are not statements
 that run).  A compound statement ran if a line of its header ran or any
@@ -21,7 +20,6 @@ from __future__ import annotations
 import ast
 import os
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,22 +106,18 @@ def _run_bench() -> None:
         print(f"perfbench {name}: {len(items)} items run", file=sys.stderr, flush=True)
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     import pytest
 
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
     hits: dict[str, set[int]] = {}
-    trace = _tracer(hits)
-    threading.settrace(trace)
-    sys.settrace(trace)
+    sys.settrace(_tracer(hits))
     try:
         code = pytest.main(["-q", "-p", "no:cacheprovider", "tests"])
-        if "--no-bench" not in argv:
-            _run_bench()
+        _run_bench()
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     if code != 0:
         print(f"the test suite did not pass (pytest exit {code})", file=sys.stderr)
     count = 0
@@ -138,4 +132,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -320,6 +320,12 @@ _BOTH = ("structures", "labelings")
     # a triangle: no column assignment puts each edge between adjacent columns
     (("structures",), KnownVertices(15, {(0, 1): 1, (0, 2): 2, (1, 3): 2}),
      "EmbeddingError: entries cannot be embedded into any welded tree"),
+    # a 4-cycle 0x3-0x4-0x5-0x6 whose 0x3 and 0x5 hang from the entrance's
+    # children: it fits the slots only as weld edges between columns 2 and 3,
+    # where it closes a cycle through 4 of the 8 leaves
+    (("structures",), KnownVertices(15, {(0, 1): 1, (0, 2): 2, (1, 3): 3, (2, 4): 5, (3, 5): 4,
+                                         (4, 6): 5, (5, 7): 6, (6, 8): 3}),
+     "EmbeddingError: entries cannot be embedded into any welded tree"),
     (("structures",), KnownVertices(15, {(0, 1): 5, (5, 1): 15}),
      "EmbeddingError: pinned edge colors are inconsistent"),
     # 0xa and 0x3 are the entrance's children, and their 3-neighbours differ
