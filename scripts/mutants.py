@@ -46,9 +46,6 @@ MUTANTS = [
     Mutant("coloring-one-end", "tree.py",
            "    table[ends[:, 1], colors] = ends[:, 0]\n", "",
            ("tests/test_tree.py::test_coloring_tables_pinned",)),
-    Mutant("loaded-color-unchecked", "tree.py",
-           "if 0 <= u < w < V and 1 <= c <= 9:", "if 0 <= u < w < V:",
-           ("tests/test_tree.py::test_load_tree_rejects_improper_edge_colors",)),
     Mutant("tv-compensated", "statevec.py",
            "0.5 * seq_sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)",
            "0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)",
@@ -105,6 +102,12 @@ MUTANTS = [
            "queries = lay.split[1].gates",
            "queries = [g for g in lay.gates if g.kind == C.GateKind.QUERY]",
            ("tests/test_hybrid_sim.py::test_classical_layer_learns_in_first_wire_order",)),
+    Mutant("validate-skips-alternation", "tree.py",
+           "want_col = n if i % 2 == 0 else n + 1", "want_col = column[v]",
+           ("tests/test_tree.py::test_structure_validate_names_each_problem",)),
+    Mutant("taylor-third-neighbour-dropped", "walk.py",
+           "                gather += term[third]\n", "",
+           ("tests/test_walk.py::test_full_graph_matches_dense_eigh",)),
 ]
 
 

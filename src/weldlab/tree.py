@@ -21,13 +21,12 @@ A ``BlackBoxTree`` itself takes labels of any width; the consistent-tree
 sampler reads the width from its entries' INVALID label.
 
 A tree is held once, in arrays: the structure's (V, 3) ``neighbors`` and
-the coloring's (V, 10) vertex-by-color table ``by_color``; ``save_tree``
-writes format v2's edge list from the table.  ``BlackBoxTree.answer_many``
-answers arrays from one lookup kept per tree: its labels in ascending
-order, found by ``searchsorted``, and a table of each labeled vertex's
-answer by color.  Blind walks and guessing trials draw no labels and no
-coloring at all: they walk the structure's own neighbour array in vertex
-space (see ``walk``).
+the coloring's (V, 10) vertex-by-color table ``by_color``.
+``BlackBoxTree.answer_many`` answers arrays from one lookup kept per tree:
+its labels in ascending order, found by ``searchsorted``, and a table of
+each labeled vertex's answer by color.  Blind walks and guessing trials
+draw no labels and no coloring at all: they walk the structure's own
+neighbour array in vertex space (see ``walk``).
 
 The consistent-tree sampler's structures mode decides weld feasibility once,
 in its column assignment: the search fits every recorded edge between
@@ -39,7 +38,6 @@ structure's ``validate`` and the replay of every entry stay as checks.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -191,18 +189,6 @@ class EdgeColoring:
 
     def __post_init__(self):
         self.by_color.flags.writeable = False
-
-    def validate(self, structure: TreeStructure) -> list[str]:
-        problems = []
-        table = self.by_color.tolist()
-        for v, row in enumerate(structure.neighbors.tolist()):
-            colored = [w for w in table[v] if w >= 0]
-            if table[v][0] >= 0 or sorted(colored) != sorted(w for w in row if w >= 0):
-                problems.append(f"vertex {v}'s edges do not each have one color in 1..9")
-            for c, w in enumerate(table[v]):
-                if w >= 0 and table[w][c] != v:
-                    problems.append(f"edge {v}-{w} has color {c} at vertex {v} only")
-        return problems
 
 
 # the colors 1..9 absent from a 10-bit mask of colors, in ascending order
@@ -842,134 +828,4 @@ def _complete_coloring(structure: TreeStructure, graph: EntryGraph,
         raise EmbeddingError(str(e)) from e
     # as in generate_coloring: the labels drawn next keep their values
     rng.integers(0, 3, size=structure.vertex_count)
-    return coloring
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-_FORMAT_VERSION = 2
-
-
-def canonicalize(bbt: BlackBoxTree) -> BlackBoxTree:
-    """Isomorphic copy on the canonical vertex layout (query map unchanged)."""
-    old = bbt.structure
-    half = old.vertex_count // 2
-    rows, side = old.neighbors.tolist(), (old.column > old.n).tolist()
-    mapping = np.empty(old.vertex_count, dtype=np.int64)  # old -> new
-    for root, base in ((old.entrance, 0), (old.exit, half)):
-        # walk each tree in lockstep with its canonical heap order, children
-        # (the same-side neighbours but the parent) taken in index order
-        mapping[root] = base
-        frontier = [(root, -1, 0)]
-        while frontier:
-            v, parent, u = frontier.pop()
-            kids = sorted(w for w in rows[v] if w >= 0 and side[w] == side[v] and w != parent)
-            for k, w in enumerate(kids):
-                mapping[w] = base + 2 * u + 1 + k
-                frontier.append((w, v, 2 * u + 1 + k))
-
-    labels = np.empty(old.vertex_count, dtype=np.int64)
-    labels[mapping] = bbt.labels
-    table = np.empty_like(bbt.coloring.by_color)
-    table[mapping] = np.where(bbt.coloring.by_color >= 0, mapping[bbt.coloring.by_color], -1)
-    return BlackBoxTree(structure=_welded(bbt.n, [int(mapping[v]) for v in old.weld_cycle]),
-                        coloring=EdgeColoring(table), labels=labels,
-                        label_bits=bbt.label_bits)
-
-
-def _hex_label(lab: int, label_bits: int) -> str:
-    """A label as tree documents hold it: lowercase hex, one digit per 4 bits."""
-    return format(lab, f"0{max(1, (label_bits + 3) // 4)}x")
-
-
-def save_tree(bbt: BlackBoxTree) -> str:
-    """Canonical JSON text; byte-stable round trip with ``load_tree``."""
-    c = canonicalize(bbt)
-    doc = {
-        "format_version": _FORMAT_VERSION,
-        "n": c.n,
-        "label_bits": c.label_bits,
-        "weld_cycle": c.structure.weld_cycle,
-        "labels": [_hex_label(lab, c.label_bits) for lab in c.labels.tolist()],
-        "edge_colors": sorted([u, w, col] for u, row in enumerate(c.coloring.by_color.tolist())
-                              for col, w in enumerate(row) if u < w),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _tree_field(doc: dict, key: str, ok, wanted: str):
-    """``doc[key]`` if ``ok`` accepts it, else a ValueError naming the field."""
-    if key not in doc or not ok(doc[key]):
-        raise ValueError(f"tree field {key!r} must be {wanted}")
-    return doc[key]
-
-
-def load_tree(text: str) -> BlackBoxTree:
-    """The tree ``save_tree`` wrote; a malformed document is a ValueError."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("a tree document must be a JSON object")
-    if doc.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(f"unknown tree format version {doc.get('format_version')!r}, "
-                         f"expected {_FORMAT_VERSION}")
-    n = _tree_field(doc, "n", lambda v: _is_int(v) and v >= 1, "an integer >= 1")
-    label_bits = _tree_field(doc, "label_bits", lambda v: _is_int(v) and 1 <= v <= 63,
-                             "an integer in 1..63")
-    V = (1 << (n + 2)) - 2
-    cycle = _tree_field(doc, "weld_cycle", lambda v: isinstance(v, list) and all(
-        _is_int(u) and 0 <= u < V for u in v), f"a list of vertices in 0..{V - 1}")
-    edge_colors = _tree_field(doc, "edge_colors", lambda v: isinstance(v, list) and all(
-        isinstance(e, list) and len(e) == 3 and all(map(_is_int, e)) for e in v),
-        "a list of [u, w, color] integer triples")
-    wanted = f"a list of {V} hex strings, one per vertex"
-    hex_labels = _tree_field(doc, "labels", lambda v: isinstance(v, list) and len(v) == V
-                             and all(isinstance(h, str) for h in v), wanted)
-    try:
-        labels = [int(h, 16) for h in hex_labels]
-    except ValueError:
-        raise ValueError(f"tree field 'labels' must be {wanted}") from None
-    if not all(0 <= lab < invalid_label(label_bits) for lab in labels):
-        raise ValueError(f"tree field 'labels' holds a label outside the "
-                         f"{label_bits}-bit space or the INVALID label")
-    if any(h != _hex_label(lab, label_bits) for h, lab in zip(hex_labels, labels)):
-        raise ValueError(f"tree field 'labels' must hold {len(_hex_label(0, label_bits))}-digit "
-                         f"lowercase hex strings, as save_tree writes them")
-    if len(set(labels)) != V:
-        raise ValueError("tree field 'labels' repeats a label")
-    if labels[0] != 0:
-        raise ValueError("tree field 'labels' must give the entrance label 0")
-
-    structure = _welded(n, cycle)
-    problems = structure.validate()
-    if problems:
-        raise ValueError("loaded structure invalid: " + "; ".join(problems[:3]))
-    return BlackBoxTree(structure=structure, coloring=_loaded_coloring(structure, edge_colors),
-                        labels=np.array(labels, dtype=np.int64), label_bits=label_bits)
-
-
-def _loaded_coloring(structure: TreeStructure, edge_colors: list) -> EdgeColoring:
-    """The coloring of ``structure`` that ``edge_colors``' [u, w, color]
-    triples (u < w) name; any other set of triples is a ValueError."""
-    V = structure.vertex_count
-    edge_count = int(np.count_nonzero(structure.neighbors >= 0)) // 2
-    problems = [] if len(edge_colors) == edge_count else [
-        f"{len(edge_colors)} edge colors for {edge_count} edges"]
-    # with one triple per edge, a cell written twice leaves some edge
-    # without its cell, which validate reports
-    table = [[-1] * 10 for _ in range(V)]
-    for u, w, c in edge_colors:
-        if 0 <= u < w < V and 1 <= c <= 9:
-            table[u][c], table[w][c] = w, u
-        else:
-            problems.append(f"[{u}, {w}, {c}] is no pair u < w < {V} with a color in 1..9")
-    coloring = EdgeColoring(np.array(table, dtype=np.int64))
-    problems += coloring.validate(structure)
-    if problems:
-        raise ValueError("loaded coloring invalid: " + "; ".join(problems[:3]))
     return coloring

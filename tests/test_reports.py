@@ -22,13 +22,12 @@ sigma below (z = -1.42) and h=16 0.69 sigma above (z = +0.69).
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from weldlab import cli, tree
+from weldlab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 CIRCUIT = "scripts/circuits/entrance_query_n2.txt"
@@ -141,10 +140,3 @@ def test_report_pinned(argv, config, checks, monkeypatch, capsys):
     assert doc["experiment"] == argv[0]
     assert doc["config"] == config
     assert doc["checks"] == checks
-
-
-def test_saved_tree_pinned():
-    # format v2: weld cycle, labels and edge colors on the canonical layout
-    text = tree.save_tree(tree.make_blackbox(3, 5))
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "46ec3d8c5dede46dbb52c010f3efecd770e3f6771bd5d3c8387d4ac3263de3b3"

@@ -16,8 +16,8 @@ from weldlab import tree
 from weldlab.harness import discovery_rate
 from weldlab.known import KnownVertices
 
-from tree_tools import (eager_discovery_rate, edge_color, exit_label, labeled_blackbox,
-                        vertex_row)
+from tree_tools import (coloring_problems, eager_discovery_rate, edge_color, exit_label,
+                        labeled_blackbox, vertex_row)
 
 
 def test_structure_counts_forced_at_n1():
@@ -37,6 +37,25 @@ def test_structure_rejects_n0():
 def test_structure_invariants(n, seed):
     ts = tree.generate_structure(n, seed)
     assert ts.validate() == []
+
+
+# weld cycles the n=2 leaves 3..6 and 10..13 do not form
+@pytest.mark.parametrize("cycle, problems", [
+    ([0, 10, 4, 12, 5, 11, 6, 13],
+     ["vertex 0 has degree 3, expected 2", "edge 0-10 skips columns", "edge 0-13 skips columns",
+      "vertex 3 has degree 1, expected 3", "edge 10-0 skips columns", "edge 13-0 skips columns",
+      "weld cycle position 0 not alternating"]),
+    ([3, 10, 4, 12, 3, 11, 6, 13],
+     ["vertex 5 has degree 1, expected 3", "weld cycle revisits a vertex",
+      "weld cycle edge 3-10 missing from adjacency"]),
+    ([3, 10, 4, 12, 5, 11],
+     ["vertex 6 has degree 1, expected 3", "vertex 13 has degree 1, expected 3",
+      "weld cycle length 6"]),
+    ([10, 4, 12, 5, 11, 6, 13, 3],
+     [f"weld cycle position {i} not alternating" for i in range(8)]),
+], ids=["entrance welded", "leaf revisited", "short cycle", "not alternating"])
+def test_structure_validate_names_each_problem(cycle, problems):
+    assert tree._welded(2, cycle).validate() == problems
 
 
 def test_weld_is_single_alternating_cycle_many_seeds():
@@ -61,7 +80,32 @@ def test_coloring_incident_distinct_n4_100_seeds():
     for seed in range(100):
         ts = tree.generate_structure(4, seed)
         col = tree.generate_coloring(ts, seed)
-        assert col.validate(ts) == []
+        assert coloring_problems(ts, col) == []
+
+
+def _repeat_a_color(table, coloring):
+    # the entrance's edge 0-2 takes the color of its edge 0-1
+    c1, c2 = edge_color(coloring, 0, 1), edge_color(coloring, 0, 2)
+    table[[0, 2], c2] = -1
+    table[0, c1], table[2, c1] = 2, 0
+
+
+def _move_an_edge(table, coloring):
+    # edge 0-1 becomes the absent edge 0-13, in a color free at both its ends
+    table[[0, 1], edge_color(coloring, 0, 1)] = -1
+    c = int(np.flatnonzero((table[0] < 0) & (table[13] < 0))[1])   # [0] is column 0
+    table[0, c], table[13, c] = 13, 0
+
+
+@pytest.mark.parametrize("breakage, problem", [
+    (_repeat_a_color, "vertex 0's edges do not each have one color in 1..9"),
+    (_move_an_edge, "vertex 13's edges do not each have one color in 1..9"),
+], ids=["a color twice at a vertex", "an absent edge"])
+def test_coloring_problems_names_an_improper_table(breakage, problem):
+    bbt = tree.make_blackbox(2, 0)
+    table = bbt.coloring.by_color.copy()
+    breakage(table, bbt.coloring)
+    assert problem in coloring_problems(bbt.structure, tree.EdgeColoring(table))
 
 
 def test_coloring_entrance_edges_distinct_n1():
@@ -251,7 +295,7 @@ def test_sample_structures_mode(bbt3):
     for s in range(20):
         samp = tree.sample_consistent(V, 3, s, mode="structures")
         assert samp.structure.validate() == []
-        assert samp.coloring.validate(samp.structure) == []
+        assert coloring_problems(samp.structure, samp.coloring) == []
         for (x, c), y in V.entries.items():
             assert samp.answer(x, c) == y
 
@@ -261,7 +305,7 @@ def test_sample_structures_empty_entries_matches_pipeline_invariants():
     for s in range(10):
         samp = tree.sample_consistent(V, 3, s, mode="structures")
         assert samp.structure.validate() == []
-        assert samp.coloring.validate(samp.structure) == []
+        assert coloring_problems(samp.structure, samp.coloring) == []
         assert samp.labels[samp.structure.entrance] == 0
 
 
@@ -412,8 +456,9 @@ def test_sample_rejects_an_entry_that_answers_itself(bbt2, mode):
 # ---------------------------------------------------------------------------
 
 def _raw_tree(structure, coloring, labels=None) -> list:
-    """The raw layout, no canonicalize, as the JSON lists of each vertex's
-    neighbours and of the [u, w, color] triples; json refuses numpy scalars."""
+    """The tree's arrays as JSON lists, on its own vertex layout: each
+    vertex's neighbours, the weld cycle, the [u, w, color] triples and the
+    labels; json refuses numpy scalars."""
     return [[[w for w in row if w >= 0] for row in structure.neighbors.tolist()],
             structure.weld_cycle,
             sorted([u, w, c] for u, row in enumerate(coloring.by_color.tolist())
@@ -494,6 +539,13 @@ def test_structure_arrays_pinned():
     assert _array_digest(parts) == "d41f7a23c08997ae"
 
 
+def test_blackbox_arrays_pinned():
+    # make_blackbox's whole stream: structure, coloring and labels together,
+    # recorded while the tree file format still pinned the same tree
+    bbt = tree.make_blackbox(3, 5)
+    assert _digest(_raw_tree(bbt.structure, bbt.coloring, bbt.labels)) == "748085c40ab19854"
+
+
 def test_coloring_tables_pinned():
     parts = []
     for n in range(1, 9):
@@ -517,118 +569,6 @@ def test_sampled_arrays_pinned(mode, pin):
             continue
         parts += [samp.structure.neighbors, samp.structure.column, samp.coloring.by_color]
     assert _array_digest(parts) == pin
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("n,seed", [(2, 0), (3, 5), (4, 9)])
-def test_serialization_round_trip(n, seed):
-    bbt = tree.make_blackbox(n, seed)
-    text = tree.save_tree(bbt)
-    loaded = tree.load_tree(text)
-    assert tree.save_tree(loaded) == text
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        x = int(rng.integers(0, 1 << (2 * n)))
-        c = int(rng.integers(1, 10))
-        assert bbt.answer(x, c) == loaded.answer(x, c)
-
-
-def test_serialization_preserves_exit(bbt3):
-    loaded = tree.load_tree(tree.save_tree(bbt3))
-    assert exit_label(loaded) == exit_label(bbt3)
-
-
-def _swap_entrance_label(doc):
-    doc["labels"][0], doc["labels"][1] = doc["labels"][1], doc["labels"][0]
-
-
-@pytest.mark.parametrize("breakage, message", [
-    (lambda d: d.pop("n"), "tree field 'n' must be an integer >= 1"),
-    (lambda d: d.update(n="2"), "tree field 'n' must be an integer >= 1"),
-    (lambda d: d.update(label_bits=True), "tree field 'label_bits' must be an integer in 1..63"),
-    (lambda d: d.pop("weld_cycle"), "tree field 'weld_cycle' must be a list of vertices in 0..13"),
-    (lambda d: d["weld_cycle"].__setitem__(0, 14),
-     "tree field 'weld_cycle' must be a list of vertices in 0..13"),
-    (lambda d: d["edge_colors"].__setitem__(0, [0, 1]),
-     "tree field 'edge_colors' must be a list of [u, w, color] integer triples"),
-    (lambda d: d["labels"].pop(), "tree field 'labels' must be a list of 14 hex strings"),
-    (lambda d: d["labels"].__setitem__(3, "zz"),
-     "tree field 'labels' must be a list of 14 hex strings"),
-    (lambda d: d["labels"].__setitem__(3, d["labels"][4]), "tree field 'labels' repeats a label"),
-    (lambda d: d["labels"].__setitem__(3, "1f"), "tree field 'labels' holds a label outside"),
-    (lambda d: d["labels"].__setitem__(3, "f"), "outside the 4-bit space or the INVALID label"),
-    (lambda d: d["labels"].__setitem__(3, "-1"), "tree field 'labels' holds a label outside"),
-    (_swap_entrance_label, "tree field 'labels' must give the entrance label 0"),
-    (lambda d: d["edge_colors"].pop(), "loaded coloring invalid"),
-    (lambda d: d["edge_colors"].append([0, 13, 9]), "loaded coloring invalid: 21 edge colors"),
-    (lambda d: d.update(format_version=1, vertex_colors=["A"] * 14),
-     "unknown tree format version 1, expected 2"),
-    (lambda d: d["labels"].__setitem__(3, "0x3"),
-     "tree field 'labels' must hold 1-digit lowercase hex strings, as save_tree writes them"),
-    (lambda d: d["labels"].__setitem__(3, " 3 "),
-     "tree field 'labels' must hold 1-digit lowercase hex strings, as save_tree writes them"),
-    (lambda d: d["labels"].__setitem__(3, "0_3"),
-     "tree field 'labels' must hold 1-digit lowercase hex strings, as save_tree writes them"),
-    (lambda d: d["labels"].__setitem__(3, "03"),
-     "tree field 'labels' must hold 1-digit lowercase hex strings, as save_tree writes them"),
-    (lambda d: d["labels"].__setitem__(1, "A"),
-     "tree field 'labels' must hold 1-digit lowercase hex strings, as save_tree writes them"),
-    # weld cycles the document's leaves 3..6 and 10..13 do not form
-    (lambda d: d.update(weld_cycle=[0, 10, 4, 12, 5, 11, 6, 13]),
-     "loaded structure invalid: vertex 0 has degree 3, expected 2; "
-     "edge 0-10 skips columns; edge 0-13 skips columns"),
-    (lambda d: d.update(weld_cycle=[3, 10, 4, 12, 3, 11, 6, 13]),
-     "loaded structure invalid: vertex 5 has degree 1, expected 3; "
-     "weld cycle revisits a vertex; weld cycle edge 3-10 missing from adjacency"),
-    (lambda d: d.update(weld_cycle=[3, 10, 4, 12, 5, 11]),
-     "loaded structure invalid: vertex 6 has degree 1, expected 3; "
-     "vertex 13 has degree 1, expected 3; weld cycle length 6"),
-    (lambda d: d.update(weld_cycle=[10, 4, 12, 5, 11, 6, 13, 3]),
-     "loaded structure invalid: weld cycle position 0 not alternating; "
-     "weld cycle position 1 not alternating; weld cycle position 2 not alternating"),
-])
-def test_load_tree_rejects_malformed_documents(breakage, message):
-    doc = json.loads(tree.save_tree(tree.make_blackbox(2, 0)))
-    tree.load_tree(json.dumps(doc))
-    breakage(doc)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        tree.load_tree(json.dumps(doc))
-
-
-@pytest.mark.parametrize("text", ["[]", "3", '"tree"'])
-def test_load_tree_rejects_a_document_that_is_no_object(text):
-    with pytest.raises(ValueError, match="a tree document must be a JSON object"):
-        tree.load_tree(text)
-
-
-def _repeat_a_color(doc):
-    # the entrance's two edges, 0-1 and 0-2, come first: give them one color
-    doc["edge_colors"][1][2] = doc["edge_colors"][0][2]
-
-
-def _move_an_edge(doc):
-    # edge 0-1 becomes the absent edge 0-13, in a color free at both its ends
-    used = {c for u, w, c in doc["edge_colors"][1:] if {u, w} & {0, 13}}
-    doc["edge_colors"][0] = [0, 13, min(set(range(1, 10)) - used)]
-
-
-@pytest.mark.parametrize("breakage", [
-    lambda d: d["edge_colors"][0].__setitem__(2, 0),
-    lambda d: d["edge_colors"][0].__setitem__(2, 10),
-    _repeat_a_color,
-    _move_an_edge,
-], ids=["color 0", "color 10", "a color twice at a vertex", "an absent edge"])
-def test_load_tree_rejects_improper_edge_colors(breakage):
-    # triples that would index the vertex-by-color table out of its range, or
-    # write one cell twice, are named as the coloring's fault
-    doc = json.loads(tree.save_tree(tree.make_blackbox(2, 0)))
-    breakage(doc)
-    with pytest.raises(ValueError) as info:
-        tree.load_tree(json.dumps(doc))
-    assert str(info.value).startswith("loaded coloring invalid")
 
 
 # ---------------------------------------------------------------------------

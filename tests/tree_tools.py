@@ -16,6 +16,22 @@ def edge_color(coloring, u: int, v: int) -> int:
     return int(np.flatnonzero(coloring.by_color[u] == v)[0])
 
 
+def coloring_problems(structure, coloring) -> list[str]:
+    """Why ``coloring`` is not a proper edge coloring of ``structure`` with
+    the colors 1..9: a vertex whose table row does not hold each of its
+    edges once outside column 0, or an edge colored at one end only."""
+    problems = []
+    table = coloring.by_color.tolist()
+    for v, row in enumerate(structure.neighbors.tolist()):
+        colored = [w for w in table[v] if w >= 0]
+        if table[v][0] >= 0 or sorted(colored) != sorted(w for w in row if w >= 0):
+            problems.append(f"vertex {v}'s edges do not each have one color in 1..9")
+        for c, w in enumerate(table[v]):
+            if w >= 0 and table[w][c] != v:
+                problems.append(f"edge {v}-{w} has color {c} at vertex {v} only")
+    return problems
+
+
 def exit_label(bbt) -> int:
     """The exit vertex's label: grading only, hidden from algorithms under test."""
     return int(bbt.labels[bbt.structure.exit])
