@@ -108,6 +108,56 @@ MUTANTS = [
     Mutant("taylor-third-neighbour-dropped", "walk.py",
            "                gather += term[third]\n", "",
            ("tests/test_walk.py::test_full_graph_matches_dense_eigh",)),
+    Mutant("negative-probability-accepted", "statevec.py",
+           "if any(p < -1e-12 for p in self.probs.values()):", "if False:",
+           ("tests/test_statevec.py::test_output_distribution_refuses_an_improper_table",)),
+    Mutant("distribution-sum-unchecked", "statevec.py",
+           "if abs(total - 1.0) > NORM_TOL:", "if False:",
+           ("tests/test_statevec.py::test_output_distribution_refuses_an_improper_table",)),
+    Mutant("layer-norm-unchecked", "statevec.py",
+           "if abs(nrm - prev_norm) > NORM_TOL:", "if False:",
+           ("tests/test_statevec.py::test_a_layer_that_changes_the_norm_is_refused",)),
+    Mutant("zero-outcome-measured-on-arrays", "statevec.py",
+           'raise AssertionError("measured an outcome of probability zero")\n        # 0j',
+           "pass\n        # 0j",
+           ("tests/test_statevec.py::test_measuring_an_outcome_of_probability_zero_is_refused",)),
+    Mutant("zero-outcome-measured-on-dicts", "statevec.py",
+           'raise AssertionError("measured an outcome of probability zero")\n    new:',
+           "pass\n    new:",
+           ("tests/test_statevec.py::test_measuring_an_outcome_of_probability_zero_is_refused",)),
+    Mutant("growth-bound-refused", "hybrid_sim.py",
+           "if V2.size() > 4 * max(size_before, 1):", "if V2.size() >= 4 * max(size_before, 1):",
+           ("tests/test_hybrid_sim.py::test_a_layer_that_learns_more_than_4x_is_refused",)),
+    Mutant("tier-ceiling-refused", "hybrid_sim.py",
+           "if spent > (4 ** t.depth) * max(size_in, 1):",
+           "if spent >= (4 ** t.depth) * max(size_in, 1):",
+           ("tests/test_hybrid_sim.py::test_a_quantum_tier_over_its_query_ceiling_is_refused",)),
+    Mutant("classical-ceiling-refused", "hybrid_sim.py",
+           "if spent > width * max(t.depth, 1):", "if spent >= width * max(t.depth, 1):",
+           ("tests/test_hybrid_sim.py::test_a_classical_tier_over_its_query_ceiling_is_refused",)),
+    Mutant("wrapper-ceiling-refused", "hybrid_sim.py",
+           "if ctx.transcript.queries > wrapper_query_ceiling(circuit):",
+           "if ctx.transcript.queries >= wrapper_query_ceiling(circuit):",
+           ("tests/test_hybrid_sim.py::test_a_run_over_the_wrapper_ceiling_is_refused",)),
+    Mutant("loop-ceiling-refused", "bottleneck.py",
+           "if iterations > ceiling:", "if iterations >= ceiling:",
+           ("tests/test_bottleneck.py::test_a_call_past_its_ceiling_is_refused",)),
+    Mutant("size-ceiling-refused", "bottleneck.py",
+           "if out.size() > size_ceiling(", "if out.size() >= size_ceiling(",
+           ("tests/test_bottleneck.py::test_a_call_past_its_ceiling_is_refused",)),
+    Mutant("subset-chain-upper-half-only", "bottleneck.py",
+           "if not V_current.is_key_subset_of(out) or not out.is_key_subset_of(V_hist):",
+           "if not out.is_key_subset_of(V_hist):",
+           ("tests/test_bottleneck.py::test_a_call_that_breaks_the_subset_chain_is_refused",)),
+    Mutant("unreachable-key-unchecked", "bottleneck.py",
+           "if target not in parent:", "if False:",
+           ("tests/test_bottleneck.py::test_complete_subtree_refuses_a_key_the_history_cannot_reach",)),
+    Mutant("replay-unchecked", "tree.py",
+           "if got != y:", "if False:",
+           ("tests/test_tree.py::test_replay_names_an_entry_the_sampled_tree_disagrees_with",)),
+    Mutant("completed-structure-unchecked", "tree.py",
+           "problems = structure.validate()\n    if problems:", "problems = []\n    if problems:",
+           ("tests/test_tree.py::test_sampler_refuses_a_completed_structure_that_fails_validate",)),
 ]
 
 

@@ -258,6 +258,21 @@ def test_complete_subtree_minimal_on_paths(bbt2):
     assert set(chain) <= out.key_labels()
 
 
+def test_complete_subtree_refuses_a_key_the_history_cannot_reach(bbt2):
+    # the history holds the entrance's row and the row of a vertex that is
+    # not its neighbour, but no row of the path between them
+    hist = KnownVertices(bbt2.invalid)
+    hist.set_vertex(0, vertex_row(bbt2, 0))
+    far = next(lab for lab in bbt2.labels.tolist()
+               if lab != 0 and lab not in hist.row(0).values())
+    hist.set_vertex(far, vertex_row(bbt2, far))
+    want = KnownVertices(bbt2.invalid)
+    want.set_vertex(far, vertex_row(bbt2, far))
+    with pytest.raises(AssertionError, match=f"label {far:#x} unreachable from the entrance "
+                                             "in the recorded history"):
+        BN.complete_subtree(want, hist)
+
+
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -467,10 +482,9 @@ def test_bottleneck_rejects_current_keys_outside_the_history(bbt2):
                       BN.BottleneckConfig())
 
 
-def test_certify_round_adopts_a_violators_full_row(bbt2):
-    # V knows the left tree's rows and V_hist every row: each label a round
-    # can certify lies in the right tree, a key of V_hist, and the round
-    # adopts its whole row
+def _left_tree_call(bbt2):
+    """A tier-0 call on bbt2 whose V knows the left tree's rows and whose
+    V_hist knows every row: returns (out, V, hist, record)."""
     circ = _allq(np.random.default_rng(15), p_query=0.0)
     s = bbt2.structure
     V, hist = KnownVertices(bbt2.invalid), KnownVertices(bbt2.invalid)
@@ -482,8 +496,36 @@ def test_certify_round_adopts_a_violators_full_row(bbt2):
                         v_out=0, v_hist=hist.size(), ratio=None)
     cfg = BN.BottleneckConfig(tau=0.75, sample_budget=3, fresh_candidates=0)
     out = BN.bottleneck(0, 0, V, hist, _env_for(circ, bbt2, 19), cfg, record=rec)
+    return out, V, hist, rec
+
+
+def test_certify_round_adopts_a_violators_full_row(bbt2):
+    # each label a round can certify lies in the right tree, a key of
+    # V_hist, and the round adopts its whole row
+    out, V, hist, rec = _left_tree_call(bbt2)
     assert rec.iterations > 0 and out.size() > V.size()
     assert all(out.row(v) == hist.row(v) for v in out.key_labels())
+
+
+@pytest.mark.parametrize("ceiling", ["loop_ceiling", "size_ceiling"])
+def test_a_call_past_its_ceiling_is_refused(bbt2, monkeypatch, ceiling):
+    # the call runs at a ceiling equal to what it takes, and not below it
+    out, _V, _hist, rec = _left_tree_call(bbt2)
+    taken = rec.iterations if ceiling == "loop_ceiling" else out.size()
+    monkeypatch.setattr(BN, ceiling, lambda *args: taken)
+    assert _left_tree_call(bbt2)[0].entries == out.entries
+    monkeypatch.setattr(BN, ceiling, lambda *args: taken - 1)
+    error = (f"bottleneck while-loop exceeded {taken - 1} iterations"
+             if ceiling == "loop_ceiling" else "bottleneck output size ceiling exceeded")
+    with pytest.raises(AssertionError, match=error):
+        _left_tree_call(bbt2)
+
+
+def test_a_call_that_breaks_the_subset_chain_is_refused(bbt2, monkeypatch):
+    # an output that drops V_current's keys
+    monkeypatch.setattr(BN, "complete_subtree", lambda V, V_hist: KnownVertices(V.invalid))
+    with pytest.raises(AssertionError, match="bottleneck subset chain violated"):
+        _left_tree_call(bbt2)
 
 
 def test_bottleneck_wrapper_rejects_a_circuit_with_classical_tiers(bbt2):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from weldlab import tree
 from circuit_gen import (entrance_query_circuit, hardcoded_guess_circuit, query_gate,
                          random_hybrid, random_jozsa, random_quantum_layer,
                          tier, total_quantum_layers)
+from tree_tools import vertex_row
 
 
 def _ctx(bbt):
@@ -216,6 +218,87 @@ def test_classical_layer_learns_in_first_wire_order(bbt2, first):
     got, V2 = HS.classical_tier_sim(t, x, V, ctx)
     assert list(dict.fromkeys(key for key, _c in V2.entries)) == [0, low, high]
     assert got == SV.TrueOracle(bbt2, 2).classical_tier(1, t, x, None)[0]
+
+
+# ---------------------------------------------------------------------------
+# the simulator's own ceilings: each passes a run at its bound and refuses
+# one step past it
+# ---------------------------------------------------------------------------
+
+def _entrance_query(bbt):
+    """A one-layer query of the entrance on a valid color, and that input."""
+    valid_color = next(c for c in range(1, 10) if bbt.answer(0, c) != bbt.invalid)
+    return C.layer(12, [query_gate(2)]), valid_color << 4
+
+
+def test_a_layer_that_learns_more_than_4x_is_refused(bbt2, monkeypatch):
+    # from a dictionary of one vertex, a layer may end knowing four
+    lay, z = _entrance_query(bbt2)
+    simulate = HS.simulate_oracle
+    others = [lab for lab in bbt2.labels.tolist() if lab != 0]
+
+    def layer_learning(count):
+        def learns_more(V, ctx, *args):
+            S, V2 = simulate(V, ctx, *args)
+            for lab in others[:count]:
+                V2.set_vertex(lab, vertex_row(bbt2, lab))
+            return S, V2
+
+        monkeypatch.setattr(HS, "simulate_oracle", learns_more)
+        ctx = _ctx(bbt2)
+        return HS.quantum_layer_sim(lay, SV.PureState.basis(12, z), HS.entrance_known(ctx), ctx)
+
+    assert layer_learning(3)[1].size() == 4
+    with pytest.raises(AssertionError, match=re.escape("known-vertex growth 1 -> 5 exceeds 4x")):
+        layer_learning(4)
+
+
+def test_a_quantum_tier_over_its_query_ceiling_is_refused(bbt2):
+    # one layer from a dictionary of one vertex: at most 4^1 * 1 queries
+    lay, z = _entrance_query(bbt2)
+
+    def tier_booking(booked):
+        def overspends(lay, state, V, ctx, **kwargs):
+            ctx.transcript.queries += booked
+            return HS.quantum_layer_sim(lay, state, V, ctx, **kwargs)
+
+        ctx = _ctx(bbt2)
+        HS._quantum_tier_state(tier("quantum", [lay]), z, HS.entrance_known(ctx), ctx, overspends)
+        return ctx.transcript.per_tier_queries
+
+    assert tier_booking(4) == [4]
+    with pytest.raises(AssertionError, match="tier spent 5 queries, ceiling 4"):
+        tier_booking(5)
+
+
+def test_a_classical_tier_over_its_query_ceiling_is_refused(bbt2, monkeypatch):
+    # one layer 12 wires wide: at most 12 * 1 queries
+    lay, z = _entrance_query(bbt2)
+    substitution = HS.substitution
+
+    def tier_booking(booked):
+        def overspends(V, ctx):
+            ctx.transcript.queries += booked
+            return substitution(V, ctx)
+
+        monkeypatch.setattr(HS, "substitution", overspends)
+        ctx = _ctx(bbt2)
+        HS.classical_tier_sim(tier("classical", [lay]), z, HS.entrance_known(ctx), ctx)
+        return ctx.transcript.per_tier_queries
+
+    assert tier_booking(12) == [12]
+    with pytest.raises(AssertionError, match="classical tier spent 13 queries, ceiling 12"):
+        tier_booking(13)
+
+
+def test_a_run_over_the_wrapper_ceiling_is_refused(bbt2, monkeypatch):
+    circ = entrance_query_circuit(2)
+    spent = HS.few_tier_wrapper(circ, bbt2, seed=3).transcript.queries
+    monkeypatch.setattr(HS, "wrapper_query_ceiling", lambda circuit: spent)
+    HS.few_tier_wrapper(circ, bbt2, seed=3)
+    monkeypatch.setattr(HS, "wrapper_query_ceiling", lambda circuit: spent - 1)
+    with pytest.raises(AssertionError, match="wrapper query ceiling exceeded"):
+        HS.few_tier_wrapper(circ, bbt2, seed=3)
 
 
 # ---------------------------------------------------------------------------

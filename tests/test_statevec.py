@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -418,3 +419,47 @@ def test_success_probability_random_guess_rate():
     est = success_probability(circ, structure, labelings=3000, seed=2)
     expected = 1 / (2 ** (2 * n) - 2)
     assert abs(est.value - expected) <= 3 * max(est.stderr, 1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the executor's own checks: each fires when its invariant is broken
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("probs, error", [
+    ({0: 1.5, 1: -0.5}, "negative probability"),
+    ({0: 0.25, 1: 0.5}, "probabilities sum to 0.75"),
+], ids=["negative", "sum below 1"])
+def test_output_distribution_refuses_an_improper_table(probs, error):
+    with pytest.raises(AssertionError, match=re.escape(error)):
+        SV.OutputDistribution(1, probs)
+
+
+KERNELS = pytest.mark.parametrize("threshold", [0, math.inf], ids=["arrays", "dicts"])
+
+
+@KERNELS
+def test_a_layer_that_changes_the_norm_is_refused(monkeypatch, threshold):
+    # step kernels that keep only half of each amplitude
+    monkeypatch.setattr(SV, "ARRAY_MIN_SUPPORT", threshold)
+    steps_dict, steps_arrays = SV._steps_dict, SV._steps_arrays
+
+    def halved_arrays(keys, re_, im, steps):
+        keys, re_, im = steps_arrays(keys, re_, im, steps)
+        return keys, re_ / 2, im / 2
+
+    monkeypatch.setattr(SV, "_steps_dict", lambda amps, steps: {
+        k: a / 2 for k, a in steps_dict(amps, steps).items()})
+    monkeypatch.setattr(SV, "_steps_arrays", halved_arrays)
+    with pytest.raises(AssertionError, match="layer changed norm by -0.7"):
+        SV.apply_layer(SV.PureState.basis(2, 0), C.layer(2, [C.Gate(C.GateKind.H, (0,))]))
+
+
+@KERNELS
+def test_measuring_an_outcome_of_probability_zero_is_refused(monkeypatch, threshold):
+    # R1 (wires 0 and 1) reads 0b01 or 0b11 on this state, never 0b10
+    monkeypatch.setattr(SV, "ARRAY_MIN_SUPPORT", threshold)
+    state = SV.PureState(width=4, amps={0b0001: 0.6 + 0j, 0b0111: 0.8 + 0j}, live=(0, 1, 2, 3))
+    assert state.wide == (threshold == 0)
+    with pytest.raises(AssertionError, match="measured an outcome of probability zero"):
+        SV._measure_r1(state, 0b10, 0b00, 2)
+    assert list(SV._measure_r1(state, 0b11, 0b00, 2).amps) == [0b0100]

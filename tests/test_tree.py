@@ -97,10 +97,17 @@ def _move_an_edge(table, coloring):
     table[0, c], table[13, c] = 13, 0
 
 
+def _use_color_0(table, coloring):
+    # edge 0-1 moves to column 0, which no edge may hold
+    table[[0, 1], edge_color(coloring, 0, 1)] = -1
+    table[0, 0], table[1, 0] = 1, 0
+
+
 @pytest.mark.parametrize("breakage, problem", [
     (_repeat_a_color, "vertex 0's edges do not each have one color in 1..9"),
     (_move_an_edge, "vertex 13's edges do not each have one color in 1..9"),
-], ids=["a color twice at a vertex", "an absent edge"])
+    (_use_color_0, "vertex 1's edges do not each have one color in 1..9"),
+], ids=["a color twice at a vertex", "an absent edge", "color 0"])
 def test_coloring_problems_names_an_improper_table(breakage, problem):
     bbt = tree.make_blackbox(2, 0)
     table = bbt.coloring.by_color.copy()
@@ -438,6 +445,28 @@ def test_edge_coloring_fails_where_forbids_leave_no_color():
     forbid = {v: 0x3FE for v in range(structure.vertex_count)}
     with pytest.raises(ValueError, match="no proper edge coloring under the given constraints"):
         tree._greedy_edge_coloring(structure, np.random.default_rng(0), forbid=forbid)
+
+
+def test_sampler_refuses_a_completed_structure_that_fails_validate(monkeypatch):
+    # a weld completion that starts its cycle on a right leaf: the same
+    # edges, but no position alternates from a left leaf as validate requires
+    complete_weld = tree._complete_weld
+    monkeypatch.setattr(tree, "_complete_weld",
+                        lambda *args: (lambda cyc: cyc[1:] + cyc[:1])(complete_weld(*args)))
+    with pytest.raises(tree.EmbeddingError, match=re.escape(
+            "completed structure invalid: weld cycle position 0 not alternating; "
+            "weld cycle position 1 not alternating; weld cycle position 2 not alternating")):
+        tree.sample_consistent(KnownVertices(15), 2, 0, mode="structures")
+
+
+def test_replay_names_an_entry_the_sampled_tree_disagrees_with(bbt2):
+    # the entrance's 1-edge exists, so an INVALID entry there cannot replay
+    got = bbt2.answer(0, 1)
+    entries = KnownVertices(15, {(0, 5): bbt2.answer(0, 5), (0, 1): 15})
+    with pytest.raises(tree.EmbeddingError, match=re.escape(
+            f"sampled tree disagrees with entries at (0x0, 1): {got:#x} != 0xf")):
+        tree._replay_entries(entries, bbt2)
+    tree._replay_entries(KnownVertices(15, {(0, 1): got}), bbt2)
 
 
 @pytest.mark.parametrize("mode", _BOTH)
