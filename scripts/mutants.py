@@ -155,6 +155,20 @@ MUTANTS = [
     Mutant("replay-unchecked", "tree.py",
            "if got != y:", "if False:",
            ("tests/test_tree.py::test_replay_names_an_entry_the_sampled_tree_disagrees_with",)),
+    Mutant("prune-band-unchecked", "statevec.py",
+           "    keep[band] = np.hypot(re[band], im[band]) >= PRUNE_TOL\n", "",
+           ("tests/test_statevec.py::test_array_prune_keeps_what_hypot_keeps",)),
+    Mutant("l1-gap-two-sided-keys-only", "hybrid_sim.py",
+           "d = np.delete(a - b, both + 1)", "d = (a - b)[both]",
+           ("tests/test_hybrid_sim.py::test_l1_gap_is_the_dict_sum_in_key_order",)),
+    Mutant("packed-order-index-bit-short", "statevec.py",
+           "bits = (keys.size - 1).bit_length()", "bits = (keys.size - 1).bit_length() - 1",
+           ("tests/test_statevec.py::test_stable_order_is_the_stable_argsort",
+            "tests/test_statevec.py::test_stable_order_falls_back_where_key_and_index_bits_pass_63")),
+    Mutant("unreached-violator-left-unrooted", "bottleneck.py",
+           "while (u := parent.get(u)) is not None:", "while False:",
+           ("tests/test_bottleneck.py::"
+            "test_certify_round_adopts_the_entrance_path_to_an_unreached_violator",)),
     Mutant("completed-structure-unchecked", "tree.py",
            "problems = structure.validate()\n    if problems:", "problems = []\n    if problems:",
            ("tests/test_tree.py::test_sampler_refuses_a_completed_structure_that_fails_validate",)),

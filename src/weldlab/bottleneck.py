@@ -342,14 +342,9 @@ def estimate_consistency_ratio(V: KnownVertices, x: int, i: int,
 # The Bottleneck subroutine
 # ---------------------------------------------------------------------------
 
-def complete_subtree(V: KnownVertices, V_hist: KnownVertices) -> KnownVertices:
-    """Minimum entrance-rooted subtree of V_hist containing V, as full rows.
-
-    BFS parents in the recorded-answer graph give shortest paths from the
-    entrance; the union of those paths over V's key vertices (plus the
-    entrance itself) is closed into a dictionary by copying each chosen
-    vertex's full answer row from V_hist.
-    """
+def _entrance_parents(V_hist: KnownVertices) -> dict[int, int | None]:
+    """Each label's BFS parent in V_hist's recorded-answer graph, on a
+    shortest path from the entrance (whose parent is None)."""
     graph: dict[int, dict[int, int]] = {}
     for (xx, c), y in V_hist.entries.items():
         if y != V_hist.invalid:
@@ -365,6 +360,18 @@ def complete_subtree(V: KnownVertices, V_hist: KnownVertices) -> KnownVertices:
             if w not in parent:
                 parent[w] = u
                 order.append(w)
+    return parent
+
+
+def complete_subtree(V: KnownVertices, V_hist: KnownVertices) -> KnownVertices:
+    """Minimum entrance-rooted subtree of V_hist containing V, as full rows.
+
+    BFS parents in the recorded-answer graph give shortest paths from the
+    entrance; the union of those paths over V's key vertices (plus the
+    entrance itself) is closed into a dictionary by copying each chosen
+    vertex's full answer row from V_hist.
+    """
+    parent = _entrance_parents(V_hist)
     chosen = {0}
     for target in sorted(V.key_labels()):
         if target not in parent:
@@ -458,14 +465,16 @@ def bottleneck(i: int, x: int, V_current: KnownVertices, V_hist: KnownVertices,
         if iterations > ceiling:
             raise AssertionError(f"bottleneck while-loop exceeded {ceiling} iterations")
         row = V_hist.row(violator)
-        if row:
-            for c, y in row.items():
-                V.entries[(violator, c)] = y
-        else:
-            # known only as a neighbour: adopt the edge(s) pointing at it
-            for (xx, c), y in V_hist.entries.items():
-                if y == violator:
-                    V.entries[(xx, c)] = y
+        # its row, or if known only as a neighbour the edge(s) pointing at it
+        adopted = ({(violator, c): y for c, y in row.items()} if row else
+                   {k: y for k, y in V_hist.entries.items() if y == violator})
+        V.entries.update(adopted)
+        if not known & ({xx for xx, _c in adopted} | set(adopted.values())):
+            # nothing V knows leads to it: adopt the rows on V_hist's
+            # entrance path to it too, so that V stays entrance-rooted
+            parent, u = _entrance_parents(V_hist), violator
+            while (u := parent.get(u)) is not None:
+                V.entries.update(((u, c), y) for c, y in V_hist.row(u).items())
     record.iterations = iterations
 
     out = complete_subtree(V, V_hist)

@@ -192,14 +192,14 @@ def _l1_sorted(k1: np.ndarray, k2: np.ndarray, vals: np.ndarray) -> float:
     keys ``k1`` and phi puts them on ``k2`` (each one-to-one)."""
     if not vals.size:
         return 0.0
-    keys = np.unique(np.concatenate([k1, k2]))
-
-    def at(k: np.ndarray) -> np.ndarray:
-        order = np.argsort(k)
-        i = np.minimum(np.searchsorted(k[order], keys), k.size - 1)
-        return np.where(k[order][i] == keys, vals[order][i], 0j)
-
-    d = at(k1) - at(k2)
+    # one stable order: a key both maps reach sits at i (psi's) and i + 1
+    order, keys = SV.stable_order(np.concatenate([k1, k2]))
+    on_psi = order < k1.size
+    v = np.concatenate([vals, vals])[order]
+    a, b = np.where(on_psi, v, 0j), np.where(on_psi, 0j, v)
+    both = np.flatnonzero(keys[1:] == keys[:-1])
+    b[both] = b[both + 1]
+    d = np.delete(a - b, both + 1)      # a - b, a - 0j or 0j - b per key
     return SV.seq_sum(np.hypot(d.real, d.imag))
 
 
@@ -216,10 +216,12 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
     q_before = ctx.transcript.queries
     regs = _query_regs(lt, n, phi.live)
     if phi.wide:
-        keys, vals = phi.arrays()
-        # keys are distinct, so timsort gives quicksort's order, faster here
-        order = np.argsort(keys, kind="stable")
-        support, vals = keys[order], vals[order]
+        support, vals = phi.arrays()
+        # keys are distinct, so any stable order is the sorted one; about
+        # half the layers leave them ascending, the rest take SV.stable_order
+        if not (support[1:] > support[:-1]).all():
+            order, support = SV.stable_order(support)
+            vals = vals[order]
         # (x, c) gathered once for the substitution and the instrumented truth map
         queries = SV.gather_queries(support, regs) if regs else None
         S, V2 = simulate_oracle(V, ctx, lt, support, phi.live, n, queries)

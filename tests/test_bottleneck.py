@@ -507,6 +507,26 @@ def test_certify_round_adopts_a_violators_full_row(bbt2):
     assert all(out.row(v) == hist.row(v) for v in out.key_labels())
 
 
+@pytest.mark.parametrize("mode", ["labelings", "structures"])
+def test_certify_round_adopts_the_entrance_path_to_an_unreached_violator(bbt2, mode):
+    # V is empty, so a certified label no entrance edge reaches would leave
+    # V without a path from the entrance, and the next round's sampler
+    # would refuse it; the round adopts V_hist's rows along that path too
+    circ = _allq(np.random.default_rng(15), p_query=0.0)
+    hist = KnownVertices(bbt2.invalid)
+    for lab in bbt2.labels.tolist():
+        hist.set_vertex(lab, vertex_row(bbt2, lab))
+    rec = BN.CallRecord(tier=0, layer=-1, iterations=0, aborted=False, v_current=0,
+                        v_out=0, v_hist=hist.size(), ratio=None)
+    cfg = BN.BottleneckConfig(tau=0.75, sample_budget=3, fresh_candidates=0, mode=mode)
+    out = BN.bottleneck(0, 0, KnownVertices(bbt2.invalid), hist, _env_for(circ, bbt2, 19),
+                        cfg, record=rec)
+    assert not isinstance(out, BN.Abort) and rec.iterations > 0
+    entrance_row = set(hist.row(0).values())
+    assert out.key_labels() - entrance_row - {0}
+    assert all(out.row(v) == hist.row(v) for v in out.key_labels())
+
+
 @pytest.mark.parametrize("ceiling", ["loop_ceiling", "size_ceiling"])
 def test_a_call_past_its_ceiling_is_refused(bbt2, monkeypatch, ceiling):
     # the call runs at a ceiling equal to what it takes, and not below it

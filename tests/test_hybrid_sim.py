@@ -322,6 +322,22 @@ def test_all_known_tier_matches_reference_exactly(bbt2):
     assert ref.probs == sim.probs
 
 
+@pytest.mark.parametrize("size", [0, 1, 40, SV.PACK_MIN_KEYS])
+def test_l1_gap_is_the_dict_sum_in_key_order(size):
+    # keys both maps reach, keys only one reaches, and zero amplitudes of
+    # either sign; at PACK_MIN_KEYS keys a side the order is a packed sort
+    rng = np.random.default_rng(size)
+    pool = rng.choice(1 << 30, size=2 * size, replace=False)
+    k1, k2 = pool[:size], rng.permutation(pool[size // 2:size + size // 2])
+    vals = SV._complex(rng.normal(size=size), rng.normal(size=size))
+    vals[:4] = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)][:size]
+    psi, phi = dict(zip(k1.tolist(), vals.tolist())), dict(zip(k2.tolist(), vals.tolist()))
+    want = SV.seq_sum(abs(psi.get(k, 0j) - phi.get(k, 0j)) for k in sorted(set(psi) | set(phi)))
+    got = HS._l1_sorted(k1, k2, vals)
+    assert type(got) is float and got == want
+    assert size < 2 or (set(psi) - set(phi) and set(phi) - set(psi) and set(psi) & set(phi))
+
+
 def test_compare_to_reference_query_free():
     rng = np.random.default_rng(3)
     circ = random_hybrid(rng, n=2, g=10, eta=3, max_c=2, max_q=2, p_query=0.0)

@@ -72,6 +72,68 @@ def test_first_groups_table_and_sort_agree(monkeypatch):
             assert (distinct.tolist(), group.tolist()) == want, (path, keys[:10])
 
 
+def _order_inputs(size: int):
+    """(kind, keys) of ``size`` elements, of each kind a layer can leave."""
+    rng = np.random.default_rng(size)
+    half = rng.integers(0, 1 << 20, size=size // 2)
+    yield "random", rng.integers(0, 1 << 40, size=size)
+    yield "negative", rng.integers(-(1 << 40), 1 << 40, size=size)
+    yield "ascending", np.sort(rng.choice(1 << 30, size=size, replace=False))
+    yield "descending", np.sort(rng.choice(1 << 30, size=size, replace=False))[::-1].copy()
+    yield "pairs", SV._interleave(half & ~(1 << 20), half | (1 << 20))
+    yield "duplicates", rng.integers(0, 50, size=size)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 300, SV.PACK_MIN_KEYS, 5000])
+def test_stable_order_is_the_stable_argsort(size, monkeypatch):
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    for kind, keys in _order_inputs(size):
+        calls.clear()
+        order, sorted_keys = SV.stable_order(keys)
+        want = argsort(keys, kind="stable")
+        assert order.tolist() == want.tolist() and sorted_keys.tolist() == keys[want].tolist()
+        # packed from PACK_MIN_KEYS non-negative keys on
+        assert bool(calls) == (size < SV.PACK_MIN_KEYS or kind == "negative"), kind
+
+
+@pytest.mark.parametrize("top_bits, packed", [(52, True), (53, False)])
+def test_stable_order_falls_back_where_key_and_index_bits_pass_63(top_bits, packed,
+                                                                  monkeypatch):
+    # 2,048 keys take 11 index bits: keys of 52 bits pack, of 53 bits do not
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    keys = np.random.default_rng(5).integers(0, 1 << 20, size=2048) << (top_bits - 20)
+    keys[7] = (1 << top_bits) - 1
+    order, sorted_keys = SV.stable_order(keys)
+    want = argsort(keys, kind="stable")
+    assert order.tolist() == want.tolist() and sorted_keys.tolist() == keys[want].tolist()
+    assert bool(calls) != packed
+
+
+def test_array_prune_keeps_what_hypot_keeps():
+    # each component pair on both kernels: the bound m = max(|re|, |im|)
+    # decides all but PRUNE_TOL/2 <= m < PRUNE_TOL, which hypot decides
+    tol = SV.PRUNE_TOL
+    below, above = np.nextafter(tol, 0), np.nextafter(tol, 1)
+    parts = [(0.0, 0.0), (-0.0, 0.0), (tol / 2, 0.0), (tol / 2, tol / 2),
+             (np.nextafter(tol / 2, 0), np.nextafter(tol / 2, 0)), (below, 0.0), (0.0, -below),
+             (tol, 0.0), (0.0, -tol), (above, 0.0), (0.71 * tol, 0.71 * tol),
+             (-0.7 * tol, 0.7 * tol), (0.8 * tol, -0.6 * tol), (0.6 * tol, 0.8 * tol),
+             (below, below), (5e-324, 0.0), (1e-310, -1e-310), (1e-5, 0.0), (0.3, -0.4)]
+    re, im = np.array(parts).T
+    keys = np.arange(len(parts)) * 3
+    want = np.hypot(re, im) >= tol
+    assert 0 < np.count_nonzero(want & (np.maximum(abs(re), abs(im)) < tol))
+    k, got_re, got_im = SV._prune_arrays(keys, re, im)
+    assert k.tolist() == keys[want].tolist()
+    assert (got_re.tolist(), got_im.tolist()) == (re[want].tolist(), im[want].tolist())
+    kept = SV._prune(dict(zip(keys.tolist(), SV._complex(re, im).tolist())))
+    assert list(kept) == keys[want].tolist()
+
+
 @pytest.mark.parametrize("ones", ["no key", "every key"])
 def test_partner_free_h_matches_dict_kernel(ones):
     # H on wire 9 where no key meets its partner: every key lacks the bit,
