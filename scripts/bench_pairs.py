@@ -17,7 +17,8 @@ wall time and peak RSS of the five ``weldlab`` commands that
 The document's ``command`` names the parent checkout by what it holds,
 not by its local path: ``<checkout of REV>``, REV the parent side's own
 ``environment.git_rev``, or its ``src_sha256`` where the checkout has no
-``.git`` (one made by ``git archive``).
+``.git`` (one made by ``git archive``).  Of ``--out`` it names only the
+file, so no local directory reaches the document.
 
 ``--compare`` reads two such documents and prints, for each workload and
 end-to-end metric, the median of NEW's change side over that of OLD's (the
@@ -185,7 +186,7 @@ def main(argv=None) -> int:
     parent = doc["environment"]["parent"]
     doc["command"] = (f"python3 scripts/bench_pairs.py --parent <checkout of "
                       f"{parent['git_rev'] or parent['src_sha256']}> --pairs {args.pairs} "
-                      f"--seconds {args.seconds:g} --out {args.out}")
+                      f"--seconds {args.seconds:g} --out {args.out.name}")
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -117,6 +117,14 @@ MUTANTS = [
     Mutant("layer-norm-unchecked", "statevec.py",
            "if abs(nrm - prev_norm) > NORM_TOL:", "if False:",
            ("tests/test_statevec.py::test_a_layer_that_changes_the_norm_is_refused",)),
+    # only the lowered-cap cases: unchecked, the cap-2^22 ones would make
+    # 2^23 amplitudes
+    Mutant("support-cap-unchecked", "statevec.py",
+           "if n_h and (bound := ", "if False and (bound := ",
+           tuple("tests/test_statevec.py::test_a_layer_past_the_support_cap_is_refused"
+                 f"[{path}-lowered-cap]" for path in (
+                     "run_hybrid_exact", "run_hybrid", "few_tier_exact_distribution",
+                     "run_jozsa_exact"))),
     Mutant("zero-outcome-measured-on-arrays", "statevec.py",
            'raise AssertionError("measured an outcome of probability zero")\n        # 0j',
            "pass\n        # 0j",

@@ -211,7 +211,7 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
     """
     bbt, n = ctx.bbt, ctx.bbt.n
     lg, lt = lay.split
-    phi = SV.apply_layer(state, lg, bbt, n)
+    phi = SV.apply_layer(state, lg, bbt, n, ctx.tier_index, layer_index)
     size_before = V.size()
     q_before = ctx.transcript.queries
     regs = _query_regs(lt, n, phi.live)

@@ -76,13 +76,17 @@ from .tree import BlackBoxTree, OracleHandle
 
 PRUNE_TOL = 1e-14
 NORM_TOL = 1e-9
-EXACT_WIDTH_CAP = 22
 # Smallest support that takes the array kernel.  Measured per step on
 # 16-wire states (2 cores, Python 3.11, numpy 2.4): arrays win from about
 # 16 amplitudes for marginals, 40 for query layers, 64 for instrumented
 # simulator layers and layers without H, and 150 to 300 reached amplitudes
 # for layers of 3 to 5 H gates.
 ARRAY_MIN_SUPPORT = 128
+# Most amplitudes a layer with H gates may hold (width bounds nothing a
+# sparse state allocates).  An H layer peaks at 56 bytes per output amplitude
+# on arrays, 164 on dicts (tracemalloc, 2^17 outputs): about 240 and 700 MB at
+# 2^22, what one run on a desk machine can spare.
+EXACT_SUPPORT_CAP = 1 << 22
 # Keys below TABLE_SPAN times their count are grouped through a table of
 # 8 bytes per possible key, not a sort.  On random keys (2 cores, numpy 2.4,
 # 128 to 65,536 keys) the table is 1.2-3.4x faster up to a span of 16x and
@@ -509,13 +513,14 @@ def layer_plan(lay: C.Layer, width: int, live: tuple[int, ...], n: int | None) -
 
 
 def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
-                n: int | None = None) -> PureState:
+                n: int | None = None, tier: int = 0, layer: int = 0) -> PureState:
     """Apply one layer exactly; pure (returns a new state).
 
     ``n`` (label length parameter) is required when the layer has query
     gates, as is ``bbt``.  The gates of a layer are wire-disjoint, so the
     query gates act last, all in one pass over the support.  The input is
     taken to be pruned already (every state this module makes is).
+    ``tier`` and ``layer`` locate a refusal by ``EXACT_SUPPORT_CAP``.
     """
     if state.logical_width != lay.width_in:
         raise ValueError(f"layer expects {lay.width_in} wires, state has "
@@ -523,6 +528,10 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
     width, steps, regs, live_out, n_h = layer_plan(lay, state.width, state.live, n)
     if regs and bbt is None:
         raise ValueError("query gate needs the black-box tree and n")
+    # each H gate at most doubles the support, never past 2^width; no other gate grows it
+    if n_h and (bound := min(len(state.amps) << n_h, 1 << width)) > EXACT_SUPPORT_CAP:
+        raise ValueError(f"tier {tier}, layer {layer} may hold {bound} amplitudes, past the "
+                         f"support cap 2^{EXACT_SUPPORT_CAP.bit_length() - 1} = {EXACT_SUPPORT_CAP}")
 
     if not steps and not regs:
         # ANC and DIS only move wires in and out of ``live``: the amplitudes
@@ -565,7 +574,7 @@ def sample_outcome(probs: dict[int, float], u: float) -> int:
     total = seq_sum(probs[k] for k in keys)
     u = u * total
     acc = 0.0
-    for k in keys:
+    for k in keys[:-1]:
         acc += probs[k]
         if u <= acc:
             return k
@@ -609,7 +618,7 @@ class TrueOracle:
         return x, known
 
     def layer(self, i: int, li: int, lay: C.Layer, state: PureState, known):
-        return apply_layer(state, lay, self.bbt, self.n), known
+        return apply_layer(state, lay, self.bbt, self.n, i, li), known
 
     def quantum_tier(self, i: int, t: C.Tier, x: int, known):
         """Outcome distribution of quantum tier ``t`` from basis input ``x``."""
@@ -716,14 +725,6 @@ def drive_jozsa(circuit: C.JozsaCircuit, policy, rng_for,
     return acc, known
 
 
-def _check_exact_cap(circuit: C.Circuit) -> None:
-    widest = max((lay.working_width for t in C._iter_tiers(circuit) for lay in t.layers),
-                 default=0)
-    if widest > EXACT_WIDTH_CAP:
-        raise ValueError(f"exact mode caps working width at {EXACT_WIDTH_CAP}, "
-                         f"circuit reaches {widest}")
-
-
 def run_hybrid(circuit: C.HybridCircuit, bbt: BlackBoxTree, seed: int,
                handle: OracleHandle | None = None) -> int:
     """Sampled execution; input is the all-zeros n-bit string."""
@@ -737,7 +738,6 @@ def run_hybrid(circuit: C.HybridCircuit, bbt: BlackBoxTree, seed: int,
 def run_hybrid_exact(circuit: C.HybridCircuit, bbt: BlackBoxTree) -> OutputDistribution:
     """Exact output distribution over the final tier's output bits."""
     C.require_valid(circuit)
-    _check_exact_cap(circuit)
     acc, _ = drive_hybrid(circuit, TrueOracle(bbt, circuit.n), None)
     return OutputDistribution(circuit.tiers[-1].width_out, acc)
 
@@ -753,6 +753,5 @@ def run_jozsa(circuit: C.JozsaCircuit, bbt: BlackBoxTree, seed: int,
 
 def run_jozsa_exact(circuit: C.JozsaCircuit, bbt: BlackBoxTree) -> OutputDistribution:
     C.require_valid(circuit)
-    _check_exact_cap(circuit)
     acc, _ = drive_jozsa(circuit, TrueOracle(bbt, circuit.n), None)
     return OutputDistribution(circuit.g, acc)

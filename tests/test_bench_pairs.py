@@ -102,8 +102,8 @@ def test_run_command_raises_on_a_failing_command():
 @pytest.mark.parametrize("git_rev, rev", [("0123abc", "0123abc"), (None, "5eed")],
                          ids=["clone", "archive"])
 def test_document_names_the_parent_by_revision_not_path(tmp_path, monkeypatch, git_rev, rev):
-    # the parent's own git revision, else (no .git) its source digest; the
-    # local --parent path never reaches the document
+    # the parent's own git revision, else (no .git) its source digest, and
+    # the --out file's bare name: no local path reaches the document
     parent_dir = tmp_path / "scratch" / "parent"
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
@@ -120,6 +120,6 @@ def test_document_names_the_parent_by_revision_not_path(tmp_path, monkeypatch, g
                              "--seconds", "0.5", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["command"] == (f"python3 scripts/bench_pairs.py --parent <checkout of {rev}> "
-                              f"--pairs 2 --seconds 0.5 --out {out}")
+                              f"--pairs 2 --seconds 0.5 --out BENCH.json")
     assert doc["environment"]["parent"]["git_rev"] == git_rev
-    assert str(parent_dir) not in out.read_text()
+    assert str(tmp_path) not in out.read_text()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from weldlab import circuits as C
+from weldlab import hybrid_sim as HS
 from weldlab import statevec as SV
 from weldlab import tree
 from weldlab.rng import derive_seed, make_rng
@@ -316,12 +317,77 @@ def test_query_free_circuit_independent_of_tree():
     assert d1.probs == d2.probs
 
 
-def test_exact_width_cap():
-    t1 = C.Tier("classical", (C.Layer(2, 23, tuple(
-        C.Gate(C.GateKind.ANCILLA, (w,)) for w in range(2, 23))),), 2, 23)
-    circ = C.HybridCircuit(n=2, g=23, tiers=(t1,))
-    with pytest.raises(ValueError):
-        SV.run_hybrid_exact(circ, tree.make_blackbox(2, 1))
+def _grow(n: int, g: int) -> C.Layer:
+    return C.layer(n, [C.Gate(C.GateKind.ANCILLA, (w,)) for w in range(n, g)])
+
+
+def _h_layer(width: int, wires) -> C.Layer:
+    return C.layer(width, [C.Gate(C.GateKind.H, (w,)) for w in wires])
+
+
+def test_support_cap_bounds_what_a_layer_can_hold(monkeypatch):
+    # width bounds nothing: 23 wires of ANC gates run with support 1
+    circ = C.HybridCircuit(n=2, g=23, tiers=(tier("classical", [_grow(2, 23)]),))
+    assert SV.run_hybrid_exact(circ, tree.make_blackbox(2, 1)).probs == {0: 1.0}
+    # a layer may hold min(support * 2^(H gates), 2^width) amplitudes: at a
+    # cap of 2^4, four H gates on a basis state reach it and run, and one H
+    # gate on a full 4-wire state is held to 2^4 by the width
+    monkeypatch.setattr(SV, "EXACT_SUPPORT_CAP", 1 << 4)
+    assert len(SV.apply_layer(SV.PureState.basis(4, 0), _h_layer(4, range(4))).amps) == 16
+    full = SV.PureState(width=4, amps=dict.fromkeys(range(16), 0.25 + 0j), live=tuple(range(4)))
+    assert len(SV.apply_layer(full, _h_layer(4, [0])).amps) == 8
+
+
+def _hybrid_h(h: int) -> C.HybridCircuit:
+    """n=2, grown to ``h`` wires, then one quantum layer of ``h`` H gates."""
+    return C.HybridCircuit(n=2, g=h, tiers=(tier("classical", [_grow(2, h)]),
+                                            tier("quantum", [_h_layer(h, range(h))])))
+
+
+def _jozsa_h(h: int) -> C.JozsaCircuit:
+    """n=2, grown to the even width h + 1, then ``h`` H gates; R1 is left alone."""
+    g = h + 1
+    return C.JozsaCircuit(
+        n=2, g=g, quantum_tiers=(tier("quantum", [_grow(2, g), _h_layer(g, range(h))]),),
+        classical_tiers=(C.Tier("classical", (), g // 2, g // 2),))
+
+
+CAP_PATHS = {
+    "run_hybrid_exact": ("tier 2, layer 0", lambda h, bbt: SV.run_hybrid_exact(_hybrid_h(h), bbt)),
+    "run_hybrid": ("tier 2, layer 0", lambda h, bbt: SV.run_hybrid(_hybrid_h(h), bbt, 1)),
+    "few_tier_exact_distribution": ("tier 2, layer 0", lambda h, bbt:
+                                    HS.few_tier_exact_distribution(_hybrid_h(h), bbt)),
+    "run_jozsa_exact": ("tier 1, layer 1", lambda h, bbt: SV.run_jozsa_exact(_jozsa_h(h), bbt)),
+}
+
+
+@pytest.mark.parametrize("h", [5, 23], ids=["lowered-cap", "cap"])
+@pytest.mark.parametrize("path", list(CAP_PATHS))
+def test_a_layer_past_the_support_cap_is_refused(path, h, bbt2, monkeypatch):
+    # h H gates on a basis state may reach 2^h amplitudes, twice the cap;
+    # the refusal comes before the layer makes any
+    if h == 5:
+        monkeypatch.setattr(SV, "EXACT_SUPPORT_CAP", 1 << 4)
+    where, run = CAP_PATHS[path]
+    cap = h - 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"{where} may hold {1 << h} amplitudes, past the support cap 2^{cap} = {1 << cap}")):
+        run(h, bbt2)
+
+
+def test_a_28_wire_circuit_runs_exactly():
+    # n=4: ANC up to 28 wires, H on the c-register, one query from the
+    # entrance (x = 0) into y; each of the 16 colors holds 1/16
+    bbt = tree.make_blackbox(4, 3)
+    x, c, y = range(0, 8), range(8, 12), range(12, 20)
+    query = C.Gate(C.GateKind.QUERY, (*x, *c, *y))
+    circ = C.HybridCircuit(n=4, g=28, tiers=(
+        tier("classical", [_grow(4, 28)]),
+        tier("quantum", [_h_layer(28, c), C.layer(28, [query])])))
+    probs = SV.run_hybrid_exact(circ, bbt).probs
+    want = {(col << 8) | (bbt.answer(0, col) << 12) for col in range(16)}
+    assert set(probs) == want and len(want) == 16
+    assert all(abs(p - 1 / 16) <= 1e-12 for p in probs.values())
 
 
 def test_apply_layer_rejects_a_state_of_another_width():
