@@ -177,6 +177,21 @@ MUTANTS = [
            "while (u := parent.get(u)) is not None:", "while False:",
            ("tests/test_bottleneck.py::"
             "test_certify_round_adopts_the_entrance_path_to_an_unreached_violator",)),
+    Mutant("replay-memo-reads-unchecked", "bottleneck.py",
+           "all(V.entries.get(k) == a for k, a in reads.items())", "True",
+           tuple("tests/test_bottleneck.py::test_known_replay_memo_needs_every_answer_it_read"
+                 f"[{variant}-1]" for variant in ("changed", "missing"))),
+    Mutant("replay-memo-keeps-placeholder-consults", "bottleneck.py",
+           "    if oracle.placeholders and oracle.ctx.consulted:\n        return None\n"
+           "    env.replays[i] = (oracle.reads if oracle.ctx.consulted else {}, y)\n",
+           "    env.replays[i] = (oracle.reads if oracle.ctx.consulted else {}, y)\n"
+           "    if oracle.placeholders and oracle.ctx.consulted:\n        return None\n",
+           ("tests/test_bottleneck.py::test_consult_on_array_kernel_leaves_empty_V_undecided",)),
+    Mutant("taylor-probe-breaks-early", "walk.py",
+           "mods = np.abs(term)\n                    probe = int(mods.argmax())\n"
+           "                    if mods[probe] < TAYLOR_TOL:\n                        break",
+           "break",
+           ("tests/test_walk.py::test_full_graph_state_bytes_pinned",)),
     Mutant("completed-structure-unchecked", "tree.py",
            "problems = structure.validate()\n    if problems:", "problems = []\n    if problems:",
            ("tests/test_tree.py::test_sampler_refuses_a_completed_structure_that_fails_validate",)),

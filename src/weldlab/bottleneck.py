@@ -202,7 +202,9 @@ class EstimatorEnv:
     In "labelings" mode the fixed structure and coloring are supplied (the
     transcript distribution of Definition-style experiments varies labelings
     of a fixed tree); in "structures" mode fresh weldings are completed
-    around the conditioning dictionary.
+    around the conditioning dictionary.  ``replays`` is ``_known_replay``'s
+    memo: for each prefix length i, the answers its last decided replay read
+    and the transcript it gave.
     """
 
     circuit: C.HybridCircuit
@@ -211,6 +213,8 @@ class EstimatorEnv:
     structure: TreeStructure | None = None
     coloring: EdgeColoring | None = None
     call_counter: int = 0
+    replays: dict[int, tuple[dict[tuple[int, int], int], int]] = field(
+        default_factory=dict, repr=False)
 
     def next_call_id(self) -> int:
         self.call_counter += 1
@@ -241,12 +245,13 @@ class _KnownOracle:
 
     Until ``ctx`` has consulted its dictionary, an entrance-row key V lacks
     reads as an INVALID placeholder (and sets ``placeholders``); any other
-    key V lacks raises ``_Undecided``.
+    key V lacks raises ``_Undecided``.  ``reads`` holds each answer read from V.
     """
 
     def __init__(self, V: KnownVertices, n: int):
         self.entries, self.invalid, self.n, self.count = V.entries, V.invalid, n, 0
         self.placeholders = False
+        self.reads: dict[tuple[int, int], int] = {}
         self.ctx = SimContext.fresh(self, instrument=False)
 
     def handle(self) -> "_KnownOracle":
@@ -254,8 +259,10 @@ class _KnownOracle:
 
     def query(self, x: int, c: int) -> int:
         self.count += 1
-        if (x, c) in self.entries:
-            return self.entries[(x, c)]
+        y = self.entries.get((x, c))
+        if y is not None:
+            self.reads[(x, c)] = y
+            return y
         if x != 0 or self.ctx.consulted:
             raise _Undecided
         self.placeholders = True
@@ -269,13 +276,23 @@ def _known_replay(V: KnownVertices, i: int, env: EstimatorEnv) -> int | None:
     answers V's keys as V does), or if it consulted no answer at all: then
     only the entrance row was read, no answer reached a state, and every
     tree replays alike whatever its entrance row.
+
+    A decided replay is kept in ``env.replays[i]`` with the answers it read
+    (none if it consulted none).  A later V that holds each of them would be
+    asked the same keys in the same order, so its transcript is reused.
     """
+    reads, y = env.replays.get(i, (None, None))
+    if reads is not None and all(V.entries.get(k) == a for k, a in reads.items()):
+        return y
     oracle = _KnownOracle(V, env.circuit.n)
     try:
         y = replay_prefix(env.circuit, oracle, env.tape, i, oracle.ctx)
     except _Undecided:
         return None
-    return None if oracle.placeholders and oracle.ctx.consulted else y
+    if oracle.placeholders and oracle.ctx.consulted:
+        return None
+    env.replays[i] = (oracle.reads if oracle.ctx.consulted else {}, y)
+    return y
 
 
 def _sample_accepted_trees(V: KnownVertices, x: int, i: int, env: EstimatorEnv,

@@ -75,7 +75,9 @@ def full_graph_state(structure: TreeStructure, times) -> np.ndarray:
     |h| * 3 <= TAYLOR_THETA (Al-Mohy & Higham 2011) on the neighbour array,
     whose padding -1 reads a zero entry past the vertices.  Each term is
     written into one buffer, after its neighbour sums are gathered, and
-    added to the state in place.
+    added to the state in place.  A term whose probed entry has a part of
+    size TAYLOR_TOL or more has a max-norm that large too; only a term whose
+    probe falls below takes the full max, and the probe moves to its argmax.
     """
     if structure.n > FULL_WALK_MAX_N:
         raise ValueError(f"full-graph walk capped at n <= {FULL_WALK_MAX_N}")
@@ -86,13 +88,19 @@ def full_graph_state(structure: TreeStructure, times) -> np.ndarray:
     buffer = np.zeros(V + 1, dtype=complex)     # each term in turn; entry V stays 0
     times = np.asarray(times, dtype=float)
     out = np.empty((times.size, V), dtype=complex)
-    now = 0.0
+    now, probe = 0.0, structure.entrance
     for i in np.argsort(times, kind="stable"):
         steps = int(np.ceil(abs(times[i] - now) * 3 / TAYLOR_THETA))
         h = (times[i] - now) / max(steps, 1)
         for _ in range(steps):
             term, j = state, 0
-            while np.abs(term).max() >= TAYLOR_TOL:
+            while True:
+                z = term[probe]
+                if max(abs(z.real), abs(z.imag)) < TAYLOR_TOL:
+                    mods = np.abs(term)
+                    probe = int(mods.argmax())
+                    if mods[probe] < TAYLOR_TOL:
+                        break
                 j += 1
                 gather = term[first] + term[second]
                 gather += term[third]

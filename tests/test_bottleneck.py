@@ -455,12 +455,97 @@ def test_consult_on_array_kernel_leaves_empty_V_undecided(bbt2, mode):
     ctx = HS.SimContext.fresh(bbt2, instrument=False)
     BN.replay_prefix(circ, bbt2, env.tape, 1, ctx)
     assert ctx.consulted == 8 * 9           # one per distinct (x, c in 1..9)
+    # it read placeholders and then consulted, so it is not kept: the
+    # second call replays again and is undecided too
+    assert BN._known_replay(V, 1, env) is None
     assert BN._known_replay(V, 1, env) is None
     # the entrance's answers reach the transcript: the trees do not agree
     replays = {BN.replay_prefix(circ, tree.sample_consistent(
         V, 2, s, mode=mode, structure=bbt2.structure, coloring=bbt2.coloring), env.tape, 1)
         for s in range(8)}
     assert len(replays) > 1
+
+
+def _known_replay_count(monkeypatch):
+    """A function giving how many replays against V have run from now on."""
+    calls = _spy(monkeypatch, "replay_prefix")
+    return lambda: sum(isinstance(args[1], BN._KnownOracle) for args in calls)
+
+
+@pytest.mark.parametrize("mode", ["labelings", "structures"])
+def test_known_replay_memo_gives_a_fresh_envs_replay(monkeypatch, mode):
+    # random all-quantum circuits x trees, tiers 1 and 2, on dictionaries
+    # that grow a row at a time from {}: one env, whose memo carries over,
+    # answers each as a fresh env does
+    replays = _known_replay_count(monkeypatch)
+    calls, seen = 0, set()
+    for k in range(12):
+        circ = _allq(np.random.default_rng(500 + k), p_query=(0.3, 0.6, 0.9)[k % 3])
+        bbt = tree.make_blackbox(2, 600 + k)
+        env = _env_for(circ, bbt, k)
+        if mode == "structures":
+            env.structure = env.coloring = None
+        V = KnownVertices(bbt.invalid)
+        for step in range(7):
+            for i in (1, 2):
+                fresh = dataclasses.replace(env, replays={})
+                want = BN._known_replay(V, i, fresh)
+                assert BN._known_replay(V, i, env) == want, (k, step, i)
+                calls += 1
+                seen.add(want is None)
+            V = V.copy()
+            frontier = sorted(V.known_labels() - V.key_labels()) or [0]
+            V.set_vertex(frontier[0], vertex_row(bbt, frontier[0]))
+    # every call replayed in its fresh env; the memo spared some in env
+    assert seen == {True, False} and calls < replays() < 2 * calls
+
+
+def _full_dictionary(bbt) -> KnownVertices:
+    V = KnownVertices(bbt.invalid)
+    for lab in sorted(int(x) for x in bbt.labels):
+        V.set_vertex(lab, vertex_row(bbt, lab))
+    return V
+
+
+@pytest.mark.parametrize("variant, replays", [("reads-only", 0), ("changed", 1),
+                                              ("missing", 1)])
+def test_known_replay_memo_needs_every_answer_it_read(bbt2, monkeypatch, variant, replays):
+    # the superposed query reads several rows; against the whole tree its
+    # replay is decided and kept with the answers it read.  A dictionary
+    # holding just those answers reuses it; one that changes or lacks any
+    # of them replays again
+    circ = _superposed_query_circuit()
+    V = _full_dictionary(bbt2)
+    first = BN._KnownOracle(V, circ.n)
+    env = _env_for(circ, bbt2, 3)
+    y = BN.replay_prefix(circ, first, env.tape, 1, first.ctx)
+    assert first.ctx.consulted and not first.placeholders and len(first.reads) > 9
+    count = _known_replay_count(monkeypatch)
+    for key in sorted(first.reads):
+        env = _env_for(circ, bbt2, 3)
+        assert BN._known_replay(V, 1, env) == y and env.replays[1] == (first.reads, y)
+        W = KnownVertices(bbt2.invalid, dict(first.reads))
+        if variant == "changed":
+            W.entries[key] = bbt2.invalid if W.entries[key] != bbt2.invalid else 1
+        elif variant == "missing":
+            del W.entries[key]
+        before = count()
+        got = BN._known_replay(W, 1, env)
+        assert count() - before == replays, key
+        assert replays or got == y
+
+
+def test_known_replay_memo_lives_for_one_run(monkeypatch):
+    # a run's memo spares replays, and a second run of the same item starts
+    # with an empty one: it replays as often as the first
+    calls = _spy(monkeypatch, "_known_replay")
+    replays = _known_replay_count(monkeypatch)
+    counts = []
+    for _ in range(2):
+        before = len(calls), replays()
+        _decidable_run("labelings", 2)
+        counts.append((len(calls) - before[0], replays() - before[1]))
+    assert counts[0] == counts[1] and counts[0][1] < counts[0][0]
 
 
 def test_bottleneck_keeps_entrance_dictionary_on_query_free_circuit(bbt2):
