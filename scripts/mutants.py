@@ -192,6 +192,22 @@ MUTANTS = [
            "                    if mods[probe] < TAYLOR_TOL:\n                        break",
            "break",
            ("tests/test_walk.py::test_full_graph_state_bytes_pinned",)),
+    Mutant("add-zero-writes-held-values", "statevec.py",
+           "    if vals is held:\n        return vals + 0.0\n", "",
+           tuple("tests/test_statevec.py::test_layers_leave_their_input_state_unchanged"
+                 f"[{order}-arrays]" for order in ("ascending", "shuffled"))),
+    Mutant("h-broadcast-drops-set-signs", "statevec.py",
+           "negated ^ bool(keys[0] & bit)", "negated ^ False",
+           ("tests/test_statevec.py::test_partner_free_h_matches_dict_kernel[every key]",
+            "tests/test_statevec.py::test_partner_free_h_matches_dict_kernel[some wires]")),
+    Mutant("quarter-turns-mod-4", "statevec.py",
+           "        turns += (keys & bit) != 0\n",
+           "        turns += (keys & bit) != 0\n    turns %= 4\n",
+           ("tests/test_statevec.py::test_phase_runs_turn_each_amplitude_once_per_set_wire",)),
+    Mutant("truth-map-reads-substitution", "hybrid_sim.py",
+           "truth = SV.move_keys(support, regs, bbt.answer_many(pairs >> 4, pairs & 15)[group])",
+           "truth = S.value_array",
+           ("tests/test_kernels.py::test_paths_agree_on_outlier_circuits",)),
     Mutant("completed-structure-unchecked", "tree.py",
            "problems = structure.validate()\n    if problems:", "problems = []\n    if problems:",
            ("tests/test_tree.py::test_sampler_refuses_a_completed_structure_that_fails_validate",)),

@@ -163,15 +163,15 @@ def substitution(V: KnownVertices, ctx: SimContext):
 
 def simulate_oracle(V: KnownVertices, ctx: SimContext, lt: C.Layer, support,
                     live: tuple[int, ...], n: int,
-                    queries=None) -> tuple[Mapping[int, int], KnownVertices]:
+                    pairs=None) -> tuple[Mapping[int, int], KnownVertices]:
     """Alg-style query substitution over ``support``; returns (S, updated V).
 
     ``support`` must be sorted ascending (the caller sorts it once, for its
     own use too); keys are visited in that order.  An int64 array
     ``support`` takes the array kernel, which asks each distinct (x, c) pair
     once in that order, and gives ``S`` as an ``SV.ArrayMap`` over
-    ``support``; ``queries`` are its ``SV.gather_queries`` if the caller
-    has gathered them.  perfbench's tracer reads ``support`` as the fourth
+    ``support``; ``pairs`` are its ``SV.query_pairs`` if the caller has
+    grouped them.  perfbench's tracer reads ``support`` as the fourth
     positional argument.
     """
     if not lt.gates:
@@ -182,8 +182,9 @@ def simulate_oracle(V: KnownVertices, ctx: SimContext, lt: C.Layer, support,
     answer, work = substitution(V, ctx)
     regs = _query_regs(lt, n, live)
     if isinstance(support, np.ndarray):
-        moved = SV.query_keys(support, regs, SV.distinct_answers(answer), queries)
-        return SV.ArrayMap(support, moved), work
+        pairs, group = pairs or SV.query_pairs(support, regs)
+        got = np.array([answer(p >> 4, p & 15) for p in pairs.tolist()], dtype=np.int64)
+        return SV.ArrayMap(support, SV.move_keys(support, regs, got[group])), work
     return SV.query_map(support, regs, answer), work
 
 
@@ -212,26 +213,34 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
     bbt, n = ctx.bbt, ctx.bbt.n
     lg, lt = lay.split
     phi = SV.apply_layer(state, lg, bbt, n, ctx.tier_index, layer_index)
+    # the substitution permutes the support and moves no value, so psi has
+    # phi's norm wherever it keeps phi's order of values
+    width, live, wide, norm_sq = phi.width, phi.live, phi.wide, phi._norm_sq
     size_before = V.size()
     q_before = ctx.transcript.queries
-    regs = _query_regs(lt, n, phi.live)
-    if phi.wide:
+    regs = _query_regs(lt, n, live)
+    if wide:
         support, vals = phi.arrays()
         # keys are distinct, so any stable order is the sorted one; about
         # half the layers leave them ascending, the rest take SV.stable_order
         if not (support[1:] > support[:-1]).all():
             order, support = SV.stable_order(support)
-            vals = vals[order]
-        # (x, c) gathered once for the substitution and the instrumented truth map
-        queries = SV.gather_queries(support, regs) if regs else None
-        S, V2 = simulate_oracle(V, ctx, lt, support, phi.live, n, queries)
-        # the substitution permutes the support; move_amps adds each to 0j
-        psi = SV.PureState(width=phi.width, live=phi.live,
-                           amps=SV.ArrayMap(S.value_array, vals + 0.0))
+            vals, norm_sq = vals[order], None
+            del phi, order          # release the arrays in their old order
+        # (x, c) grouped once for the substitution and the instrumented truth map
+        asked = SV.query_pairs(support, regs) if regs else None
+        S, V2 = simulate_oracle(V, ctx, lt, support, live, n, asked)
+        # move_amps adds each amplitude to 0j; ``state``'s own values stay as they are
+        held = state.amps.value_array if isinstance(state.amps, SV.ArrayMap) else None
+        psi = SV.PureState(width=width, live=live,
+                           amps=SV.ArrayMap(S.value_array, SV.add_zero(vals, held)))
     else:
         support = sorted(phi.amps)
-        S, V2 = simulate_oracle(V, ctx, lt, support, phi.live, n)
-        psi = SV.PureState(width=phi.width, live=phi.live, amps=SV.move_amps(phi.amps, S))
+        if list(phi.amps) != support:
+            norm_sq = None
+        S, V2 = simulate_oracle(V, ctx, lt, support, live, n)
+        psi = SV.PureState(width=width, live=live, amps=SV.move_amps(phi.amps, S))
+    psi._norm_sq = norm_sq
 
     if V2.size() > 4 * max(size_before, 1):
         raise AssertionError(
@@ -246,12 +255,12 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
         # the true image of another, so it is not the asserted quantity)
         if not regs:
             # the identity substitution is the truth: no outlier and no gap,
-            # and the fidelity is the norm summed in sorted key order
-            p = SV.abs_sq(vals) if phi.wide else (
-                (phi.amps[z] * phi.amps[z].conjugate()).real for z in support)
-            outlier_mass, fidelity, l1_gap = 0, SV.seq_sum(p), 0.0
-        elif phi.wide:
-            truth = SV.query_keys(support, regs, bbt.answer_many, queries)
+            # and the fidelity is the norm summed in sorted key order, psi's
+            outlier_mass, fidelity, l1_gap = 0, psi.norm_sq(), 0.0
+        elif wide:
+            pairs, group = asked
+            truth = SV.move_keys(support, regs, bbt.answer_many(pairs >> 4, pairs & 15)[group])
+            del asked, group        # the truth map was the last to read them
             p = SV.abs_sq(vals)
             out = S.value_array != truth
             outlier_mass, fidelity = SV.seq_sum(p[out]), SV.seq_sum(p[~out])

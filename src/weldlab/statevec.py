@@ -43,12 +43,25 @@ bit-identical states:
   are taken part by part with Python's formulas (numpy's complex division
   multiplies by a reciprocal).
 
+A wide layer writes its result once: an int64 key array and one complex128
+amplitude array.  It takes the ``+ 0.0`` of a query in place on arrays it
+made itself, and it never writes an array that its input holds.  A layer
+of TOF gates only shares its input's amplitudes.  A run of H gates on
+wires every key agrees on (from a basis state, every wire) is one
+broadcast, with no grouping and no sums.  A run of P and TOF gates turns
+each amplitude once per P wire its key has set, in one pass.
+
 Query gates XOR the oracle answer into the y-register, so applying the same
 query layer twice is the identity.  A layer's query gates write y wires that
 none of them reads, so they permute the support.  ``query_map`` (dicts) and
-``query_keys`` (arrays) are the one query kernel: each takes the oracle as a
-policy, so the executor, the classical simulators' substitution and the
-instrumentation's truth map all run through it.  The executor reads the
+``move_keys`` (arrays) are the one query kernel: each moves keys by the
+answers of an oracle policy, so the executor, the classical simulators'
+substitution and the instrumentation's truth map all run through it.  On
+arrays the executor asks ``bbt.answer_many`` of every key (``query_keys``).
+The simulators group a layer's distinct (x, c) pairs once
+(``query_pairs``): the substitution is asked each pair in its order of
+first asking, and the truth map asks ``bbt.answer_many`` of the same
+pairs.  The executor reads the
 oracle through ``bbt.answer``/``bbt.answer_many`` (query gates are quantum
 queries, accounted as gates by circuits.accounting, not on the classical
 per-handle counter); classical tiers of a hybrid circuit make real classical
@@ -62,6 +75,7 @@ here, ``hybrid_sim.SimContext`` for the simulators) and a measurement rule
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections.abc import Mapping
@@ -83,9 +97,11 @@ NORM_TOL = 1e-9
 # for layers of 3 to 5 H gates.
 ARRAY_MIN_SUPPORT = 128
 # Most amplitudes a layer with H gates may hold (width bounds nothing a
-# sparse state allocates).  An H layer peaks at 56 bytes per output amplitude
-# on arrays, 164 on dicts (tracemalloc, 2^17 outputs): about 240 and 700 MB at
-# 2^22, what one run on a desk machine can spare.
+# sparse state allocates).  Above its input, an H layer peaks at 40 bytes per
+# output amplitude on arrays and an instrumented simulator query layer at 78
+# (tracemalloc, 2^16 outputs, tests/test_layer_memory.py); an H layer on
+# dicts at 164 (2^17 outputs).  At 2^22 that is about 170, 330 and 700 MB,
+# what one run on a desk machine can spare.
 EXACT_SUPPORT_CAP = 1 << 22
 # Keys below TABLE_SPAN times their count are grouped through a table of
 # 8 bytes per possible key, not a sort.  On random keys (2 cores, numpy 2.4,
@@ -111,17 +127,21 @@ def use_arrays(support: int, width: int) -> bool:
 def seq_sum(values):
     """Left-to-right sum from 0, as CPython 3.11's ``sum`` adds floats.
 
-    An array is summed with ``np.cumsum``; anything else with ``reduce``.
-    Empty input gives the int 0, as ``sum`` does.
+    An array is summed with ``np.cumsum`` in place: its running sums
+    overwrite it, so a caller passes an array it made for the sum.  Anything
+    else is summed with ``reduce``.  Empty input gives the int 0, as ``sum``
+    does.
     """
     if isinstance(values, np.ndarray):
-        return float(np.cumsum(values)[-1]) if values.size else 0
+        return float(np.cumsum(values, out=values)[-1]) if values.size else 0
     return functools.reduce(operator.add, values, 0)
 
 
 def abs_sq(vals: np.ndarray) -> np.ndarray:
     """|a|^2 of complex amplitudes, as ``(a * a.conjugate()).real``."""
-    return vals.real * vals.real + vals.imag * vals.imag
+    out = vals.real * vals.real
+    out += vals.imag * vals.imag
+    return out
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -223,7 +243,10 @@ def _gather(keys: np.ndarray, wires) -> np.ndarray:
     """Bit j of the result is bit ``wires[j]`` of each key."""
     out = np.zeros_like(keys)
     for w, j, length in _runs(wires):
-        out |= ((keys >> w) & ((1 << length) - 1)) << j
+        part = keys >> w
+        part &= (1 << length) - 1
+        part <<= j
+        out |= part
     return out
 
 
@@ -231,7 +254,10 @@ def _scatter(vals: np.ndarray, wires) -> np.ndarray:
     """Bit ``wires[j]`` of the result is bit j of each value."""
     out = np.zeros_like(vals)
     for w, j, length in _runs(wires):
-        out |= ((vals >> j) & ((1 << length) - 1)) << w
+        part = vals >> j
+        part &= (1 << length) - 1
+        part <<= w
+        out |= part
     return out
 
 
@@ -321,17 +347,19 @@ def _prune(amps: dict[int, complex]) -> dict[int, complex]:
     return {k: a for k, a in amps.items() if abs(a) >= PRUNE_TOL}
 
 
-def _prune_arrays(keys: np.ndarray, re: np.ndarray, im: np.ndarray):
+def _prune_arrays(keys: np.ndarray, vals: np.ndarray):
     """``_prune`` on arrays: keeps where ``np.hypot(re, im) >= PRUNE_TOL``.
     hypot lies in [m, sqrt(2) m] for m = max(|re|, |im|), and faithful
     rounding keeps both bounds, so only PRUNE_TOL/2 <= m < PRUNE_TOL takes it."""
-    m = np.maximum(np.abs(re), np.abs(im))
+    re, im = vals.real, vals.imag
+    m = np.abs(re)
+    np.maximum(m, np.abs(im), out=m)
     keep = m >= PRUNE_TOL
     if keep.all():
-        return keys, re, im
+        return keys, vals
     band = ~keep & (m >= PRUNE_TOL / 2)
     keep[band] = np.hypot(re[band], im[band]) >= PRUNE_TOL
-    return keys[keep], re[keep], im[keep]
+    return keys[keep], vals[keep]
 
 
 def query_map(keys, regs, answer) -> dict[int, int]:
@@ -359,42 +387,53 @@ def query_map(keys, regs, answer) -> dict[int, int]:
     return out
 
 
-def gather_queries(keys: np.ndarray, regs) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, cs) of shape (keys, gates): each key's x and c registers under
-    each query gate of ``regs`` (at least one), as ``query_keys`` asks them."""
-    return (np.stack([_gather(keys, px) for px, _pc, _py in regs], axis=1),
-            np.stack([_gather(keys, pc) for _px, pc, _py in regs], axis=1))
+def _columns(cols: list[np.ndarray]) -> np.ndarray:
+    """The arrays as the columns of one (keys, gates) array; a single one is
+    viewed, not copied."""
+    return cols[0][:, None] if len(cols) == 1 else np.stack(cols, axis=1)
 
 
-def query_keys(keys: np.ndarray, regs, answer_many, queries=None) -> np.ndarray:
-    """``query_map`` over an int64 key array and at least one query gate:
-    each key's image, aligned.
-
-    ``answer_many(xs, cs)`` answers arrays of shape (keys, gates); their
-    row-major order is the order in which ``query_map`` asks its policy.
-    ``queries`` is ``gather_queries(keys, regs)`` when the caller has
-    gathered it already, to ask a second oracle of the same keys.
-    """
-    ans = answer_many(*(queries or gather_queries(keys, regs)))
-    moved = keys.copy()
+def move_keys(keys: np.ndarray, regs, ans: np.ndarray) -> np.ndarray:
+    """Each key with the answers ``ans``, of shape (keys, gates), XORed into
+    the y-registers of ``regs``."""
     for g, (_px, _pc, py) in enumerate(regs):
-        moved ^= _scatter(ans[:, g], py)
-    return moved
+        keys = keys ^ _scatter(ans[:, g], py)
+    return keys
 
 
-def distinct_answers(answer):
-    """An ``answer_many`` policy that asks ``answer(x, c)`` once per distinct
-    pair, in row-major order of first appearance.
+def query_keys(keys: np.ndarray, regs, answer_many) -> np.ndarray:
+    """``query_map`` over an int64 key array and at least one query gate:
+    each key's image, aligned.  ``answer_many(xs, cs)`` answers each key's x
+    and c registers under each gate, arrays of shape (keys, gates)."""
+    xs = _columns([_gather(keys, px) for px, _pc, _py in regs])
+    cs = _columns([_gather(keys, pc) for _px, pc, _py in regs])
+    return move_keys(keys, regs, answer_many(xs, cs))
 
-    A policy that learns as it answers (the simulators' substitution) has
-    no side effect on a repeated pair, so it learns what, and in the order,
-    it would under ``query_map``.  c registers are four wires wide.
+
+def query_pairs(keys: np.ndarray, regs) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, group): the distinct ``(x << 4) | c`` pairs that ``query_map``
+    asks of ``keys`` under ``regs``, in its order of first asking, and the
+    index into ``pairs`` of each (key, gate), of shape (keys, gates).
+
+    ``answers[group]`` for answers aligned with ``pairs`` is what
+    ``move_keys`` takes.  A policy that learns as it answers (the
+    simulators' substitution) has no side effect on a repeated pair, so
+    asked once per pair in this order it learns what, and in the order, it
+    would under ``query_map``.  c registers are four wires wide.
     """
-    def answer_many(xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        pairs, group = _first_groups(((xs << 4) | cs).ravel())
-        got = np.array([answer(p >> 4, p & 15) for p in pairs.tolist()], dtype=np.int64)
-        return got[group].reshape(xs.shape)
-    return answer_many
+    # c takes bits 0..3 and x the bits above: (x << 4) | c in one gather
+    asked = _columns([_gather(keys, pc + px) for px, pc, _py in regs])
+    pairs, group = _first_groups(asked.ravel())
+    return pairs, group.reshape(asked.shape)
+
+
+def add_zero(vals: np.ndarray, held: np.ndarray | None) -> np.ndarray:
+    """``vals + 0.0``, each amplitude added to 0j as ``move_amps`` does:
+    in place, unless ``vals`` is ``held``, an array an input state holds."""
+    if vals is held:
+        return vals + 0.0
+    vals += 0.0
+    return vals
 
 
 def move_amps(amps: dict[int, complex], S: dict[int, int]) -> dict[int, complex]:
@@ -429,36 +468,114 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _steps_arrays(keys: np.ndarray, re: np.ndarray, im: np.ndarray, steps):
-    """``_steps_dict`` on arrays, bit for bit (see the module docstring)."""
-    for kind, bit, t_bit in steps:
-        if kind == C.GateKind.H:
-            # a * (1/sqrt 2) on |0>, negated on |1> for keys that had the
-            # bit, each summed onto its key from 0.0
-            ones = np.count_nonzero(keys & bit)
-            k0 = keys & ~bit
-            if ones == 0 or ones == keys.size:
-                # no key meets its partner: each sum is one s + 0.0, and
-                # -s + 0.0 is 0.0 - (s + 0.0)
-                re, im = re * _SQRT_HALF + 0.0, im * _SQRT_HALF + 0.0
-                re, im = _interleave(re, 0.0 - re if ones else re), \
-                    _interleave(im, 0.0 - im if ones else im)
+def _h_broadcast(keys: np.ndarray, vals: np.ndarray, bits) -> tuple[np.ndarray, np.ndarray]:
+    """H on each wire of ``bits`` in turn, wires on which every key agrees.
+
+    No key meets its partner, so each of the dict kernel's sums is one
+    s + 0.0, and on |1> of a wire the keys have set, -s + 0.0 = 0.0 - (s + 0.0).
+    That negation carries through the next gate's s + 0.0, so amplitude i
+    ends as its m-fold s + 0.0, negated on the branches that pick |1> on an
+    odd number of set wires.  Branch j of key i (one bit per gate, the first
+    gate's highest) sits at i * 2^m + j, where the dict kernel puts it.
+    """
+    re, im = vals.real, vals.imag
+    for _bit in bits:
+        re, im = re * _SQRT_HALF + 0.0, im * _SQRT_HALF + 0.0
+    s = _complex(re, im)
+
+    def branches(bits):
+        """(key bits, negated) of each branch of ``bits``, the first gate's bit highest."""
+        key_bits, negated = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)
+        for bit in reversed(bits):
+            key_bits = np.concatenate([key_bits, key_bits | bit])
+            negated = np.concatenate([negated, negated ^ bool(keys[0] & bit)])
+        return key_bits, negated
+
+    # two halves, so that no step of the doubling writes the full width
+    (hi_bits, hi_neg), (lo_bits, lo_neg) = (branches(bits[:len(bits) // 2]),
+                                            branches(bits[len(bits) // 2:]))
+    negated = (hi_neg[:, None] ^ lo_neg).ravel()
+    out = np.empty((keys.size, negated.size), dtype=np.complex128)
+    out[...] = s[:, None]
+    if negated.any():
+        np.copyto(out, (0.0 - s)[:, None], where=negated)
+    keys = (((keys & ~sum(bits))[:, None] | hi_bits)[:, :, None] | lo_bits).ravel()
+    return keys, out.ravel()
+
+
+def _h_meeting(keys: np.ndarray, vals: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
+    """H on one wire on which the keys differ: a * (1/sqrt 2) on |0>, negated
+    on |1> for keys that had the bit, each summed onto its key from 0.0."""
+    hi = (keys & bit) != 0
+    k0, group = _first_groups(keys & ~bit)
+    s_re, s_im = vals.real * _SQRT_HALF, vals.imag * _SQRT_HALF
+    out = np.empty(2 * k0.size, dtype=np.complex128)
+    out.real[0::2] = np.bincount(group, s_re, k0.size)
+    out.real[1::2] = np.bincount(group, np.where(hi, -s_re, s_re), k0.size)
+    out.imag[0::2] = np.bincount(group, s_im, k0.size)
+    out.imag[1::2] = np.bincount(group, np.where(hi, -s_im, s_im), k0.size)
+    return _interleave(k0, k0 | bit), out
+
+
+def _turn(vals: np.ndarray) -> np.ndarray:
+    """``a * 1j`` of each amplitude as Python takes it: (re*0 - im, re + im*0)."""
+    out = np.empty_like(vals)
+    np.multiply(vals.real, 0.0, out=out.real)
+    out.real -= vals.imag
+    np.multiply(vals.imag, 0.0, out=out.imag)
+    out.imag += vals.real
+    return out
+
+
+def _quarter_turns(keys: np.ndarray, vals: np.ndarray, bits) -> np.ndarray:
+    """P on each wire of ``bits``: each amplitude turned once per wire its key
+    has set.  Four turns can flip the sign of a zero, so the count is not
+    taken mod 4."""
+    turns = np.zeros(keys.size, dtype=np.uint8)
+    for bit in bits:
+        turns += (keys & bit) != 0
+    # one turn for every amplitude, taken back where the key has no wire set
+    out = _turn(vals)
+    unturned = np.flatnonzero(turns == 0)
+    out[unturned] = vals[unturned]
+    for count in range(2, len(bits) + 1):
+        sel = np.flatnonzero(turns == count)
+        turned = out[sel]
+        for _turn_more in range(count - 1):
+            turned = _turn(turned)
+        out[sel] = turned
+    return out
+
+
+def _steps_arrays(keys: np.ndarray, vals: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+    """``_steps_dict`` on arrays, bit for bit (see the module docstring).
+
+    Each run of H gates on wires every key agrees on is one broadcast; the P
+    gates of each run of P and TOF gates are one pass.  No H gate changes
+    whether the keys agree on another wire, and the gates of a layer are
+    wire-disjoint, so no TOF moves a P wire.  ``vals`` is never written:
+    a layer of TOF gates only returns it as it is.
+    """
+    for is_h, run in itertools.groupby(steps, key=lambda step: step[0] == C.GateKind.H):
+        if is_h:
+            agree = ~int(np.bitwise_or.reduce(keys) ^ np.bitwise_and.reduce(keys))
+            for broadcast, bits in itertools.groupby((bit for _kind, bit, _t in run),
+                                                     key=lambda bit: bool(bit & agree)):
+                if broadcast:
+                    keys, vals = _h_broadcast(keys, vals, list(bits))
+                else:
+                    for bit in bits:
+                        keys, vals = _h_meeting(keys, vals, bit)
+            continue
+        phases = []
+        for kind, bit, t_bit in run:
+            if kind == C.GateKind.PHASE:
+                phases.append(bit)
             else:
-                hi = (keys & bit) != 0
-                s_re, s_im = re * _SQRT_HALF, im * _SQRT_HALF
-                k0, group = _first_groups(k0)
-                re = _interleave(np.bincount(group, s_re, k0.size),
-                                 np.bincount(group, np.where(hi, -s_re, s_re), k0.size))
-                im = _interleave(np.bincount(group, s_im, k0.size),
-                                 np.bincount(group, np.where(hi, -s_im, s_im), k0.size))
-            keys = _interleave(k0, k0 | bit)
-        elif kind == C.GateKind.PHASE:
-            # a * 1j = (re*0 - im, re + im*0)
-            hit = (keys & bit) != 0
-            re, im = np.where(hit, re * 0.0 - im, re), np.where(hit, re + im * 0.0, im)
-        else:
-            keys = np.where((keys & bit) == bit, keys ^ t_bit, keys)
-    return keys, re, im
+                keys = np.where((keys & bit) == bit, keys ^ t_bit, keys)
+        if phases:
+            vals = _quarter_turns(keys, vals, phases)
+    return keys, vals
 
 
 class LayerPlan(NamedTuple):
@@ -546,15 +663,15 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
     # P, TOF and queries move or rotate amplitudes, never shrink one, so only
     # an H gate's sums can leave one below PRUNE_TOL
     if use_arrays(len(state.amps) << n_h, width):
-        keys, vals = state.arrays()
-        keys, re, im = _steps_arrays(keys, vals.real, vals.imag, steps)
+        keys, held = state.arrays()
+        keys, vals = _steps_arrays(keys, held, steps)
         if regs:
             # the query permutes the support; move_amps adds each to 0j
             keys = query_keys(keys, regs, bbt.answer_many)
-            re, im = re + 0.0, im + 0.0
+            vals = add_zero(vals, held)
         if n_h:
-            keys, re, im = _prune_arrays(keys, re, im)
-        amps = ArrayMap(keys, _complex(re, im))
+            keys, vals = _prune_arrays(keys, vals)
+        amps = ArrayMap(keys, vals)
     else:
         amps = _steps_dict(state.amps, steps)
         if regs:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -128,30 +129,60 @@ def test_array_prune_keeps_what_hypot_keeps():
     keys = np.arange(len(parts)) * 3
     want = np.hypot(re, im) >= tol
     assert 0 < np.count_nonzero(want & (np.maximum(abs(re), abs(im)) < tol))
-    k, got_re, got_im = SV._prune_arrays(keys, re, im)
+    k, got = SV._prune_arrays(keys, SV._complex(re, im))
     assert k.tolist() == keys[want].tolist()
-    assert (got_re.tolist(), got_im.tolist()) == (re[want].tolist(), im[want].tolist())
+    assert (got.real.tolist(), got.imag.tolist()) == (re[want].tolist(), im[want].tolist())
     kept = SV._prune(dict(zip(keys.tolist(), SV._complex(re, im).tolist())))
     assert list(kept) == keys[want].tolist()
 
 
-@pytest.mark.parametrize("ones", ["no key", "every key"])
+def _signed(pairs) -> list:
+    """(key, re, im, sign of re, sign of im) of each amplitude: == then tells
+    zeros of either sign apart."""
+    return [(k, a.real, a.imag, math.copysign(1, a.real), math.copysign(1, a.imag))
+            for k, a in pairs]
+
+
+@pytest.mark.parametrize("ones", ["no key", "every key", "some wires"])
 def test_partner_free_h_matches_dict_kernel(ones):
-    # H on wire 9 where no key meets its partner: every key lacks the bit,
-    # or every key has it; zeros of both signs included
+    # H on wires 4, 9 and 12 where no key meets its partner: every key lacks
+    # each bit, has each, or has only bit 9 -- one broadcast; then H on wire
+    # 2, where keys meet.  Zeros of both signs included
     rng = np.random.default_rng(71)
-    bit = 1 << 9
-    keys = rng.choice(bit, size=300, replace=False) | (bit if ones == "every key" else 0)
+    run = [1 << w for w in (4, 9, 12)]
+    keys = np.unique(rng.integers(0, 1 << 16, size=400) & ~sum(run))[:300]
+    keys = rng.permutation(keys) | {"no key": 0, "every key": sum(run), "some wires": 1 << 9}[ones]
     re, im = rng.normal(size=300), rng.normal(size=300)
     re[:4], im[:4] = [0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]
-    steps = ((C.GateKind.H, bit, 0),)
-    want = SV._steps_dict(dict(zip(keys.tolist(), SV._complex(re, im).tolist())), steps)
-    k, got_re, got_im = SV._steps_arrays(keys, re, im, steps)
+    vals = SV._complex(re, im)
+    for steps in ([(C.GateKind.H, bit, 0) for bit in run],
+                  [(C.GateKind.H, bit, 0) for bit in run + [1 << 2]]):
+        want = SV._steps_dict(dict(zip(keys.tolist(), vals.tolist())), steps)
+        k, got = SV._steps_arrays(keys, vals, steps)
+        assert _signed(zip(k.tolist(), got.tolist())) == _signed(want.items())
+    assert len(want) < 2 * 8 * keys.size
 
-    def view(pairs):
-        return [(k, a, b, math.copysign(1, a), math.copysign(1, b)) for k, a, b in pairs]
-    assert view(zip(k.tolist(), got_re.tolist(), got_im.tolist())) == \
-        view((k, a.real, a.imag) for k, a in want.items())
+
+def test_phase_runs_turn_each_amplitude_once_per_set_wire():
+    # P on five wires and a Toffoli between them: keys with 0 to 5 of the
+    # wires set, and every pattern of zero parts, where four turns flip a
+    # zero's sign: (a, +0) -> (+0, a) -> (-a, +0) -> (-0, -a) -> (a, -0)
+    rng = np.random.default_rng(72)
+    wires = (1, 4, 6, 8, 11)
+    keys = rng.permutation(1 << 12)[:900]
+    parts = [0.0, -0.0, 0.7, -0.7]
+    re = np.array([parts[i % 4] for i in range(900)]) * rng.uniform(1, 2, size=900)
+    im = np.array([parts[i // 4 % 4] for i in range(900)]) * rng.uniform(1, 2, size=900)
+    vals = SV._complex(re, im)
+    steps = [(C.GateKind.PHASE, 1 << w, 0) for w in wires[:2]]
+    steps += [(C.GateKind.TOFFOLI, (1 << 2) | (1 << 3), 1 << 5)]
+    steps += [(C.GateKind.PHASE, 1 << w, 0) for w in wires[2:]]
+    want = SV._steps_dict(dict(zip(keys.tolist(), vals.tolist())), steps)
+    k, got = SV._steps_arrays(keys, vals, steps)
+    assert _signed(zip(k.tolist(), got.tolist())) == _signed(want.items())
+    four = [a for key, a in want.items() if sum(key >> w & 1 for w in wires) == 4
+            and a.imag == 0 and a.real > 0]
+    assert any(math.copysign(1, a.imag) < 0 for a in four)
 
 
 def test_query_layer_twice_is_identity(bbt2):
@@ -571,9 +602,9 @@ def test_a_layer_that_changes_the_norm_is_refused(monkeypatch, threshold):
     monkeypatch.setattr(SV, "ARRAY_MIN_SUPPORT", threshold)
     steps_dict, steps_arrays = SV._steps_dict, SV._steps_arrays
 
-    def halved_arrays(keys, re_, im, steps):
-        keys, re_, im = steps_arrays(keys, re_, im, steps)
-        return keys, re_ / 2, im / 2
+    def halved_arrays(keys, vals, steps):
+        keys, vals = steps_arrays(keys, vals, steps)
+        return keys, vals / 2
 
     monkeypatch.setattr(SV, "_steps_dict", lambda amps, steps: {
         k: a / 2 for k, a in steps_dict(amps, steps).items()})
@@ -591,3 +622,71 @@ def test_measuring_an_outcome_of_probability_zero_is_refused(monkeypatch, thresh
     with pytest.raises(AssertionError, match="measured an outcome of probability zero"):
         SV._measure_r1(state, 0b10, 0b00, 2)
     assert list(SV._measure_r1(state, 0b11, 0b00, 2).amps) == [0b0100]
+
+
+def _held(state: SV.PureState):
+    """What ``state`` holds, byte for byte: its key and amplitude arrays, or
+    its dict's keys and amplitudes with the signs of their zeros."""
+    if isinstance(state.amps, SV.ArrayMap):
+        return state.amps.key_array.tobytes(), state.amps.value_array.tobytes()
+    return _signed(state.amps.items())
+
+
+@KERNELS
+@pytest.mark.parametrize("order", ["ascending", "shuffled"])
+def test_layers_leave_their_input_state_unchanged(monkeypatch, threshold, order, bbt2):
+    # each kind of layer, on a state whose zeros of either sign a stray
+    # in-place ``+= 0.0`` would turn to +0.0; the query-only layer on
+    # ascending keys hands the input's own arrays to the substitution
+    monkeypatch.setattr(SV, "ARRAY_MIN_SUPPORT", threshold)
+    rng = np.random.default_rng(73)
+    width = 14
+    keys = np.sort(rng.choice(1 << width, size=600, replace=False))
+    if order == "shuffled":
+        keys = rng.permutation(keys)
+    re, im = rng.normal(size=600), rng.normal(size=600)
+    re[::3], im[1::3] = -0.0, -0.0
+    vals = SV._complex(re, im)
+    gate = C.Gate
+    layers = [C.layer(width, [gate(C.GateKind.H, (w,)) for w in (0, 5, 13)]),
+              C.layer(width, [gate(C.GateKind.PHASE, (1,)), gate(C.GateKind.PHASE, (3,)),
+                              gate(C.GateKind.TOFFOLI, (4, 6, 8))]),
+              C.layer(width, [gate(C.GateKind.TOFFOLI, (0, 1, 2))]),
+              C.layer(width, [query_gate(2)]),
+              C.layer(width, [query_gate(2), gate(C.GateKind.H, (12,)),
+                              gate(C.GateKind.PHASE, (13,))])]
+    amps = SV.ArrayMap(keys, vals) if threshold == 0 else dict(zip(keys.tolist(), vals.tolist()))
+    state = SV.PureState(width, amps, tuple(range(width)))
+    before = _held(state)
+    for lay in layers:
+        SV.apply_layer(state, lay, bbt2, 2)
+        assert _held(state) == before, lay.gates
+        ctx = HS.SimContext.fresh(bbt2)
+        psi, _V = HS.quantum_layer_sim(lay, state, HS.entrance_known(ctx), ctx)
+        assert _held(state) == before, lay.gates
+        assert isinstance(psi.amps, SV.ArrayMap) == (threshold == 0)
+
+
+def test_two_query_gates_in_one_layer_agree_on_both_kernels(monkeypatch, bbt2):
+    # two query gates side by side on 24 wires, from a state whose x
+    # registers hold the entrance, learned labels and strings that label
+    # nothing: the executor's images, and the substitution's images, the
+    # order in which it learns and its transcript, are the dict kernel's
+    rng = np.random.default_rng(74)
+    labels = bbt2.labels.tolist()
+    regs = [rng.choice(labels[:6] + [3, 9], size=300) | rng.integers(0, 16, size=300) << 4
+            for _ in range(2)]
+    keys = np.unique(regs[0] | regs[1] << 12)
+    vals = rng.normal(size=keys.size) + 1j * rng.normal(size=keys.size)
+    lay = C.layer(24, [query_gate(2), query_gate(2, base=12)])
+    got = {}
+    for name, threshold in (("arrays", 0), ("dicts", math.inf)):
+        monkeypatch.setattr(SV, "ARRAY_MIN_SUPPORT", threshold)
+        state = SV.PureState(24, dict(zip(keys.tolist(), vals.tolist())), tuple(range(24)))
+        ctx = HS.SimContext.fresh(bbt2)
+        psi, V = HS.quantum_layer_sim(lay, state, HS.entrance_known(ctx), ctx)
+        out = SV.apply_layer(state, lay, bbt2, 2)
+        got[name] = (list(out.amps.items()), list(psi.amps.items()),
+                     list(V.entries.items()), ctx.transcript.to_json())
+    assert got["arrays"] == got["dicts"]
+    assert json.loads(got["arrays"][3])["per_layer"][0]["queries"] > 0
