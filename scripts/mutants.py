@@ -208,6 +208,9 @@ MUTANTS = [
            "truth = SV.move_keys(support, regs, bbt.answer_many(pairs >> 4, pairs & 15)[group])",
            "truth = S.value_array",
            ("tests/test_kernels.py::test_paths_agree_on_outlier_circuits",)),
+    Mutant("jobs-unbounded", "harness.py",
+           '"jobs": 1, "t_max": 0', '"t_max": 0',
+           ("tests/test_harness.py::test_every_command_refuses_every_out_of_bound_field",)),
     Mutant("completed-structure-unchecked", "tree.py",
            "problems = structure.validate()\n    if problems:", "problems = []\n    if problems:",
            ("tests/test_tree.py::test_sampler_refuses_a_completed_structure_that_fails_validate",)),

@@ -536,15 +536,14 @@ class _BottleneckTiers:
                 raise V_next
             return V_next
 
-        def layer_sim(lay, state, V, ctx, layer_index):
+        def layer_sim(lay, state, V, ctx, tier, layer_index):
             nonlocal hist
-            state, V_temp = quantum_layer_sim(lay, state, V, ctx, layer_index=layer_index)
+            state, V_temp = quantum_layer_sim(lay, state, V, ctx, tier, layer_index)
             hist = hist.merge(V_temp)
             return state, call(layer_index, V_temp)
 
         V0 = call(-1, KnownVertices(hist.invalid))
-        self.ctx.tier_index = j
-        probs, V = _quantum_tier_state(t, x, V0, self.ctx, layer_sim)
+        probs, V = _quantum_tier_state(j, t, x, V0, self.ctx, layer_sim)
         self.hist = hist.merge(V)
         return probs, V
 

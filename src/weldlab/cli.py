@@ -49,10 +49,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         report = run_command(config)
+        line = write_report(report, config.out)
     except ValueError as exc:
         sys.stderr.write(f"weldlab {args.experiment}: error: {exc}\n")
         return 2
-    line = write_report(report, config.out)
     sys.stdout.write(line)
     for chk in report.checks:
         status = "PASS" if chk.passed else ("FAIL" if chk.fatal else "WARN")

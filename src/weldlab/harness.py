@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +27,6 @@ from . import walk
 from .rng import derive_seed, make_rng
 
 SCHEMA_VERSION = 1
-JOBS_ENV_VAR = "WELDLAB_JOBS"
 MAX_N = 15
 """Largest tree height: ``simulate`` colors a height-n tree, and the coloring
 search stops at 200,000 steps, one per edge unconstrained (3 * 2^(n+1) - 4)."""
@@ -72,7 +70,7 @@ class ExperimentConfig:
     rho_log2: float | None = None
     sample_budget: int = 24
     out: str | None = None
-    jobs: int = 0               # 0: honor WELDLAB_JOBS, else 1
+    jobs: int = 1               # processes for discovery's trial chunks
 
     @classmethod
     def from_json(cls, text: str, experiment: str | None = None) -> "ExperimentConfig":
@@ -105,27 +103,16 @@ class ExperimentConfig:
         doc.pop("jobs")
         return doc
 
-    def effective_jobs(self) -> int:
-        if self.jobs < 0:
-            raise ValueError(f"jobs must be >= 0 (0 defers to {JOBS_ENV_VAR}), got {self.jobs}")
-        if self.jobs > 0:
-            return self.jobs
-        env = os.environ.get(JOBS_ENV_VAR)
-        try:
-            jobs = int(env) if env else 0
-        except ValueError:
-            raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from None
-        if jobs < 0:
-            raise ValueError(f"{JOBS_ENV_VAR} must be >= 0 (0 means 1), got {jobs}")
-        return max(1, jobs)
-
     def walker_budget(self) -> int:
         return self.budget if self.budget is not None else round(2 ** (self.n / 3))
 
-    def require_at_least(self, **minimum) -> None:
-        """A ValueError naming the first of the given fields that is set
-        (not None) but not finite or below its minimum."""
-        for name, least in minimum.items():
+    def check_bounds(self) -> None:
+        """A ValueError naming the first field out of its bounds; ``run_command``
+        checks every config here, once, whatever the command."""
+        if not 1 <= self.n <= MAX_N:    # the tree is built first: 8 TiB at n=40
+            raise ValueError(f"config field 'n' must be in [1, {MAX_N}], got {self.n}")
+        for name, least in {"trials": 1, "samples": 1, "steps": 1, "sample_budget": 1,
+                            "jobs": 1, "t_max": 0, "budget": 0}.items():
             value = getattr(self, name)
             if value is None:
                 continue
@@ -133,13 +120,13 @@ class ExperimentConfig:
                 raise ValueError(f"config field {name!r} must be finite, got {value}")
             if value < least:
                 raise ValueError(f"config field {name!r} must be >= {least}, got {value}")
-
-    def require_bottleneck_thresholds(self) -> None:
-        """A ValueError naming a set ``tau`` outside [0, 1] or a non-finite ``rho_log2``."""
         if self.tau is not None and not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"config field 'tau' must be in [0, 1], got {self.tau}")
         if self.rho_log2 is not None and not -math.inf < self.rho_log2 < math.inf:
             raise ValueError(f"config field 'rho_log2' must be finite, got {self.rho_log2}")
+        if any(h < 0 for h in self.h_values):
+            raise ValueError(f"config field 'h_values' must hold budgets >= 0, "
+                             f"got {list(self.h_values)}")
 
 
 @dataclass
@@ -203,11 +190,19 @@ class Report:
         return not any(c.fatal for c in self.checks)
 
 
+def write_out(path: str, text: str, mode: str = "a") -> None:
+    """Write ``text`` to ``path``, or raise a ValueError naming it."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"out {path}: {exc.strerror}") from None
+
+
 def write_report(report: Report, out: str | None) -> str:
     line = report.to_json() + "\n"
     if out:
-        with open(out, "a", encoding="utf-8") as fh:
-            fh.write(line)
+        write_out(out, line)
     return line
 
 
@@ -266,17 +261,13 @@ def discovery_bound(n: int, h: int) -> float:
 
 
 def cmd_discovery(config: ExperimentConfig) -> Report:
-    config.require_at_least(trials=1)
-    if any(h < 0 for h in config.h_values):
-        raise ValueError(f"config field 'h_values' must hold budgets >= 0, "
-                         f"got {list(config.h_values)}")
     report = Report(experiment="discovery", config=config.result_fields())
     n = config.n
     for h in config.h_values:
         bound = discovery_bound(n, h)
         rate, stderr = discovery_rate(n, h, config.trials,
                                       derive_seed(config.seed, "discovery", n, h),
-                                      jobs=config.effective_jobs())
+                                      jobs=config.jobs)
         report.checks.append(stat_check(f"discovery n={n} h={h} rate<=bound",
                                         rate, bound, stderr))
     if n == 3:
@@ -291,7 +282,6 @@ def cmd_discovery(config: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def cmd_walk(config: ExperimentConfig) -> Report:
-    config.require_at_least(steps=1, t_max=0, trials=1, budget=0)
     report = Report(experiment="walk", config=config.result_fields())
     n = config.n
     res = walk.sweep(n, config.t_max, config.steps, config.seed)
@@ -328,8 +318,7 @@ def cmd_walk(config: ExperimentConfig) -> Report:
         # the report carries the artifact's name only, so reruns stay
         # byte-identical wherever they write; the file sits next to `out`
         csv_name = f"walk-n{n}.csv"
-        with open(f"{config.out}.{csv_name}", "w", encoding="utf-8") as fh:
-            fh.write(walk.curve_to_csv(res.curve))
+        write_out(f"{config.out}.{csv_name}", walk.curve_to_csv(res.curve), "w")
         report.artifacts["curve_csv"] = csv_name
     return report
 
@@ -365,8 +354,6 @@ def load_circuit(config: ExperimentConfig) -> C.Circuit:
 
 
 def cmd_simulate(config: ExperimentConfig) -> Report:
-    config.require_at_least(samples=1, sample_budget=1)
-    config.require_bottleneck_thresholds()
     report = Report(experiment="simulate", config=config.result_fields())
     circuit = load_circuit(config)
     problems = C.validate(circuit)
@@ -420,8 +407,6 @@ def cmd_simulate(config: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def cmd_e2e(config: ExperimentConfig) -> Report:
-    config.require_at_least(samples=1, steps=1, t_max=0, sample_budget=1, trials=1, budget=0)
-    config.require_bottleneck_thresholds()
     report = Report(experiment="e2e", config=config.result_fields())
     n = config.n
     budget = config.walker_budget()
@@ -453,7 +438,5 @@ def run_command(config: ExperimentConfig) -> Report:
         fn = COMMANDS[config.experiment]
     except KeyError:
         raise ValueError(f"unknown experiment {config.experiment!r}") from None
-    config.effective_jobs()         # a bad job count or n fails before any work
-    if not 1 <= config.n <= MAX_N:  # the tree is built first: 8 TiB at n=40
-        raise ValueError(f"config field 'n' must be in [1, {MAX_N}], got {config.n}")
+    config.check_bounds()
     return fn(config)

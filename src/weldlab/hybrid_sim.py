@@ -93,7 +93,6 @@ class SimContext:
     handle: OracleHandle
     transcript: SimTranscript
     instrument: bool = True
-    tier_index: int = 0
     consulted: int = 0
 
     @classmethod
@@ -105,12 +104,10 @@ class SimContext:
         return classical_tier_sim(t, x, V, self)
 
     def layer(self, i: int, li: int, lay: C.Layer, state: SV.PureState, V: KnownVertices):
-        self.tier_index = i
-        return quantum_layer_sim(lay, state, V, self, layer_index=li)
+        return quantum_layer_sim(lay, state, V, self, tier=i, layer_index=li)
 
     def quantum_tier(self, i: int, t: C.Tier, x: int, V: KnownVertices):
-        self.tier_index = i
-        return _quantum_tier_state(t, x, V, self)
+        return _quantum_tier_state(i, t, x, V, self)
 
 
 def vertex_query(ctx: SimContext, V: KnownVertices, x: int) -> None:
@@ -205,14 +202,15 @@ def _l1_sorted(k1: np.ndarray, k2: np.ndarray, vals: np.ndarray) -> float:
 
 
 def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
-                      ctx: SimContext, layer_index: int = 0) -> tuple[SV.PureState, KnownVertices]:
+                      ctx: SimContext, tier: int = 0,
+                      layer_index: int = 0) -> tuple[SV.PureState, KnownVertices]:
     """One simulated quantum layer: exact non-query part, substituted queries.
 
     Both kernels visit the support in sorted key order; see ``statevec``.
     """
     bbt, n = ctx.bbt, ctx.bbt.n
     lg, lt = lay.split
-    phi = SV.apply_layer(state, lg, bbt, n, ctx.tier_index, layer_index)
+    phi = SV.apply_layer(state, lg, bbt, n, tier, layer_index)
     # the substitution permutes the support and moves no value, so psi has
     # phi's norm wherever it keeps phi's order of values
     width, live, wide, norm_sq = phi.width, phi.live, phi.wide, phi._norm_sq
@@ -277,16 +275,16 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
             l1_gap = SV.seq_sum(abs(psi.amps.get(k, 0j) - true_amps.get(k, 0j))
                                 for k in sorted(set(psi.amps) | set(true_amps)))
         ctx.transcript.per_layer.append(LayerRecord(
-            tier=ctx.tier_index, layer=layer_index,
+            tier=tier, layer=layer_index,
             outlier_mass=outlier_mass, fidelity=fidelity,
             queries=ctx.transcript.queries - q_before, v_size=V2.size(),
             l1_gap=l1_gap))
     return psi, V2
 
 
-def _quantum_tier_state(t: C.Tier, x: int, V: KnownVertices, ctx: SimContext,
+def _quantum_tier_state(i: int, t: C.Tier, x: int, V: KnownVertices, ctx: SimContext,
                         layer_sim=None) -> tuple[dict[int, float], KnownVertices]:
-    """Outcome distribution of a simulated quantum tier from basis input ``x``.
+    """Outcome distribution of quantum tier ``t`` (index ``i``) from basis input ``x``.
 
     Layers run through ``layer_sim`` (default ``quantum_layer_sim``); then the
     4^d|V| ceiling is asserted and the queries booked.
@@ -296,7 +294,7 @@ def _quantum_tier_state(t: C.Tier, x: int, V: KnownVertices, ctx: SimContext,
     q_before = ctx.transcript.queries
     state = SV.PureState.basis(t.width_in, x)
     for li, lay in enumerate(t.layers):
-        state, V = layer_sim(lay, state, V, ctx, layer_index=li)
+        state, V = layer_sim(lay, state, V, ctx, tier=i, layer_index=li)
     spent = ctx.transcript.queries - q_before
     if spent > (4 ** t.depth) * max(size_in, 1):
         raise AssertionError(f"tier spent {spent} queries, ceiling "

@@ -408,17 +408,13 @@ def test_cli_bad_trials_exit_2(tmp_path, capsys, argv, config, message):
     assert captured.err == f"weldlab {argv[0]}: error: {message}\n"
 
 
-@pytest.mark.parametrize("argv, config, env, message", [
-    (["--jobs", "-2"], None, None, "jobs must be >= 0 (0 defers to WELDLAB_JOBS), got -2"),
-    ([], '{"jobs": -2}', None, "jobs must be >= 0 (0 defers to WELDLAB_JOBS), got -2"),
-    ([], None, "abc", "WELDLAB_JOBS must be an integer, got 'abc'"),
-    ([], None, "-3", "WELDLAB_JOBS must be >= 0 (0 means 1), got -3"),
-], ids=["flag", "config", "env", "env-negative"])
-def test_cli_bad_job_count_exit_2(tmp_path, capsys, monkeypatch, argv, config, env, message):
-    if env is None:
-        monkeypatch.delenv("WELDLAB_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("WELDLAB_JOBS", env)
+@pytest.mark.parametrize("argv, config, message", [
+    (["--jobs", "-2"], None, "config field 'jobs' must be >= 1, got -2"),
+    ([], '{"jobs": -2}', "config field 'jobs' must be >= 1, got -2"),
+    (["--jobs", "0"], None, "config field 'jobs' must be >= 1, got 0"),
+    ([], '{"jobs": 0}', "config field 'jobs' must be >= 1, got 0"),
+], ids=["flag", "config", "flag-zero", "config-zero"])
+def test_cli_bad_job_count_exit_2(tmp_path, capsys, argv, config, message):
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
@@ -429,14 +425,39 @@ def test_cli_bad_job_count_exit_2(tmp_path, capsys, monkeypatch, argv, config, e
         assert captured.err.endswith(f"{message}\n")
 
 
-def test_job_count_zero_defers_to_the_environment(monkeypatch):
-    monkeypatch.setenv("WELDLAB_JOBS", "3")
-    assert ExperimentConfig(experiment="walk").effective_jobs() == 3
-    assert ExperimentConfig(experiment="walk", jobs=2).effective_jobs() == 2
-    monkeypatch.delenv("WELDLAB_JOBS")
-    assert ExperimentConfig(experiment="walk").effective_jobs() == 1
-    monkeypatch.setenv("WELDLAB_JOBS", "0")
-    assert ExperimentConfig(experiment="walk").effective_jobs() == 1
+OUT_OF_BOUNDS = [("n", 0, "must be in [1, 15], got 0"), ("n", 16, "must be in [1, 15], got 16"),
+                 ("trials", 0, "must be >= 1, got 0"), ("samples", 0, "must be >= 1, got 0"),
+                 ("steps", 0, "must be >= 1, got 0"), ("sample_budget", 0, "must be >= 1, got 0"),
+                 ("jobs", 0, "must be >= 1, got 0"), ("t_max", -1, "must be >= 0, got -1"),
+                 ("t_max", math.inf, "must be finite, got inf"),
+                 ("budget", -1, "must be >= 0, got -1"), ("tau", 1.5, "must be in [0, 1], got 1.5"),
+                 ("rho_log2", math.nan, "must be finite, got nan"),
+                 ("h_values", [-1], "must hold budgets >= 0, got [-1]")]
+
+
+@pytest.mark.parametrize("experiment, name, value, message", [
+    pytest.param(experiment, *row, id=f"{experiment}-{row[0]}={json.dumps(row[1])}")
+    for experiment in ("walk", "discovery", "simulate", "e2e") for row in OUT_OF_BOUNDS])
+def test_every_command_refuses_every_out_of_bound_field(tmp_path, capsys, experiment, name,
+                                                        value, message):
+    # one check before any work, whatever the command reads
+    (tmp_path / "cfg.json").write_text(json.dumps({"n": 3, name: value}))
+    assert cli.main([experiment, "--config", str(tmp_path / "cfg.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"weldlab {experiment}: error: config field {name!r} {message}\n"
+
+
+@pytest.mark.parametrize("experiment, suffix", [("discovery", ""), ("walk", ".walk-n3.csv")])
+def test_cli_unwritable_out_exit_2(tmp_path, capsys, experiment, suffix):
+    # discovery fails on its report; walk first on its curve file beside it
+    out = tmp_path / "missing" / "r.jsonl"
+    argv = [experiment, "-n", "3", "--trials", "10", "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"weldlab {experiment}: error: out {out}{suffix}: "
+                            "No such file or directory\n")
 
 
 def test_unknown_experiment_rejected():

@@ -258,12 +258,13 @@ def test_a_quantum_tier_over_its_query_ceiling_is_refused(bbt2):
     lay, z = _entrance_query(bbt2)
 
     def tier_booking(booked):
-        def overspends(lay, state, V, ctx, **kwargs):
+        def overspends(lay, state, V, ctx, tier, layer_index):
             ctx.transcript.queries += booked
-            return HS.quantum_layer_sim(lay, state, V, ctx, **kwargs)
+            return HS.quantum_layer_sim(lay, state, V, ctx, tier, layer_index)
 
         ctx = _ctx(bbt2)
-        HS._quantum_tier_state(tier("quantum", [lay]), z, HS.entrance_known(ctx), ctx, overspends)
+        HS._quantum_tier_state(1, tier("quantum", [lay]), z, HS.entrance_known(ctx), ctx,
+                               overspends)
         return ctx.transcript.per_tier_queries
 
     assert tier_booking(4) == [4]

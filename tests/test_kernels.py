@@ -53,16 +53,16 @@ def _simulator_states(circuit, bbt) -> list:
     """Every simulated layer's state and known vertices, in learning order."""
     states = []
 
-    def record(lay, state, V, ctx, layer_index):
-        state, V = HS.quantum_layer_sim(lay, state, V, ctx, layer_index=layer_index)
+    def record(lay, state, V, ctx, tier, layer_index):
+        state, V = HS.quantum_layer_sim(lay, state, V, ctx, tier, layer_index)
         states.append((list(state.amps.items()), list(V.entries.items())))
         return state, V
 
     ctx = HS.SimContext.fresh(bbt)
     V = HS.entrance_known(ctx)
-    for t in C._iter_tiers(circuit):
+    for i, t in enumerate(C._iter_tiers(circuit), 1):
         if t.kind == "quantum":
-            probs, V = HS._quantum_tier_state(t, 0, V, ctx, record)
+            probs, V = HS._quantum_tier_state(i, t, 0, V, ctx, record)
             states.append(probs)
     states.append(ctx.transcript.to_json())
     return states
