@@ -96,8 +96,20 @@ MUTANTS = [
            ("tests/test_hybrid_sim.py::test_each_circuit_object_validated_once",)),
     Mutant("uncached-norm", "statevec.py",
            "if self._norm_sq is None:", "if True:",
-           ("tests/test_kernels.py::test_wire_only_layers_reuse_amplitudes_and_norm",
-            "tests/test_kernels.py::test_each_state_norm_summed_once_and_no_prune_without_h")),
+           ("tests/test_kernels.py::test_wire_only_layers_reuse_amplitudes_and_norm",)),
+    Mutant("uncached-check", "statevec.py",
+           "if self._check_sq is None:", "if True:",
+           ("tests/test_kernels.py::test_each_state_norm_summed_once_and_no_prune_without_h",)),
+    Mutant("h-layer-carries-check", "statevec.py",
+           "    nrm = out.check_sq()\n",
+           "    out._check_sq = state._check_sq if n_h else None\n    nrm = out.check_sq()\n",
+           tuple(f"tests/test_statevec.py::test_a_layer_that_changes_the_norm_is_refused[{k}]"
+                 for k in ("arrays", "dicts"))),
+    Mutant("fidelity-from-check", "hybrid_sim.py",
+           "    psi._check_sq = check_sq\n", "    psi._check_sq = psi._norm_sq = check_sq\n",
+           tuple("tests/test_hybrid_sim.py::test_query_free_layer_fidelity_is_the_sorted_norm"
+                 f"[{case}]" for case in ("ascending-arrays", "shuffled-arrays",
+                                          "shuffled-dicts"))),
     Mutant("queries-in-stored-order", "statevec.py",
            "queries = lay.split[1].gates",
            "queries = [g for g in lay.gates if g.kind == C.GateKind.QUERY]",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -317,10 +318,14 @@ def cmd_walk(config: ExperimentConfig) -> Report:
     if config.out:
         # the report carries the artifact's name only, so reruns stay
         # byte-identical wherever they write; the file sits next to `out`
-        csv_name = f"walk-n{n}.csv"
+        csv_name = curve_csv_name(n)
         write_out(f"{config.out}.{csv_name}", walk.curve_to_csv(res.curve), "w")
         report.artifacts["curve_csv"] = csv_name
     return report
+
+
+def curve_csv_name(n: int) -> str:
+    return f"walk-n{n}.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -439,4 +444,20 @@ def run_command(config: ExperimentConfig) -> Report:
     except KeyError:
         raise ValueError(f"unknown experiment {config.experiment!r}") from None
     config.check_bounds()
-    return fn(config)
+    made = []               # the output files the probe below created
+    try:
+        if config.out:
+            # every file the command writes, tried in the order it writes them
+            # before any work; append mode neither truncates nor changes a file
+            csv = [f"{config.out}.{curve_csv_name(config.n)}"] if fn is cmd_walk else []
+            for path in (*csv, config.out):
+                existed = os.path.exists(path)
+                write_out(path, "")
+                if not existed:
+                    made.append(path)
+        return fn(config)
+    except BaseException:
+        # a failed command leaves behind no file that it did not find
+        for path in made:
+            os.remove(path)
+        raise

@@ -211,9 +211,9 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
     bbt, n = ctx.bbt, ctx.bbt.n
     lg, lt = lay.split
     phi = SV.apply_layer(state, lg, bbt, n, tier, layer_index)
-    # the substitution permutes the support and moves no value, so psi has
-    # phi's norm wherever it keeps phi's order of values
-    width, live, wide, norm_sq = phi.width, phi.live, phi.wide, phi._norm_sq
+    # the substitution and the sort permute the support and move no value, so
+    # psi has phi's check value; its reported norm is summed in its own order
+    width, live, wide, check_sq = phi.width, phi.live, phi.wide, phi._check_sq
     size_before = V.size()
     q_before = ctx.transcript.queries
     regs = _query_regs(lt, n, live)
@@ -223,7 +223,7 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
         # half the layers leave them ascending, the rest take SV.stable_order
         if not (support[1:] > support[:-1]).all():
             order, support = SV.stable_order(support)
-            vals, norm_sq = vals[order], None
+            vals = vals[order]
             del phi, order          # release the arrays in their old order
         # (x, c) grouped once for the substitution and the instrumented truth map
         asked = SV.query_pairs(support, regs) if regs else None
@@ -234,11 +234,9 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
                            amps=SV.ArrayMap(S.value_array, SV.add_zero(vals, held)))
     else:
         support = sorted(phi.amps)
-        if list(phi.amps) != support:
-            norm_sq = None
         S, V2 = simulate_oracle(V, ctx, lt, support, live, n)
         psi = SV.PureState(width=width, live=live, amps=SV.move_amps(phi.amps, S))
-    psi._norm_sq = norm_sq
+    psi._check_sq = check_sq
 
     if V2.size() > 4 * max(size_before, 1):
         raise AssertionError(
@@ -253,7 +251,7 @@ def quantum_layer_sim(lay: C.Layer, state: SV.PureState, V: KnownVertices,
         # the true image of another, so it is not the asserted quantity)
         if not regs:
             # the identity substitution is the truth: no outlier and no gap,
-            # and the fidelity is the norm summed in sorted key order, psi's
+            # and the fidelity is psi's norm, summed in its sorted key order
             outlier_mass, fidelity, l1_gap = 0, psi.norm_sq(), 0.0
         elif wide:
             pairs, group = asked

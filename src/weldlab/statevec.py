@@ -1,15 +1,21 @@
 """Ground-truth executor: exact sparse state-vector simulation.
 
 States are sparse maps from basis keys (ints, wire i = bit i of the key) to
-complex amplitudes.  A state's norm is summed once, when first asked for,
-and kept; every layer asserts its output's norm against its input's (drift
-<= 1e-9) and never renormalizes.  Amplitudes below 1e-14 are pruned after
+complex amplitudes.  A state keeps two squared norms, each summed once, when
+first asked for.  ``norm_sq`` is report-grade: summed left to right, as is
+every sum that reaches a report (a fidelity, an outlier mass, a marginal, a
+distribution's total), so that no reported bit depends on the kernel or on
+numpy's reduction order.  ``check_sq`` serves only the layer check: every
+layer asserts its output's against its input's (drift <= 1e-9) and never
+renormalizes.  On arrays it is one einsum pass with no temporary, in numpy's
+order, and a layer that only moves amplitudes (ANC and DIS, the simulators'
+substitution and sort) carries it over.  Amplitudes below 1e-14 are pruned after
 layers with H gates, whose sums are the only way to make one: P, TOF and
 query gates move or rotate amplitudes and keep every magnitude.  Discarded
 wires stay in the key (deferred discard) but leave the ``live`` list, so
 outputs and measurements marginalize over them.  A layer of ANC and DIS
 gates only (or none) moves no amplitude: its output shares the input's
-amplitude mapping and norm.
+amplitude mapping and both norms.
 
 Representation.  ``PureState.amps`` is a dict, or for a wide state an
 ``ArrayMap``: an int64 key array and a complex128 amplitude array that read
@@ -273,6 +279,7 @@ class PureState:
     amps: Mapping[int, complex]
     live: tuple[int, ...]
     _norm_sq: float | None = field(default=None, init=False, repr=False, compare=False)
+    _check_sq: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def basis(cls, width: int, key: int) -> "PureState":
@@ -296,13 +303,27 @@ class PureState:
                 np.fromiter(self.amps.values(), np.complex128, count))
 
     def norm_sq(self) -> float:
-        """Squared norm, summed once: a state's amplitudes never change."""
+        """Squared norm, summed once (a state's amplitudes never change) and
+        report-grade: left to right, as the dict kernel sums it."""
         if self._norm_sq is None:
             if self.wide:
                 self._norm_sq = seq_sum(abs_sq(self.arrays()[1]))
             else:
                 self._norm_sq = seq_sum((a * a.conjugate()).real for a in self.amps.values())
         return self._norm_sq
+
+    def check_sq(self) -> float:
+        """Squared norm for ``apply_layer``'s check, summed once.  On arrays it
+        is one einsum pass over the float64 view, with no temporary and in
+        numpy's order, so its last bits are not ``norm_sq``'s (``np.dot`` would
+        be BLAS, which may start threads); on a dict it is ``norm_sq``."""
+        if self._check_sq is None:
+            if isinstance(self.amps, ArrayMap):
+                f = self.amps.value_array.view(np.float64)
+                self._check_sq = float(np.einsum("i,i->", f, f))
+            else:
+                self._check_sq = self.norm_sq()
+        return self._check_sq
 
     def marginal(self, wires: int | None = None) -> dict[int, float]:
         """Probability of each outcome on the first ``wires`` logical wires
@@ -652,14 +673,14 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
 
     if not steps and not regs:
         # ANC and DIS only move wires in and out of ``live``: the amplitudes
-        # and their norm carry over as they are
+        # and both norms carry over as they are
         amps = state.amps
         if isinstance(amps, ArrayMap) and width > KEY_BITS:
             amps = amps.as_dict()
         out = PureState(width=width, amps=amps, live=live_out)
-        out._norm_sq = state._norm_sq
+        out._norm_sq, out._check_sq = state._norm_sq, state._check_sq
         return out
-    prev_norm = state.norm_sq()
+    prev_norm = state.check_sq()
     # P, TOF and queries move or rotate amplitudes, never shrink one, so only
     # an H gate's sums can leave one below PRUNE_TOL
     if use_arrays(len(state.amps) << n_h, width):
@@ -679,7 +700,7 @@ def apply_layer(state: PureState, lay: C.Layer, bbt: BlackBoxTree | None = None,
         if n_h:
             amps = _prune(amps)
     out = PureState(width=width, amps=amps, live=live_out)
-    nrm = out.norm_sq()
+    nrm = out.check_sq()
     if abs(nrm - prev_norm) > NORM_TOL:
         raise AssertionError(f"layer changed norm by {nrm - prev_norm!r}")
     return out

@@ -449,8 +449,14 @@ def test_every_command_refuses_every_out_of_bound_field(tmp_path, capsys, experi
 
 
 @pytest.mark.parametrize("experiment, suffix", [("discovery", ""), ("walk", ".walk-n3.csv")])
-def test_cli_unwritable_out_exit_2(tmp_path, capsys, experiment, suffix):
-    # discovery fails on its report; walk first on its curve file beside it
+def test_cli_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, experiment, suffix):
+    # discovery fails on its report; walk first on its curve file beside it.
+    # Both fail before any work: the work itself would raise here
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the command ran before its output was tried")
+
+    monkeypatch.setattr(walk, "sweep", no_work)
+    monkeypatch.setattr(harness, "discovery_rate", no_work)
     out = tmp_path / "missing" / "r.jsonl"
     argv = [experiment, "-n", "3", "--trials", "10", "--out", str(out)]
     assert cli.main(argv) == 2
@@ -458,6 +464,26 @@ def test_cli_unwritable_out_exit_2(tmp_path, capsys, experiment, suffix):
     assert captured.out == ""
     assert captured.err == (f"weldlab {experiment}: error: out {out}{suffix}: "
                             "No such file or directory\n")
+
+
+@pytest.mark.parametrize("experiment, n, kept", [("e2e", "1", None), ("e2e", "1", "old\n"),
+                                                 ("walk", "3", "dir")])
+def test_cli_failed_run_leaves_no_output_file(tmp_path, capsys, monkeypatch, experiment, n,
+                                              kept):
+    # e2e -n 1 fails after its report was tried; walk's curve file opens but
+    # its report, a directory, does not.  Only what was there before is left,
+    # as it was
+    monkeypatch.setattr(walk, "sweep", lambda *_a, **_k: pytest.fail("walk ran"))
+    out = tmp_path / "r.jsonl"
+    if kept == "dir":
+        out.mkdir()
+    elif kept is not None:
+        out.write_text(kept)
+    assert cli.main([experiment, "-n", n, "--trials", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ([] if kept is None else ["r.jsonl"])
+    if kept not in (None, "dir"):
+        assert out.read_text() == kept
 
 
 def test_unknown_experiment_rejected():

@@ -13,7 +13,7 @@ from weldlab import hybrid_sim as HS
 from weldlab import statevec as SV
 from weldlab import tree
 
-from circuit_gen import (entrance_query_circuit, hardcoded_guess_circuit, query_gate,
+from circuit_gen import (_grow_layer, entrance_query_circuit, hardcoded_guess_circuit, query_gate,
                          random_hybrid, random_jozsa, random_quantum_layer,
                          tier, total_quantum_layers)
 from tree_tools import vertex_row
@@ -305,6 +305,37 @@ def test_a_run_over_the_wrapper_ceiling_is_refused(bbt2, monkeypatch):
 # ---------------------------------------------------------------------------
 # zero-outlier soundness and faithfulness
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("threshold", [0, float("inf")], ids=["arrays", "dicts"])
+@pytest.mark.parametrize("order", ["ascending", "shuffled"])
+def test_query_free_layer_fidelity_is_the_sorted_norm(monkeypatch, bbt2, order, threshold):
+    # the fidelity of an instrumented layer without queries is report-grade:
+    # |a|^2 summed left to right in psi's sorted key order, never the value
+    # of the layer's norm check.  From 60 physical wires the layer's four
+    # ancillas take the state past KEY_BITS, onto a dict after array inputs
+    monkeypatch.setattr(SV, "ARRAY_MIN_SUPPORT", threshold)
+    rng = np.random.default_rng(30)
+    keys = rng.choice(1 << 12, size=600, replace=False)
+    if order == "ascending":
+        keys.sort()
+    vals = rng.normal(size=600) + 1j * rng.normal(size=600)
+    vals /= np.linalg.norm(vals)
+    layers = [C.layer(12, [C.Gate(C.GateKind.PHASE, (2,)), C.Gate(C.GateKind.PHASE, (7,))]),
+              _grow_layer(12, 16),
+              C.layer(16, [C.Gate(C.GateKind.PHASE, (2,)),
+                           C.Gate(C.GateKind.TOFFOLI, (0, 1, 13))])]
+    for width in (12, 60):
+        amps = (SV.ArrayMap(keys, vals) if threshold == 0
+                else dict(zip(keys.tolist(), vals.tolist())))
+        state = SV.PureState(width, amps, tuple(range(12)))
+        for lay in layers:
+            ctx = _ctx(bbt2)
+            state, _V = HS.quantum_layer_sim(lay, state, HS.entrance_known(ctx), ctx)
+            assert list(state.amps) == sorted(state.amps)
+            want = SV.seq_sum((a * a.conjugate()).real for a in state.amps.values())
+            assert ctx.transcript.per_layer[-1].fidelity == want, (width, lay)
+        assert isinstance(state.amps, SV.ArrayMap) == (threshold == 0 and width == 12)
+
 
 def test_zero_outlier_soundness(bbt2):
     circ = entrance_query_circuit(2)

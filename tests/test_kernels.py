@@ -290,8 +290,9 @@ def test_wire_only_layers_reuse_amplitudes_and_norm(monkeypatch):
 
 
 def test_each_state_norm_summed_once_and_no_prune_without_h(monkeypatch):
-    # P and TOF layers on the array kernel: one |a|^2 pass per state made
-    # (the input's norm is the previous output's), and no hypot prune
+    # P and TOF layers on the array kernel: one check reduction per state
+    # made (the input's is the previous output's), no report-grade |a|^2
+    # pass or running sum, and no hypot prune
     h_layer = C.layer(12, [C.Gate(C.GateKind.H, (w,)) for w in range(8)])
     layers = [C.layer(12, [C.Gate(C.GateKind.PHASE, (w,)) for w in range(4)]),
               C.layer(12, [C.Gate(C.GateKind.TOFFOLI, (0, 1, 9))]),
@@ -299,10 +300,11 @@ def test_each_state_norm_summed_once_and_no_prune_without_h(monkeypatch):
                            C.Gate(C.GateKind.TOFFOLI, (2, 3, 10))])]
     state = SV.apply_layer(SV.PureState.basis(12, 0), h_layer)
     assert state.wide
-    calls = {"abs_sq": 0, "hypot": 0}
-    _count_calls(monkeypatch, SV, "abs_sq", calls)
-    _count_calls(monkeypatch, SV.np, "hypot", calls)
+    calls = {"abs_sq": 0, "cumsum": 0, "einsum": 0, "hypot": 0}
+    for owner, name in ((SV, "abs_sq"), (SV.np, "cumsum"), (SV.np, "einsum"),
+                        (SV.np, "hypot")):
+        _count_calls(monkeypatch, owner, name, calls)
     for lay in layers:
         state = SV.apply_layer(state, lay)
         assert len(state.amps) == 256 and isinstance(state.amps, SV.ArrayMap)
-    assert calls == {"abs_sq": len(layers), "hypot": 0}
+    assert calls == {"abs_sq": 0, "cumsum": 0, "einsum": len(layers), "hypot": 0}

@@ -598,8 +598,13 @@ KERNELS = pytest.mark.parametrize("threshold", [0, math.inf], ids=["arrays", "di
 
 @KERNELS
 def test_a_layer_that_changes_the_norm_is_refused(monkeypatch, threshold):
-    # step kernels that keep only half of each amplitude
+    # step kernels that keep only half of each amplitude, on an H layer from a
+    # basis state and on a P layer after it, at supports 2, 128 and 2^16
     monkeypatch.setattr(SV, "ARRAY_MIN_SUPPORT", threshold)
+    h_layers = [C.layer(16, [C.Gate(C.GateKind.H, (w,)) for w in range(k)])
+                for k in (1, 7, 16)]
+    spread = [SV.apply_layer(SV.PureState.basis(16, 0), lay) for lay in h_layers]
+    p_layer = C.layer(16, [C.Gate(C.GateKind.PHASE, (0,))])
     steps_dict, steps_arrays = SV._steps_dict, SV._steps_arrays
 
     def halved_arrays(keys, vals, steps):
@@ -609,8 +614,25 @@ def test_a_layer_that_changes_the_norm_is_refused(monkeypatch, threshold):
     monkeypatch.setattr(SV, "_steps_dict", lambda amps, steps: {
         k: a / 2 for k, a in steps_dict(amps, steps).items()})
     monkeypatch.setattr(SV, "_steps_arrays", halved_arrays)
-    with pytest.raises(AssertionError, match="layer changed norm by -0.7"):
-        SV.apply_layer(SV.PureState.basis(2, 0), C.layer(2, [C.Gate(C.GateKind.H, (0,))]))
+    for h_layer, state in zip(h_layers, spread):
+        with pytest.raises(AssertionError, match="layer changed norm by -0.7"):
+            SV.apply_layer(SV.PureState.basis(16, 0), h_layer)
+        with pytest.raises(AssertionError, match="layer changed norm by -0.7"):
+            SV.apply_layer(state, p_layer)
+
+
+@pytest.mark.parametrize("size", [1 << 9, 1 << 14, 1 << 16])
+def test_the_layer_check_sum_is_within_n_ulps_of_the_reported_norm(size):
+    # the reported norm is summed left to right on both kernels; the check
+    # on arrays is summed in numpy's order, so only a bound relates the two
+    rng = np.random.default_rng(size)
+    keys = np.arange(size, dtype=np.int64)
+    vals = rng.normal(size=size) + 1j * rng.normal(size=size)
+    arrays = SV.PureState(17, SV.ArrayMap(keys, vals), tuple(range(17)))
+    dicts = SV.PureState(17, dict(zip(keys.tolist(), vals.tolist())), tuple(range(17)))
+    norm = arrays.norm_sq()
+    assert dicts.check_sq() == dicts.norm_sq() == norm
+    assert abs(arrays.check_sq() - norm) <= size * np.finfo(float).eps * norm
 
 
 @KERNELS
